@@ -6,7 +6,7 @@
 // scanned all VCs. This harness measures the signalling plane the way an
 // exchange would be specified: sustained open / renegotiate / close
 // contract operations per second on generated metro fabrics — pure
-// control-plane work against the route cache, the flat reservation ledger
+// control-plane work against the route trees, the flat reservation ledger
 // and the per-link VC index — alongside the scenario engine's end-to-end
 // admission latency on the same fabrics. After every churn round the
 // reservation ledger must drain to exactly zero on every link.
@@ -16,8 +16,9 @@
 //                    scenario-engine admission latency on the large one
 //   smoke [secs]     CI-sized run; exits non-zero if nothing churned or the
 //                    ledger failed to drain
-//   snapshot         machine-readable JSON (churn ops/s + metro admission
-//                    latency points incl. fleet fingerprints)
+//
+// Machine-readable admission-plane numbers come from the performance
+// ledger's admission-churn workload (bench/ledger/README.md).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -201,59 +202,12 @@ int RunSmoke(int seconds) {
   return ok ? 0 : 1;
 }
 
-int RunSnapshot() {
-  std::vector<ChurnPoint> churn(2);
-  churn[0].name = "churn-small";
-  churn[0].topo = Metro(1, 2, 2, 8);
-  churn[1].name = "churn-mid";
-  churn[1].topo = Metro(2, 2, 3, 16);
-  for (auto& p : churn) {
-    RunChurn(&p, 17);
-  }
-  std::vector<ScenarioPoint> scen(2);
-  scen[0] = ScenarioPoint{"metro-small", Metro(1, 2, 2, 8), 40.0, 4, 0.05, {}, 0};
-  scen[1] = ScenarioPoint{"metro-mid", Metro(2, 2, 3, 16), 120.0, 4, 0.02, {}, 0};
-  for (auto& p : scen) {
-    RunScenario(&p, 16);
-  }
-
-  std::printf("{\n  \"bench\": \"e17_contract_churn\",\n  \"churn\": [\n");
-  for (size_t i = 0; i < churn.size(); ++i) {
-    const ChurnPoint& p = churn[i];
-    std::printf("    {\"name\": \"%s\", \"switches\": %d, \"hosts\": %d, \"opens\": %lld, "
-                "\"open_rejects\": %lld, \"opens_per_sec\": %.0f, "
-                "\"renegotiates_per_sec\": %.0f, \"closes_per_sec\": %.0f, "
-                "\"ledger_drained\": %s}%s\n",
-                p.name.c_str(), p.switches, p.hosts, static_cast<long long>(p.opens),
-                static_cast<long long>(p.open_rejects), p.opens_per_sec(), p.renegs_per_sec(),
-                p.closes_per_sec(), p.drained ? "true" : "false",
-                i + 1 < churn.size() ? "," : "");
-  }
-  std::printf("  ],\n  \"admission\": [\n");
-  for (size_t i = 0; i < scen.size(); ++i) {
-    const scenario::FleetMetrics& m = scen[i].metrics;
-    std::printf("    {\"name\": \"%s\", \"switches\": %d, \"admit_mean_us\": %.2f, "
-                "\"admit_max_us\": %.2f, \"arrivals\": %lld, \"admitted\": %lld, "
-                "\"fingerprint\": \"%llx\"}%s\n",
-                scen[i].name.c_str(), scen[i].switches, m.mean_admit_wall_us(),
-                m.admit_wall_ns_max / 1e3, static_cast<long long>(m.arrivals),
-                static_cast<long long>(m.admitted),
-                static_cast<unsigned long long>(m.Fingerprint()),
-                i + 1 < scen.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "smoke") == 0) {
     const int seconds = argc > 2 ? std::max(2, std::atoi(argv[2])) : 3;
     return RunSmoke(seconds);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "snapshot") == 0) {
-    return RunSnapshot();
   }
 
   bench::PrintHeader(

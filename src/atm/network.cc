@@ -25,6 +25,7 @@ Switch* Network::AddSwitch(const std::string& name, int num_ports, sim::Duration
   Switch* sw = switches_.back().get();
   sw->set_id(static_cast<int>(switches_.size()) - 1);
   adjacency_.emplace_back();
+  route_trees_.emplace_back();
   ++topology_epoch_;
   return sw;
 }
@@ -106,77 +107,69 @@ const Network::Edge* Network::FindEdge(const Switch* a, const Switch* b) const {
   return (it != row.end() && it->to == b) ? &*it : nullptr;
 }
 
-void Network::ComputePath(Switch* from, Switch* to, CachedPath* out) const {
-  out->epoch = topology_epoch_;
-  out->reachable = false;
-  out->first = from;
-  out->hops.clear();
-  out->links_latency = 0;
-  const int n = static_cast<int>(adjacency_.size());
-  const int from_id = from->id();
-  const int to_id = to->id();
-  if (from_id < 0 || from_id >= n || to_id < 0 || to_id >= n) {
-    return;
+const Network::RouteTree& Network::TreeFrom(int root_id) const {
+  RouteTree& tree = route_trees_[static_cast<size_t>(root_id)];
+  if (tree.epoch == topology_epoch_) {
+    return tree;
   }
-  if (from == to) {
-    out->reachable = true;
-    return;
-  }
-  // Breadth-first over switch ids; each adjacency row is sorted by
-  // neighbour id, so equal-length paths tie-break by insertion order —
-  // never by heap address.
-  std::vector<int> parent(static_cast<size_t>(n), -1);
-  std::vector<char> visited(static_cast<size_t>(n), 0);
+  // Breadth-first over switch ids, run to completion; each adjacency row is
+  // sorted by neighbour id, so equal-length paths tie-break by insertion
+  // order — never by heap address. A switch's parent is fixed the moment it
+  // is first reached, so stopping at any destination would have assigned
+  // that destination's ancestors exactly the same parents.
+  const size_t n = adjacency_.size();
+  tree.epoch = topology_epoch_;
+  tree.parent.assign(n, -1);
   std::vector<int> frontier;
-  frontier.reserve(static_cast<size_t>(n));
-  visited[static_cast<size_t>(from_id)] = 1;
-  frontier.push_back(from_id);
+  frontier.reserve(n);
+  tree.parent[static_cast<size_t>(root_id)] = root_id;
+  frontier.push_back(root_id);
   for (size_t head = 0; head < frontier.size(); ++head) {
     const int cur = frontier[head];
-    if (cur == to_id) {
-      break;
-    }
     for (const Edge& e : adjacency_[static_cast<size_t>(cur)]) {
-      if (!visited[static_cast<size_t>(e.to_id)]) {
-        visited[static_cast<size_t>(e.to_id)] = 1;
-        parent[static_cast<size_t>(e.to_id)] = cur;
+      if (tree.parent[static_cast<size_t>(e.to_id)] < 0) {
+        tree.parent[static_cast<size_t>(e.to_id)] = cur;
         frontier.push_back(e.to_id);
       }
     }
   }
-  if (!visited[static_cast<size_t>(to_id)]) {
-    return;
-  }
-  // Reconstruct dst -> src, then emit hops in src -> dst order.
-  std::vector<int> reversed;
-  for (int s = to_id; s != from_id; s = parent[static_cast<size_t>(s)]) {
-    reversed.push_back(s);
-  }
-  reversed.push_back(from_id);
-  out->hops.reserve(reversed.size() - 1);
-  for (size_t i = reversed.size() - 1; i > 0; --i) {
-    Switch* cur = switches_[static_cast<size_t>(reversed[i])].get();
-    Switch* next = switches_[static_cast<size_t>(reversed[i - 1])].get();
-    const Edge* fwd = FindEdge(cur, next);
-    const Edge* back = FindEdge(next, cur);
-    if (fwd == nullptr || back == nullptr) {
-      out->hops.clear();
-      return;
-    }
-    out->hops.push_back(CachedHop{next, fwd->out_port, fwd->link, back->out_port});
-    out->links_latency += fwd->link->propagation_delay() + fwd->link->cell_time();
-  }
-  out->reachable = true;
+  return tree;
 }
 
-const Network::CachedPath* Network::ResolvePath(Switch* from, Switch* to) const {
-  const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(from->id())) << 32) |
-                       static_cast<uint32_t>(to->id());
-  CachedPath& entry = route_cache_[key];
-  if (entry.epoch != topology_epoch_ || entry.first != from) {
-    ComputePath(from, to, &entry);
+bool Network::ReadPath(const Switch* from, const Switch* to, SwitchPath* out) const {
+  out->hops.clear();
+  out->links_latency = 0;
+  const int n = static_cast<int>(switches_.size());
+  const int from_id = from->id();
+  const int to_id = to->id();
+  if (from_id < 0 || from_id >= n || to_id < 0 || to_id >= n ||
+      switches_[static_cast<size_t>(from_id)].get() != from ||
+      switches_[static_cast<size_t>(to_id)].get() != to) {
+    return false;
   }
-  return &entry;
+  const std::vector<int>& parent = TreeFrom(from_id).parent;
+  if (parent[static_cast<size_t>(to_id)] < 0) {
+    return false;
+  }
+  // Walk dst -> src twice: once for the length, once filling the hops from
+  // the back, so they come out in src -> dst order.
+  size_t depth = 0;
+  for (int s = to_id; s != from_id; s = parent[static_cast<size_t>(s)]) {
+    ++depth;
+  }
+  out->hops.resize(depth);
+  for (int s = to_id; s != from_id; s = parent[static_cast<size_t>(s)]) {
+    Switch* cur = switches_[static_cast<size_t>(parent[static_cast<size_t>(s)])].get();
+    Switch* next = switches_[static_cast<size_t>(s)].get();
+    // Tree edges come from the adjacency, and ConnectSwitches always wires
+    // both directions, so neither lookup can miss.
+    const Edge* fwd = FindEdge(cur, next);
+    const Edge* back = FindEdge(next, cur);
+    assert(fwd != nullptr && back != nullptr);
+    out->hops[--depth] = PathHop{next, fwd->out_port, fwd->link, back->out_port};
+    out->links_latency += fwd->link->propagation_delay() + fwd->link->cell_time();
+  }
+  return true;
 }
 
 std::optional<ResolvedRoute> Network::ResolveRoute(const Endpoint* src,
@@ -188,18 +181,18 @@ std::optional<ResolvedRoute> Network::ResolveRoute(const Endpoint* src,
   }
   const Attachment& src_at = src_it->second;
   const Attachment& dst_at = dst_it->second;
-  const CachedPath* path = ResolvePath(src_at.sw, dst_at.sw);
-  if (!path->reachable) {
+  SwitchPath path;
+  if (!ReadPath(src_at.sw, dst_at.sw, &path)) {
     return std::nullopt;
   }
   ResolvedRoute route;
-  route.links.reserve(path->hops.size() + 2);
+  route.links.reserve(path.hops.size() + 2);
   route.links.push_back(src_at.to_switch);
-  for (const CachedHop& hop : path->hops) {
+  for (const PathHop& hop : path.hops) {
     route.links.push_back(hop.link);
   }
   route.links.push_back(dst_at.from_switch);
-  route.latency_ns = path->links_latency +
+  route.latency_ns = path.links_latency +
                      src_at.to_switch->propagation_delay() + src_at.to_switch->cell_time() +
                      dst_at.from_switch->propagation_delay() + dst_at.from_switch->cell_time();
   route.epoch = topology_epoch_;
@@ -215,9 +208,19 @@ std::optional<std::vector<Link*>> Network::PathLinks(const Endpoint* src,
   return std::move(route->links);
 }
 
-const std::vector<Link*>* Network::VcLinks(VcId id) const {
+Network::VcState* Network::FindVc(VcId id) {
   auto it = vcs_.find(id);
-  return it == vcs_.end() ? nullptr : &it->second.hop_links;
+  return it == vcs_.end() ? nullptr : &it->second;
+}
+
+const Network::VcState* Network::FindVc(VcId id) const {
+  auto it = vcs_.find(id);
+  return it == vcs_.end() ? nullptr : &it->second;
+}
+
+const std::vector<Link*>* Network::VcLinks(VcId id) const {
+  const VcState* state = FindVc(id);
+  return state == nullptr ? nullptr : &state->hop_links;
 }
 
 const std::vector<VcId>& Network::VcsOnLink(const Link* link) const {
@@ -260,22 +263,22 @@ std::optional<VcDescriptor> Network::OpenVc(Endpoint* src, Endpoint* dst, QosSpe
   const Attachment& src_at = src_it->second;
   const Attachment& dst_at = dst_it->second;
 
-  const CachedPath* path = ResolvePath(src_at.sw, dst_at.sw);
-  if (!path->reachable) {
+  SwitchPath path;
+  if (!ReadPath(src_at.sw, dst_at.sw, &path)) {
     ++rejections_no_path_;
     return std::nullopt;
   }
 
   // Collect the links the VC will traverse, in order.
   std::vector<Link*> hop_links;
-  hop_links.reserve(path->hops.size() + 2);
+  hop_links.reserve(path.hops.size() + 2);
   hop_links.push_back(src_at.to_switch);
-  for (const CachedHop& hop : path->hops) {
+  for (const PathHop& hop : path.hops) {
     hop_links.push_back(hop.link);
   }
   hop_links.push_back(dst_at.from_switch);
 
-  return OpenVcAlongPath(src, dst, qos, src_at, dst_at, *path, std::move(hop_links));
+  return OpenVcAlongPath(src, dst, qos, src_at, dst_at, path, std::move(hop_links));
 }
 
 std::optional<VcDescriptor> Network::OpenVc(Endpoint* src, Endpoint* dst, QosSpec qos,
@@ -293,18 +296,18 @@ std::optional<VcDescriptor> Network::OpenVc(Endpoint* src, Endpoint* dst, QosSpe
   }
   const Attachment& src_at = src_it->second;
   const Attachment& dst_at = dst_it->second;
-  const CachedPath* path = ResolvePath(src_at.sw, dst_at.sw);
-  if (!path->reachable) {
+  SwitchPath path;
+  if (!ReadPath(src_at.sw, dst_at.sw, &path)) {
     ++rejections_no_path_;
     return std::nullopt;
   }
-  return OpenVcAlongPath(src, dst, qos, src_at, dst_at, *path, route.links);
+  return OpenVcAlongPath(src, dst, qos, src_at, dst_at, path, route.links);
 }
 
 std::optional<VcDescriptor> Network::OpenVcAlongPath(Endpoint* src, Endpoint* dst, QosSpec qos,
                                                      const Attachment& src_at,
                                                      const Attachment& dst_at,
-                                                     const CachedPath& path,
+                                                     const SwitchPath& path,
                                                      std::vector<Link*> hop_links) {
   // Admission control: the reservation must fit on every traversed link.
   if (qos.peak_bps > 0) {
@@ -322,8 +325,8 @@ std::optional<VcDescriptor> Network::OpenVcAlongPath(Endpoint* src, Endpoint* ds
   Vci in_vci = src_at.sw->AllocateVci(src_at.port);
   const Vci source_vci = in_vci;
   int in_port = src_at.port;
-  Switch* sw = path.first;
-  for (const CachedHop& hop : path.hops) {
+  Switch* sw = src_at.sw;
+  for (const PathHop& hop : path.hops) {
     // The VCI on the inter-switch link is whatever is free on the next
     // switch's input port.
     const Vci out_vci = hop.next->AllocateVci(hop.next_in_port);
@@ -381,8 +384,7 @@ bool Network::CloseVc(VcId id) {
     return false;
   }
   VcState& state = it->second;
-  auto mcast_it = mcast_.find(id);
-  if (mcast_it == mcast_.end()) {
+  if (state.mcast == nullptr) {
     for (const HopRecord& hop : state.hops) {
       hop.sw->RemoveRoute(hop.in_port, hop.in_vci);
     }
@@ -391,28 +393,30 @@ bool Network::CloseVc(VcId id) {
     // A tree: retire each switch's whole entry (RemoveRoute drops every
     // branch at once) and release EVERY leaf's incoming VCI, not just the
     // descriptor's nominal destination.
-    McastState& m = mcast_it->second;
-    for (const auto& [sw_id, in] : m.node_in) {
+    for (const auto& [sw_id, in] : state.mcast->node_in) {
       switches_[static_cast<size_t>(sw_id)]->RemoveRoute(in.first, in.second);
     }
-    for (const McastLeafRec& rec : m.leaves) {
+    for (const McastLeafRec& rec : state.mcast->leaves) {
       rec.leaf->ReleaseIncomingVci(rec.leaf_vci);
     }
-    mcast_.erase(mcast_it);
   }
   for (Link* l : state.hop_links) {
     if (state.desc.qos.peak_bps > 0) {
       reserved_bps_[static_cast<size_t>(l->id())] -= state.desc.qos.peak_bps;
     }
-    auto& on_link = link_vcs_[static_cast<size_t>(l->id())];
-    auto pos = std::find(on_link.begin(), on_link.end(), id);
-    if (pos != on_link.end()) {
-      on_link.erase(pos);  // order-preserving: the index stays id-sorted
-    }
+    EraseFromLinkIndex(l, id);
   }
-  congestion_handlers_.erase(id);
   vcs_.erase(it);
   return true;
+}
+
+void Network::EraseFromLinkIndex(const Link* link, VcId id) {
+  // Order-preserving, so the index stays id-sorted.
+  auto& on_link = link_vcs_[static_cast<size_t>(link->id())];
+  auto pos = std::lower_bound(on_link.begin(), on_link.end(), id);
+  if (pos != on_link.end() && *pos == id) {
+    on_link.erase(pos);
+  }
 }
 
 bool Network::PlanGraft(const McastState& m, Endpoint* leaf,
@@ -423,8 +427,8 @@ bool Network::PlanGraft(const McastState& m, Endpoint* leaf,
     return false;
   }
   const Attachment& leaf_at = leaf_it->second;
-  const CachedPath* path = ResolvePath(m.root, leaf_at.sw);
-  if (!path->reachable) {
+  SwitchPath path;
+  if (!ReadPath(m.root, leaf_at.sw, &path)) {
     return false;
   }
   auto in_tree = [&](int sw_id) {
@@ -434,7 +438,7 @@ bool Network::PlanGraft(const McastState& m, Endpoint* leaf,
     return m.branches.count(key) > 0 || planned_branches->count(key) > 0;
   };
   const Switch* cur = m.root;
-  for (const CachedHop& hop : path->hops) {
+  for (const PathHop& hop : path.hops) {
     const std::pair<int, int> key{cur->id(), hop.out_port};
     if (!have_branch(key)) {
       if (in_tree(hop.next->id())) {
@@ -471,11 +475,7 @@ void Network::UnchargeTreeLink(VcState& state, Link* link) {
   if (state.desc.qos.peak_bps > 0) {
     reserved_bps_[static_cast<size_t>(link->id())] -= state.desc.qos.peak_bps;
   }
-  auto& on_link = link_vcs_[static_cast<size_t>(link->id())];
-  auto pos = std::find(on_link.begin(), on_link.end(), state.desc.id);
-  if (pos != on_link.end()) {
-    on_link.erase(pos);
-  }
+  EraseFromLinkIndex(link, state.desc.id);
   auto lpos = std::find(state.hop_links.begin(), state.hop_links.end(), link);
   if (lpos != state.hop_links.end()) {
     state.hop_links.erase(lpos);
@@ -484,7 +484,8 @@ void Network::UnchargeTreeLink(VcState& state, Link* link) {
 
 void Network::CommitGraft(VcState& state, McastState& m, Endpoint* leaf) {
   const Attachment& leaf_at = endpoint_attachments_.at(leaf);
-  const CachedPath* path = ResolvePath(m.root, leaf_at.sw);
+  SwitchPath path;
+  ReadPath(m.root, leaf_at.sw, &path);  // PlanGraft found it reachable
   McastLeafRec rec;
   rec.leaf = leaf;
   auto add_branch = [&](Switch* sw, int out_port, Vci out_vci, Link* link, int next_switch_id) {
@@ -498,7 +499,7 @@ void Network::CommitGraft(VcState& state, McastState& m, Endpoint* leaf) {
     ChargeTreeLink(state, link);
   };
   Switch* cur = m.root;
-  for (const CachedHop& hop : path->hops) {
+  for (const PathHop& hop : path.hops) {
     const std::pair<int, int> key{cur->id(), hop.out_port};
     if (m.branches.count(key) == 0) {
       const Vci out_vci = hop.next->AllocateVci(hop.next_in_port);
@@ -526,7 +527,8 @@ std::optional<VcDescriptor> Network::OpenMulticastVc(Endpoint* src,
     return std::nullopt;
   }
   const Attachment& src_at = src_it->second;
-  McastState m;
+  auto tree = std::make_unique<McastState>();
+  McastState& m = *tree;
   m.source = src;
   m.root = src_at.sw;
 
@@ -568,18 +570,18 @@ std::optional<VcDescriptor> Network::OpenMulticastVc(Endpoint* src,
   state.desc.destination = sinks.front();
   state.desc.destination_vci = m.leaves.front().leaf_vci;
   state.desc.hop_count = static_cast<int>(m.node_in.size());
+  state.mcast = std::move(tree);
   const VcDescriptor desc = state.desc;
   vcs_[desc.id] = std::move(state);
-  mcast_[desc.id] = std::move(m);
   return desc;
 }
 
 std::optional<Vci> Network::AddLeaf(VcId id, Endpoint* leaf) {
-  auto mcast_it = mcast_.find(id);
-  if (mcast_it == mcast_.end()) {
+  VcState* state = FindVc(id);
+  if (state == nullptr || state->mcast == nullptr) {
     return std::nullopt;
   }
-  McastState& m = mcast_it->second;
+  McastState& m = *state->mcast;
   if (leaf == m.source) {
     return std::nullopt;
   }
@@ -595,28 +597,27 @@ std::optional<Vci> Network::AddLeaf(VcId id, Endpoint* leaf) {
     ++rejections_no_path_;
     return std::nullopt;
   }
-  VcState& state = vcs_.at(id);
   // Late join: only the GRAFT path faces admission — everything upstream of
   // the attach point is already reserved.
-  if (state.desc.qos.peak_bps > 0) {
+  if (state->desc.qos.peak_bps > 0) {
     for (Link* l : new_links) {
-      if (ReservedBps(l) + state.desc.qos.peak_bps > l->bits_per_second()) {
+      if (ReservedBps(l) + state->desc.qos.peak_bps > l->bits_per_second()) {
         ++rejections_bandwidth_;
         return std::nullopt;
       }
     }
   }
-  CommitGraft(state, m, leaf);
-  state.desc.hop_count = static_cast<int>(m.node_in.size());
+  CommitGraft(*state, m, leaf);
+  state->desc.hop_count = static_cast<int>(m.node_in.size());
   return m.leaves.back().leaf_vci;
 }
 
 bool Network::RemoveLeaf(VcId id, Endpoint* leaf) {
-  auto mcast_it = mcast_.find(id);
-  if (mcast_it == mcast_.end()) {
+  VcState* state = FindVc(id);
+  if (state == nullptr || state->mcast == nullptr) {
     return false;
   }
-  McastState& m = mcast_it->second;
+  McastState& m = *state->mcast;
   if (m.leaves.size() <= 1) {
     return false;  // the last leaf comes off via CloseVc
   }
@@ -625,7 +626,6 @@ bool Network::RemoveLeaf(VcId id, Endpoint* leaf) {
   if (rec_it == m.leaves.end()) {
     return false;
   }
-  VcState& state = vcs_.at(id);
   // Prune bottom-up: the leaf-most branch always hits zero refs; upstream
   // branches survive while any other leaf still rides them.
   for (auto key_it = rec_it->branch_keys.rbegin(); key_it != rec_it->branch_keys.rend();
@@ -637,7 +637,7 @@ bool Network::RemoveLeaf(VcId id, Endpoint* leaf) {
     const auto& in = m.node_in.at(key_it->first);
     switches_[static_cast<size_t>(key_it->first)]->RemoveRouteTarget(in.first, in.second,
                                                                      key_it->second);
-    UnchargeTreeLink(state, branch.link);
+    UnchargeTreeLink(*state, branch.link);
     if (branch.next_switch_id >= 0) {
       m.node_in.erase(branch.next_switch_id);
     }
@@ -645,21 +645,28 @@ bool Network::RemoveLeaf(VcId id, Endpoint* leaf) {
   }
   leaf->ReleaseIncomingVci(rec_it->leaf_vci);
   m.leaves.erase(rec_it);
-  state.desc.hop_count = static_cast<int>(m.node_in.size());
+  state->desc.hop_count = static_cast<int>(m.node_in.size());
   return true;
 }
 
+bool Network::IsMulticastVc(VcId id) const {
+  const VcState* state = FindVc(id);
+  return state != nullptr && state->mcast != nullptr;
+}
+
 int Network::McastLeafCount(VcId id) const {
-  auto it = mcast_.find(id);
-  return it == mcast_.end() ? 0 : static_cast<int>(it->second.leaves.size());
+  const VcState* state = FindVc(id);
+  return state == nullptr || state->mcast == nullptr
+             ? 0
+             : static_cast<int>(state->mcast->leaves.size());
 }
 
 std::optional<Vci> Network::McastLeafVci(VcId id, const Endpoint* leaf) const {
-  auto it = mcast_.find(id);
-  if (it == mcast_.end()) {
+  const VcState* state = FindVc(id);
+  if (state == nullptr || state->mcast == nullptr) {
     return std::nullopt;
   }
-  for (const McastLeafRec& rec : it->second.leaves) {
+  for (const McastLeafRec& rec : state->mcast->leaves) {
     if (rec.leaf == leaf) {
       return rec.leaf_vci;
     }
@@ -668,21 +675,25 @@ std::optional<Vci> Network::McastLeafVci(VcId id, const Endpoint* leaf) const {
 }
 
 void Network::SetCongestionHandler(VcId id, CongestionCallback callback) {
-  if (vcs_.count(id) == 0) {
-    return;
+  if (VcState* state = FindVc(id)) {
+    state->on_congestion = std::move(callback);
   }
-  congestion_handlers_[id] = std::move(callback);
 }
 
-void Network::ClearCongestionHandler(VcId id) { congestion_handlers_.erase(id); }
+void Network::ClearCongestionHandler(VcId id) {
+  if (VcState* state = FindVc(id)) {
+    state->on_congestion = nullptr;
+  }
+}
 
 int Network::SignalCongestion(const Link* link, double severity) {
   // Collect ids first: a handler may renegotiate or close VCs, mutating
-  // the per-link index and the handler map mid-iteration. The index is
+  // the per-link index and the VC table mid-iteration. The index is
   // ascending VcId — the same order the historical all-VCs scan produced.
   std::vector<VcId> to_notify;
   for (VcId id : VcsOnLink(link)) {
-    if (congestion_handlers_.count(id) > 0) {
+    const VcState* state = FindVc(id);
+    if (state != nullptr && state->on_congestion) {
       to_notify.push_back(id);
     }
   }
@@ -692,18 +703,14 @@ int Network::SignalCongestion(const Link* link, double severity) {
     // closed this VC, re-established it off the link, or dropped its
     // handler — a stale notification would report congestion for a link
     // the VC no longer traverses.
-    auto vc = vcs_.find(id);
-    if (vc == vcs_.end() ||
-        std::find(vc->second.hop_links.begin(), vc->second.hop_links.end(), link) ==
-            vc->second.hop_links.end()) {
-      continue;
-    }
-    auto handler = congestion_handlers_.find(id);
-    if (handler == congestion_handlers_.end()) {
+    const VcState* state = FindVc(id);
+    if (state == nullptr || !state->on_congestion ||
+        std::find(state->hop_links.begin(), state->hop_links.end(), link) ==
+            state->hop_links.end()) {
       continue;
     }
     // Copy the callback: the handler may replace itself mid-call.
-    CongestionCallback callback = handler->second;
+    CongestionCallback callback = state->on_congestion;
     callback(id, link, severity);
     ++notified;
   }
@@ -711,11 +718,11 @@ int Network::SignalCongestion(const Link* link, double severity) {
 }
 
 bool Network::UpdateVcQos(VcId id, QosSpec qos) {
-  auto it = vcs_.find(id);
-  if (it == vcs_.end()) {
+  VcState* found = FindVc(id);
+  if (found == nullptr) {
     return false;
   }
-  VcState& state = it->second;
+  VcState& state = *found;
   const int64_t old_bps = state.desc.qos.peak_bps;
   const int64_t new_bps = qos.peak_bps;
   if (new_bps > old_bps) {
@@ -734,8 +741,8 @@ bool Network::UpdateVcQos(VcId id, QosSpec qos) {
 }
 
 const VcDescriptor* Network::GetVc(VcId id) const {
-  auto it = vcs_.find(id);
-  return it == vcs_.end() ? nullptr : &it->second.desc;
+  const VcState* state = FindVc(id);
+  return state == nullptr ? nullptr : &state->desc;
 }
 
 }  // namespace pegasus::atm

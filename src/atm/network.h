@@ -6,13 +6,16 @@
 // control, and the routing-table updates are exactly the operations a
 // device-managing workstation performs on its local switch.
 //
-// Admission-plane fast path: path resolution is cached per (src switch,
-// dst switch) pair and invalidated by a topology epoch, the reservation
-// ledger is a flat vector indexed by dense link id, and a per-link -> VC
-// index makes congestion fan-out O(affected VCs). Pathfinding expands
-// neighbours in deterministic switch-id (insertion) order, so equal-length
-// paths tie-break identically across runs — cached routes inherit that
-// determinism (the cache only memoises what the deterministic BFS returns).
+// Admission-plane fast path: each source switch keeps one shortest-path
+// tree (a parent per switch), built lazily by a full BFS on the first
+// resolve from that source and invalidated by a topology epoch; a route is
+// read by walking parents back from the destination. The reservation ledger
+// is a flat vector indexed by dense link id, a per-link -> VC index makes
+// congestion fan-out O(affected VCs), and one hash table holds every open
+// VC's state. The BFS expands neighbours in deterministic switch-id
+// (insertion) order, so equal-length paths tie-break identically across
+// runs, and a full BFS assigns the same parents as one stopped at the
+// destination — a tree path is exactly the per-pair BFS path.
 #ifndef PEGASUS_SRC_ATM_NETWORK_H_
 #define PEGASUS_SRC_ATM_NETWORK_H_
 
@@ -89,7 +92,7 @@ class Network {
   void EnableSharding(sim::ShardGroup* group) { shard_group_ = group; }
   sim::ShardGroup* shard_group() const { return shard_group_; }
   // Directs subsequent AddSwitch calls onto `shard` (nullptr = the control
-  // simulator). Signalling, admission and route caches stay centralised on
+  // simulator). Signalling, admission and route trees stay centralised on
   // the control simulator regardless.
   void SetBuildShard(sim::Simulator* shard) { build_sim_ = shard; }
   sim::Simulator* build_simulator() const { return build_sim_ != nullptr ? build_sim_ : sim_; }
@@ -104,8 +107,9 @@ class Network {
   void ConnectSwitches(Switch* a, int port_a, Switch* b, int port_b, int64_t link_bps,
                        sim::DurationNs propagation = sim::Microseconds(5));
 
-  // Monotone counter bumped by every topology mutation; cached routes carry
-  // the epoch they were resolved under and are dropped on mismatch.
+  // Monotone counter bumped by every topology mutation; route trees and
+  // resolved routes carry the epoch they were built under and are rebuilt
+  // (trees) or re-resolved (routes) on mismatch.
   uint64_t topology_epoch() const { return topology_epoch_; }
 
   // --- Signalling ---
@@ -128,9 +132,9 @@ class Network {
 
   // --- point-to-multipoint signalling ---
   // Establishes a one-to-many VC: a shared delivery tree from `src` to every
-  // sink, built as the union of the deterministic cached routes (BFS from one
-  // source always assigns the same parent per switch, so the union IS a tree
-  // and insertion-id tie-breaks carry over). Cells the source stamps with
+  // sink, built as the union of the sinks' paths in the source switch's route
+  // tree (one parent per switch, so the union IS a tree and insertion-id
+  // tie-breaks carry over). Cells the source stamps with
   // `source_vci` are replicated once per tree BRANCH at each switch; the
   // reservation is charged once per tree edge, however many leaves share it.
   // All-or-nothing: any unattached/unreachable/duplicate sink rejects the
@@ -147,7 +151,7 @@ class Network {
   // their reservations released. Refuses to remove the LAST leaf — close the
   // tree with CloseVc instead (a leafless tree would strand the source VCI).
   bool RemoveLeaf(VcId id, Endpoint* leaf);
-  bool IsMulticastVc(VcId id) const { return mcast_.count(id) > 0; }
+  bool IsMulticastVc(VcId id) const;
   int McastLeafCount(VcId id) const;
   // The incoming VCI `leaf` observes on an open tree, nullopt when the
   // endpoint is not currently a leaf.
@@ -188,7 +192,7 @@ class Network {
   }
   // Resolves the route a VC from `src` to `dst` would take: ordered links
   // plus the one-way latency floor (propagation + one cell serialisation per
-  // link, queueing excluded), in one cached path lookup. nullopt when either
+  // link, queueing excluded), in one route-tree walk. nullopt when either
   // endpoint is unattached or no path exists.
   std::optional<ResolvedRoute> ResolveRoute(const Endpoint* src, const Endpoint* dst) const;
   // Smallest unreserved capacity over the links a VC from `src` to `dst`
@@ -238,15 +242,6 @@ class Network {
     int in_port;
     Vci in_vci;
   };
-  struct VcState {
-    VcDescriptor desc;
-    std::vector<HopRecord> hops;
-    // Every link the VC traverses, in order; reservation bookkeeping applies
-    // desc.qos.peak_bps to each (nothing when best-effort). For a multicast
-    // tree this is the deduped set of tree edges — each charged ONCE — so
-    // UpdateVcQos and congestion fan-out work on trees unchanged.
-    std::vector<Link*> hop_links;
-  };
   // One tree edge out of a switch: the branch of that switch's route entry
   // feeding either the next tree switch or a leaf endpoint.
   struct McastBranch {
@@ -262,7 +257,7 @@ class Network {
     // reverse decrementing refs, pruning each branch that hits zero.
     std::vector<std::pair<int, int>> branch_keys;
   };
-  // Control-plane view of one delivery tree, keyed alongside its VcState.
+  // Control-plane view of one delivery tree, held by its VcState.
   // Entries/branches live in the switches' route tables; this mirrors enough
   // to graft and prune without re-deriving the tree from route-table scans.
   struct McastState {
@@ -274,6 +269,19 @@ class Network {
     // (switch id, out_port) -> branch. Distinct out ports by construction.
     std::map<std::pair<int, int>, McastBranch> branches;
     std::vector<McastLeafRec> leaves;  // graft order (deterministic)
+  };
+  struct VcState {
+    VcDescriptor desc;
+    std::vector<HopRecord> hops;
+    // Every link the VC traverses, in order; reservation bookkeeping applies
+    // desc.qos.peak_bps to each (nothing when best-effort). For a multicast
+    // tree this is the deduped set of tree edges — each charged ONCE — so
+    // UpdateVcQos and congestion fan-out work on trees unchanged.
+    std::vector<Link*> hop_links;
+    // Tree bookkeeping of a multicast VC; null for a unicast one.
+    std::unique_ptr<McastState> mcast;
+    // The VC's congestion observer; empty when none is set.
+    CongestionCallback on_congestion;
   };
   // Either a switch-to-switch edge or an endpoint attachment.
   struct Attachment {
@@ -289,41 +297,47 @@ class Network {
     int out_port = -1;
     Link* link = nullptr;
   };
-  // One inter-switch hop of a cached path: the wire out of the current
+  // One inter-switch hop of a switch path: the wire out of the current
   // switch plus the input port it lands on — everything VC installation
   // needs without re-querying the adjacency.
-  struct CachedHop {
+  struct PathHop {
     Switch* next = nullptr;
     int out_port = -1;        // on the current switch
     Link* link = nullptr;     // current -> next
     int next_in_port = -1;    // input port on `next` (the reverse wire's port)
   };
-  struct CachedPath {
-    uint64_t epoch = 0;
-    bool reachable = false;
-    Switch* first = nullptr;
-    std::vector<CachedHop> hops;
+  // A switch-to-switch route read out of a route tree; the caller owns it.
+  struct SwitchPath {
+    std::vector<PathHop> hops;
     // Sum of propagation + cell serialisation over the hop links (the
     // endpoint attachment links are added per resolve).
     sim::DurationNs links_latency = 0;
   };
+  // Shortest-path tree rooted at one source switch, as a parent per switch
+  // id: the predecessor on the deterministic BFS path from the root (the
+  // root is its own parent, -1 marks an unreachable switch). `epoch` is the
+  // topology epoch it was built under; 0 means never built.
+  struct RouteTree {
+    uint64_t epoch = 0;
+    std::vector<int> parent;
+  };
 
-  // Cached deterministic-BFS path between two switches; recomputed (and the
-  // entry overwritten, including negative "unreachable" results) when the
-  // stored epoch is stale. Never returns nullptr; check ->reachable.
-  const CachedPath* ResolvePath(Switch* from, Switch* to) const;
-  // Runs the BFS and fills `out` (epoch + reachability + hops + latency).
-  void ComputePath(Switch* from, Switch* to, CachedPath* out) const;
+  // The route tree rooted at switch `root_id`, rebuilt by a full BFS when it
+  // was built under another topology epoch.
+  const RouteTree& TreeFrom(int root_id) const;
+  // Reads the path from `from` to `to` out of from's route tree into `out`.
+  // False when either switch is not this network's or `to` is unreachable.
+  bool ReadPath(const Switch* from, const Switch* to, SwitchPath* out) const;
   // The directed edge from `a` to `b`, or nullptr when not adjacent.
   const Edge* FindEdge(const Switch* a, const Switch* b) const;
   // Registers a freshly created link: assigns its dense id and grows the
   // flat ledgers.
   Link* RegisterLink(std::unique_ptr<Link> link);
   // Shared tail of both OpenVc flavours: admission over `hop_links`, then
-  // route installation along the cached path.
+  // route installation along `path`.
   std::optional<VcDescriptor> OpenVcAlongPath(Endpoint* src, Endpoint* dst, QosSpec qos,
                                               const Attachment& src_at, const Attachment& dst_at,
-                                              const CachedPath& path,
+                                              const SwitchPath& path,
                                               std::vector<Link*> hop_links);
   // Dry-runs grafting `leaf` onto tree `m` extended by the not-yet-committed
   // branches/nodes in `planned_*` (accumulated across the sinks of one open):
@@ -343,6 +357,11 @@ class Network {
   // a graft can add an old id after younger VCs reached the link), hop_links.
   void ChargeTreeLink(VcState& state, Link* link);
   void UnchargeTreeLink(VcState& state, Link* link);
+  // Drops `id` from `link`'s id-sorted VC index (binary search, not a scan).
+  void EraseFromLinkIndex(const Link* link, VcId id);
+
+  VcState* FindVc(VcId id);
+  const VcState* FindVc(VcId id) const;
 
   // Wires `link` as a shard-boundary channel when its two sides live on
   // different shards (no-op otherwise).
@@ -358,13 +377,13 @@ class Network {
   // Adjacency indexed by switch id; each row sorted by neighbour id so BFS
   // expansion order is the insertion order of switches, not heap addresses.
   std::vector<std::vector<Edge>> adjacency_;
-  // (src switch id << 32 | dst switch id) -> cached path.
-  mutable std::unordered_map<uint64_t, CachedPath> route_cache_;
+  // Route trees indexed by root switch id; only switches that source a
+  // resolve ever get one built.
+  mutable std::vector<RouteTree> route_trees_;
   uint64_t topology_epoch_ = 0;
-  std::map<VcId, VcState> vcs_;
-  // Tree bookkeeping for multicast VCs, same key space as vcs_.
-  std::map<VcId, McastState> mcast_;
-  std::map<VcId, CongestionCallback> congestion_handlers_;
+  // Every open VC, unicast or tree. Looked up by id, never iterated, so
+  // hash order cannot leak into behaviour.
+  std::unordered_map<VcId, VcState> vcs_;
   // Reserved bits/s per link, indexed by link id — AvailableBandwidth on the
   // admission walk is a load, not a map lookup.
   std::vector<int64_t> reserved_bps_;

@@ -345,6 +345,26 @@ TEST(SwitchTest, VciAllocationReusesRemovedRoutes) {
   }
 }
 
+// An endpoint terminating many VCs hands out the smallest free incoming VCI:
+// a released VCI is reused first, then allocation resumes past the live run.
+TEST(EndpointTest, IncomingVciReuseOrder) {
+  sim::Simulator sim;
+  Endpoint ep(&sim, "store");
+  constexpr Vci kHeld = 300;
+  for (Vci v = kVciFirstData; v < kVciFirstData + kHeld; ++v) {
+    EXPECT_EQ(ep.AllocateIncomingVci(), v);
+  }
+  ep.ReleaseIncomingVci(kVciFirstData + kHeld / 2);
+  EXPECT_EQ(ep.AllocateIncomingVci(), kVciFirstData + kHeld / 2);
+  EXPECT_EQ(ep.AllocateIncomingVci(), kVciFirstData + kHeld);
+  // Two gaps fill lowest first, the first data VCI included.
+  ep.ReleaseIncomingVci(kVciFirstData + 7);
+  ep.ReleaseIncomingVci(kVciFirstData);
+  EXPECT_EQ(ep.AllocateIncomingVci(), kVciFirstData);
+  EXPECT_EQ(ep.AllocateIncomingVci(), kVciFirstData + 7);
+  EXPECT_EQ(ep.AllocateIncomingVci(), kVciFirstData + kHeld + 1);
+}
+
 // A multi-target entry replicates a burst once per BRANCH, relabelling per
 // branch, and counts every copy switched.
 TEST(SwitchTest, MultiTargetEntryReplicatesPerBranch) {

@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "src/atm/network.h"
 #include "src/core/compute_node.h"
@@ -13,6 +17,8 @@
 #include "src/core/system.h"
 #include "src/nemesis/atropos.h"
 #include "src/nemesis/kernel.h"
+#include "src/scenario/topology.h"
+#include "src/sim/random.h"
 
 namespace pegasus {
 namespace {
@@ -271,8 +277,8 @@ TEST(DeterministicRouting, EqualCostDiamondPicksInsertionOrderGoldenRoute) {
   EXPECT_EQ((*links)[1]->name(), "hub->mid1");
   EXPECT_EQ((*links)[2]->name(), "mid1->sink");
 
-  // A warmed cache returns the same resolution: cached routes inherit the
-  // deterministic tie-break (the cache only memoises the BFS result).
+  // A second resolve reads the same source's route tree again and returns
+  // the same resolution: the tree holds exactly the deterministic BFS parents.
   auto again = net.PathLinks(a, d);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(*again, *links);
@@ -285,7 +291,7 @@ TEST(DeterministicRouting, EqualCostDiamondPicksInsertionOrderGoldenRoute) {
   EXPECT_EQ(*vc_links, *links);
 }
 
-// --- route-cache coherence across topology mutation ---
+// --- route-tree coherence across topology mutation ---
 TEST(RouteCache, TopologyMutationInvalidatesWarmRoutes) {
   sim::Simulator sim;
   atm::Network net(&sim);
@@ -297,14 +303,14 @@ TEST(RouteCache, TopologyMutationInvalidatesWarmRoutes) {
   atm::Endpoint* a = net.AddEndpoint("a", sw1, 2, 155'000'000);
   atm::Endpoint* d = net.AddEndpoint("d", sw3, 2, 155'000'000);
 
-  // Warm the cache over the 2-inter-switch-hop chain.
+  // Build sw1's route tree over the 2-inter-switch-hop chain.
   auto before = net.ResolveRoute(a, d);
   ASSERT_TRUE(before.has_value());
   EXPECT_EQ(before->links.size(), 4u);
   const sim::DurationNs latency_before = before->latency_ns;
 
-  // A shortcut appears: sw1 -- sw3 directly. The warm entry must not be
-  // served stale.
+  // A shortcut appears: sw1 -- sw3 directly. The tree built before it must
+  // not be served stale.
   net.ConnectSwitches(sw1, 1, sw3, 1, 155'000'000);
   auto after = net.ResolveRoute(a, d);
   ASSERT_TRUE(after.has_value());
@@ -321,6 +327,231 @@ TEST(RouteCache, TopologyMutationInvalidatesWarmRoutes) {
   EXPECT_EQ(vc_links->size(), 3u);
   EXPECT_EQ((*vc_links)[1]->name(), "sw1->sw3");
   EXPECT_EQ(vc->hop_count, 2);
+}
+
+// --- route trees: every tree path is the path the per-pair BFS finds ---
+
+// The switch graph rebuilt from public wiring (each switch's output links
+// and the switch each one lands in), plus the early-exit BFS between one
+// switch pair that Network ran before it kept one route tree per source.
+class PairBfsOracle {
+ public:
+  explicit PairBfsOracle(const std::vector<atm::Switch*>& switches) {
+    int max_id = 0;
+    for (atm::Switch* sw : switches) {
+      max_id = std::max(max_id, sw->id());
+    }
+    adjacency_.resize(static_cast<size_t>(max_id) + 1);
+    // Which switch owns each input sink: links into endpoints stay out.
+    std::map<const atm::CellSink*, atm::Switch*> owner;
+    for (atm::Switch* sw : switches) {
+      for (int port = 0; port < sw->num_ports(); ++port) {
+        owner[sw->input(port)] = sw;
+      }
+    }
+    for (atm::Switch* sw : switches) {
+      auto& row = adjacency_[static_cast<size_t>(sw->id())];
+      for (int port = 0; port < sw->num_ports(); ++port) {
+        atm::Link* link = sw->output(port);
+        auto it = link == nullptr ? owner.end() : owner.find(link->sink());
+        if (it != owner.end()) {
+          row.push_back(Edge{it->second->id(), link});
+        }
+      }
+      // Neighbours in switch-id order, one wire per neighbour: the latest.
+      std::sort(row.begin(), row.end(), [](const Edge& x, const Edge& y) {
+        return x.to != y.to ? x.to < y.to : x.link->id() > y.link->id();
+      });
+      row.erase(std::unique(row.begin(), row.end(),
+                            [](const Edge& x, const Edge& y) { return x.to == y.to; }),
+                row.end());
+    }
+  }
+
+  // The links a VC from `src` to `dst` must ride, nullopt when unreachable.
+  std::optional<std::vector<atm::Link*>> Route(const atm::Endpoint* src,
+                                               const atm::Endpoint* dst) const {
+    const int from = src->attached_switch()->id();
+    const int to = dst->attached_switch()->id();
+    const size_t n = adjacency_.size();
+    std::vector<int> parent(n, -1);
+    std::vector<atm::Link*> in_link(n, nullptr);
+    std::vector<char> visited(n, 0);
+    std::vector<int> frontier{from};
+    visited[static_cast<size_t>(from)] = 1;
+    for (size_t head = 0; head < frontier.size(); ++head) {
+      const int cur = frontier[head];
+      if (cur == to) {
+        break;
+      }
+      for (const Edge& e : adjacency_[static_cast<size_t>(cur)]) {
+        if (!visited[static_cast<size_t>(e.to)]) {
+          visited[static_cast<size_t>(e.to)] = 1;
+          parent[static_cast<size_t>(e.to)] = cur;
+          in_link[static_cast<size_t>(e.to)] = e.link;
+          frontier.push_back(e.to);
+        }
+      }
+    }
+    if (!visited[static_cast<size_t>(to)]) {
+      return std::nullopt;
+    }
+    std::vector<atm::Link*> hops;
+    for (int s = to; s != from; s = parent[static_cast<size_t>(s)]) {
+      hops.push_back(in_link[static_cast<size_t>(s)]);
+    }
+    std::vector<atm::Link*> links{src->uplink()};
+    links.insert(links.end(), hops.rbegin(), hops.rend());
+    links.push_back(dst->attached_switch()->output(dst->attached_port()));
+    return links;
+  }
+
+ private:
+  struct Edge {
+    int to;
+    atm::Link* link;
+  };
+
+  std::vector<std::vector<Edge>> adjacency_;
+};
+
+sim::DurationNs LatencyFloor(const std::vector<atm::Link*>& links) {
+  sim::DurationNs total = 0;
+  for (const atm::Link* l : links) {
+    total += l->propagation_delay() + l->cell_time();
+  }
+  return total;
+}
+
+// ResolveRoute and an installed VC against the oracle for one ordered pair.
+::testing::AssertionResult TreeMatchesOracle(atm::Network& net, const PairBfsOracle& oracle,
+                                             atm::Endpoint* src, atm::Endpoint* dst) {
+  const std::string pair = src->name() + " -> " + dst->name();
+  const auto want = oracle.Route(src, dst);
+  const auto got = net.ResolveRoute(src, dst);
+  if (got.has_value() != want.has_value()) {
+    return ::testing::AssertionFailure() << pair << ": reachability differs";
+  }
+  if (!want.has_value()) {
+    const int64_t no_path = net.admission_rejections_no_path();
+    if (net.OpenVc(src, dst).has_value() || net.admission_rejections_no_path() != no_path + 1) {
+      return ::testing::AssertionFailure() << pair << ": unreachable open not counted no_path";
+    }
+    return ::testing::AssertionSuccess();
+  }
+  if (got->links != *want || got->latency_ns != LatencyFloor(*want)) {
+    return ::testing::AssertionFailure() << pair << ": resolved route differs";
+  }
+  const auto vc = net.OpenVc(src, dst);
+  if (!vc.has_value()) {
+    return ::testing::AssertionFailure() << pair << ": open refused";
+  }
+  const std::vector<atm::Link*>* vc_links = net.VcLinks(vc->id);
+  const bool same = vc_links != nullptr && *vc_links == *want &&
+                    vc->hop_count == static_cast<int>(want->size()) - 1;
+  net.CloseVc(vc->id);
+  if (!same) {
+    return ::testing::AssertionFailure() << pair << ": installed VC differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct MetroUnderTest {
+  sim::Simulator sim;
+  core::PegasusSystem system{&sim};
+  scenario::MetroTopology topo;
+  atm::Switch* island = nullptr;
+  std::vector<atm::Switch*> switches;
+  std::vector<atm::Endpoint*> endpoints;  // hosts, storage, then the island's
+
+  MetroUnderTest(int cores, int aggs, int edges, int hosts) {
+    scenario::TopologyParams p;
+    p.core_switches = cores;
+    p.agg_per_core = aggs;
+    p.edge_per_agg = edges;
+    p.hosts_per_edge = hosts;
+    p.storage_per_core = 2;
+    topo = scenario::BuildMetroTopology(system, p);
+    // An island: a switch no wire reaches, with an endpoint on it.
+    island = system.network().AddSwitch("island", 4);
+    switches = {system.backbone(), island};
+    switches.insert(switches.end(), topo.cores.begin(), topo.cores.end());
+    switches.insert(switches.end(), topo.aggs.begin(), topo.aggs.end());
+    switches.insert(switches.end(), topo.edges.begin(), topo.edges.end());
+    for (core::Workstation* ws : topo.hosts) {
+      switches.push_back(ws->local_switch());
+      endpoints.push_back(ws->host());
+    }
+    for (core::StorageNode* node : topo.storage) {
+      endpoints.push_back(node->endpoint());
+    }
+    endpoints.push_back(system.network().AddEndpoint("far", island, 0, 155'000'000));
+  }
+
+  // Mutates the fabric: a shortcut between the first and last workstation
+  // switches, and a wire joining the island to the first workstation.
+  void Rewire() {
+    core::Workstation* first = topo.hosts.front();
+    core::Workstation* last = topo.hosts.back();
+    atm::Network& net = system.network();
+    net.ConnectSwitches(first->local_switch(), first->ClaimPort(), last->local_switch(),
+                        last->ClaimPort(), 155'000'000);
+    net.ConnectSwitches(island, 1, first->local_switch(), first->ClaimPort(), 155'000'000);
+  }
+};
+
+TEST(RouteTreeEquivalence, EveryEndpointPairOfMetroSmallMatchesPairBfs) {
+  MetroUnderTest m(1, 2, 2, 8);
+  atm::Network& net = m.system.network();
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round == 0 ? "as built" : "after rewiring");
+    const PairBfsOracle oracle(m.switches);
+    const int64_t no_path_before = net.admission_rejections_no_path();
+    for (atm::Endpoint* src : m.endpoints) {
+      for (atm::Endpoint* dst : m.endpoints) {
+        if (src != dst) {
+          ASSERT_TRUE(TreeMatchesOracle(net, oracle, src, dst));
+        }
+      }
+    }
+    // As built, the island is unreachable both ways from every other
+    // endpoint; once wired in, from none.
+    const int64_t others = static_cast<int64_t>(m.endpoints.size()) - 1;
+    EXPECT_EQ(net.admission_rejections_no_path() - no_path_before, round == 0 ? 2 * others : 0);
+    EXPECT_EQ(net.open_vc_count(), 0);
+    if (round == 0) {
+      m.Rewire();
+    }
+  }
+}
+
+TEST(RouteTreeEquivalence, SeededPairsOfMetroMidMatchPairBfs) {
+  MetroUnderTest m(2, 2, 3, 16);
+  atm::Network& net = m.system.network();
+  sim::Rng rng(1016);
+  const int n = static_cast<int>(m.endpoints.size());
+  std::vector<std::pair<atm::Endpoint*, atm::Endpoint*>> pairs;
+  while (pairs.size() < 2000) {
+    atm::Endpoint* src = m.endpoints[static_cast<size_t>(rng.UniformInt(0, n - 1))];
+    atm::Endpoint* dst = m.endpoints[static_cast<size_t>(rng.UniformInt(0, n - 1))];
+    if (src != dst) {
+      pairs.emplace_back(src, dst);
+    }
+  }
+  atm::Endpoint* far = m.endpoints.back();
+  pairs.emplace_back(far, m.endpoints.front());
+  pairs.emplace_back(m.endpoints.front(), far);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round == 0 ? "as built" : "after rewiring");
+    const PairBfsOracle oracle(m.switches);
+    for (const auto& [src, dst] : pairs) {
+      ASSERT_TRUE(TreeMatchesOracle(net, oracle, src, dst));
+    }
+    EXPECT_EQ(net.open_vc_count(), 0);
+    if (round == 0) {
+      m.Rewire();
+    }
+  }
 }
 
 // --- rejection-cause accounting: no-path and unattached-endpoint failures

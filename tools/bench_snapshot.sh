@@ -8,12 +8,10 @@
 # and the metro-scale fleet snapshot as BENCH_06.json (admission latency,
 # blocking probability and sustained cells/s on the generated small and mid
 # metro fabrics under Poisson session churn, from bench_e16_metro_scale),
-# and the admission-plane snapshot as BENCH_07.json (open/renegotiate/close
-# contract-churn ops/s plus metro admission latencies and fleet
-# fingerprints, from bench_e17_contract_churn), and the region-sharded PDES
-# snapshot as BENCH_08.json (metro-large wall clocks and fingerprints at
-# 1/2/4/8 shards vs the single-simulator reference, from
-# `bench_e16_metro_scale shards` — identical fingerprints are enforced),
+# and the region-sharded PDES snapshot as BENCH_08.json (metro-large wall
+# clocks and fingerprints at 1/2/4/8 shards vs the single-simulator
+# reference, from `bench_e16_metro_scale shards` — identical fingerprints
+# are enforced),
 # and the broadcast fan-out snapshot as BENCH_09.json (viewer sweep with
 # measured cell-hops vs the per-viewer unicast baseline and per-edge
 # reservations, from bench_e18_broadcast — the O(tree edges) acceptance is
@@ -83,18 +81,6 @@ if [[ -x "$E16" ]]; then
   cat "$OUT06"
 else
   echo "skipping $OUT06: $E16 missing" >&2
-fi
-
-# Admission-plane snapshot: contract-churn ops/s and the same metro
-# admission-latency points (fingerprints must match BENCH_06's).
-E17="$BUILD_DIR/bench/bench_e17_contract_churn"
-OUT07="$(dirname "$OUT")/BENCH_07.json"
-if [[ -x "$E17" ]]; then
-  "$E17" snapshot >"$OUT07"
-  echo "wrote $OUT07:"
-  cat "$OUT07"
-else
-  echo "skipping $OUT07: $E17 missing" >&2
 fi
 
 # Region-sharded PDES scaling: the shards mode exits non-zero if any shard
