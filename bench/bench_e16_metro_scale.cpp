@@ -15,16 +15,14 @@
 //   smoke [secs]     CI-sized run (2 aggregation switches, ~100 hosts);
 //                    exits non-zero if nothing was admitted
 //   snapshot         machine-readable JSON of the small/mid points
-//   shards [secs]    region-sharded PDES scaling: metro-large at 1/2/4/8
-//                    shards vs the single-simulator reference, JSON with
-//                    wall clocks and fingerprints (must be identical);
+//   shards [secs]    region-sharded scaling: metro-large unsharded and at
+//                    1/2/4/8 shards, a table of wall clock, windows, sync
+//                    points, hand-offs and fingerprints (must be identical);
 //                    exits non-zero on any fingerprint divergence
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -69,14 +67,14 @@ Point MakePoint(const std::string& name, scenario::TopologyParams topo, double a
 }
 
 // `shards` == 0 runs the classic single-simulator engine; > 0 partitions
-// the fabric by region across that many shards (threads 0 = auto).
-void RunPoint(Point* point, uint64_t seed, int shards = 0, int threads = 0,
+// the fabric by region across that many shards.
+void RunPoint(Point* point, uint64_t seed, int shards = 0,
               sim::ShardGroup::Stats* stats_out = nullptr) {
   sim::Simulator sim;
   core::PegasusSystem system(&sim);
   std::unique_ptr<sim::ShardGroup> group;
   if (shards > 0) {
-    group = std::make_unique<sim::ShardGroup>(&sim, sim::ShardGroup::Options{shards, threads});
+    group = std::make_unique<sim::ShardGroup>(&sim, sim::ShardGroup::Options{shards});
   }
   const scenario::MetroTopology topo =
       scenario::BuildMetroTopology(system, point->topo, group.get());
@@ -151,62 +149,35 @@ int RunSnapshot() {
   return 0;
 }
 
-// Region-sharded PDES scaling on the metro-large fabric: the
-// single-simulator reference, then 1/2/4/8 shards — each shard count both
-// pinned serial (threads=1, the pure window-machinery overhead) and with
-// auto threads (the speedup when cores exist). Parallelism must change wall
-// clock only — every fingerprint must equal the reference's. The JSON
-// records the host's hardware concurrency plus per-point window, sync,
-// hand-off and merge counters, so the scaling curve stays interpretable
-// when the artifact is read off a machine with real cores.
+// Region-sharded scaling on the metro-large fabric: the single-simulator
+// reference, then 1/2/4/8 shards. Sharding must change wall clock only —
+// every fingerprint must equal the reference's — and the window, sync-point
+// and hand-off counts show what the partition costs.
 int RunShardScaling(int seconds) {
-  struct ShardPoint {
-    int shards = 0;   // 0 = single-simulator reference
-    int threads = 0;  // 0 = auto (one per shard, capped at the hardware)
-    double wall_seconds = 0;
-    uint64_t fingerprint = 0;
-    sim::ShardGroup::Stats stats;
-  };
-  std::vector<ShardPoint> points;
-  for (const auto& [shards, threads] :
-       {std::pair<int, int>{0, 0}, {1, 1}, {2, 1}, {4, 1}, {8, 1}, {2, 0}, {4, 0}, {8, 0}}) {
-    ShardPoint sp;
-    sp.shards = shards;
-    sp.threads = threads;
-    points.push_back(sp);
-  }
-  for (auto& sp : points) {
-    Point p = MakePoint("metro-large", Metro(3, 3, 4, 30), 400.0, seconds, 0.02);
-    RunPoint(&p, 16, sp.shards, sp.threads, &sp.stats);
-    sp.wall_seconds = p.metrics.run_wall_seconds;
-    sp.fingerprint = p.metrics.Fingerprint();
-  }
-
+  sim::Table table({"shards", "wall s", "windows", "sync points", "hand-offs", "fingerprint"});
+  uint64_t reference = 0;
   bool identical = true;
-  for (const auto& sp : points) {
-    identical = identical && sp.fingerprint == points[0].fingerprint;
+  for (int shards : {0, 1, 2, 4, 8}) {
+    Point p = MakePoint("metro-large", Metro(3, 3, 4, 30), 400.0, seconds, 0.02);
+    sim::ShardGroup::Stats stats;
+    RunPoint(&p, 16, shards, &stats);
+    const uint64_t fingerprint = p.metrics.Fingerprint();
+    if (shards == 0) {
+      reference = fingerprint;
+    }
+    identical = identical && fingerprint == reference;
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "%llx", static_cast<unsigned long long>(fingerprint));
+    table.AddRow({shards == 0 ? "unsharded" : sim::Table::Int(shards),
+                  sim::Table::Num(p.metrics.run_wall_seconds, 3),
+                  sim::Table::Int(static_cast<long long>(stats.windows)),
+                  sim::Table::Int(static_cast<long long>(stats.sync_points)),
+                  sim::Table::Int(static_cast<long long>(stats.handoffs)), hex});
   }
-  std::printf("{\n  \"bench\": \"e16_shard_scaling\",\n"
-              "  \"fabric\": \"metro-large\", \"seconds\": %d,\n"
-              "  \"hardware_concurrency\": %u,\n  \"points\": [\n",
-              seconds, std::thread::hardware_concurrency());
-  for (size_t i = 0; i < points.size(); ++i) {
-    const ShardPoint& sp = points[i];
-    std::printf("    {\"shards\": %d, \"threads\": %d, \"wall_seconds\": %.3f, "
-                "\"speedup\": %.2f, \"windows\": %llu, \"sync_points\": %llu, "
-                "\"boundary_messages\": %llu, \"handoffs\": %llu, \"merges\": %llu, "
-                "\"fingerprint\": \"%llx\"}%s\n",
-                sp.shards, sp.threads, sp.wall_seconds,
-                points[0].wall_seconds / sp.wall_seconds,
-                static_cast<unsigned long long>(sp.stats.windows),
-                static_cast<unsigned long long>(sp.stats.sync_points),
-                static_cast<unsigned long long>(sp.stats.messages),
-                static_cast<unsigned long long>(sp.stats.handoffs),
-                static_cast<unsigned long long>(sp.stats.merges),
-                static_cast<unsigned long long>(sp.fingerprint),
-                i + 1 < points.size() ? "," : "");
-  }
-  std::printf("  ],\n  \"identical_fingerprints\": %s\n}\n", identical ? "true" : "false");
+  bench::PrintTable("metro-large, " + std::to_string(seconds) + " simulated s, seed 16", table);
+  bench::PrintVerdict(identical, identical
+                                     ? "fleet fingerprint identical unsharded and at 1/2/4/8 shards"
+                                     : "fleet fingerprint diverges across shard counts");
   return identical ? 0 : 1;
 }
 

@@ -177,13 +177,12 @@ BENCHMARK(BM_NameResolution)->Arg(1)->Arg(4)->Arg(16);
 // The conservative-window machinery of the region-sharded engine: K shards
 // in a boundary ring (5 us lookahead), each carrying a steady 1 MHz local
 // event load that occasionally crosses to its neighbour. Measures sharded
-// event throughput as the shard count grows — on a single-core host this
-// is the pure window/merge overhead curve; on a multi-core host the same
-// filter exposes the parallel speedup.
+// event throughput as the shard count grows: the window/merge overhead
+// curve.
 void BM_ShardRingWindows(benchmark::State& state) {
   const int kShards = static_cast<int>(state.range(0));
   sim::Simulator control;
-  sim::ShardGroup group(&control, {kShards, /*threads=*/0});
+  sim::ShardGroup group(&control, {kShards});
   std::vector<sim::BoundaryChannel*> ring;
   if (kShards > 1) {
     for (int i = 0; i < kShards; ++i) {
@@ -233,7 +232,7 @@ BENCHMARK(BM_ShardRingWindows)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 void BM_ShardRingWindowsAsym(benchmark::State& state) {
   const int kShards = static_cast<int>(state.range(0));
   sim::Simulator control;
-  sim::ShardGroup group(&control, {kShards, /*threads=*/0});
+  sim::ShardGroup group(&control, {kShards});
   std::vector<sim::BoundaryChannel*> ring;
   for (int i = 0; i < kShards; ++i) {
     const sim::DurationNs lookahead =

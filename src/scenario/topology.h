@@ -52,7 +52,7 @@ struct TopologyParams {
   // default. These are also what the sharded runtime (src/sim/shard.h)
   // feeds on — every cross-region wire is a core-mesh or core-agg trunk,
   // and its propagation delay is that channel's conservative lookahead, so
-  // realistic trunk lengths directly widen the parallel windows.
+  // realistic trunk lengths directly widen the windows.
   sim::DurationNs core_mesh_prop = sim::Microseconds(800);
   sim::DurationNs core_agg_prop = sim::Microseconds(500);
 
@@ -156,8 +156,8 @@ class RegionPartitioner {
 // constructed system: host/storage names are generated from tier indices.
 MetroTopology BuildMetroTopology(core::PegasusSystem& system, const TopologyParams& params);
 
-// As above, but partitions the fabric across `group`'s shards by region
-// (one shard per worker thread at run time). The construction order — and
+// As above, but partitions the fabric across `group`'s shards by region.
+// The construction order — and
 // so every switch/link id and BFS tie-break — is identical to the
 // unsharded build; a null group degenerates to it exactly.
 MetroTopology BuildMetroTopology(core::PegasusSystem& system, const TopologyParams& params,

@@ -21,7 +21,7 @@
 // When the system's network carries a sim::ShardGroup, Run() drives the
 // group instead of the bare simulator: churn control stays on the control
 // simulator (global sync points) while the shards advance the data plane
-// in parallel windows. Metrics are bit-identical either way.
+// in conservative windows. Metrics are bit-identical either way.
 #ifndef PEGASUS_SRC_SCENARIO_WORKLOAD_H_
 #define PEGASUS_SRC_SCENARIO_WORKLOAD_H_
 

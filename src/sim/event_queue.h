@@ -171,7 +171,7 @@ class Simulator {
 
   // Bounded-horizon variant: runs events with time strictly BEFORE `t`,
   // then sets the clock to exactly `t`, leaving events at `t` and later
-  // pending. This is the window primitive of conservative parallel
+  // pending. This is the window primitive of conservative sharded
   // simulation (src/sim/shard.h): a shard may execute up to — but not
   // into — the horizon its neighbours' lookahead guarantees safe.
   void RunUntilBefore(TimeNs t);

@@ -11,35 +11,13 @@ TimeNs SaturatingAdd(TimeNs t, DurationNs d) {
   return d >= kTimeNever - t ? kTimeNever : t + d;
 }
 
-inline void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#else
-  std::this_thread::yield();
-#endif
-}
-
-// How long a thread spins on the epoch atomics before falling back to the
-// condvar. Windows are microseconds apart under load, so a short spin
-// usually catches the next one without a futex round trip; on a single
-// hardware thread spinning only steals cycles from the thread being waited
-// on, so don't.
-int SpinBudget() {
-  return std::thread::hardware_concurrency() > 1 ? 2048 : 1;
-}
-
 }  // namespace
 
 BoundaryChannel::Batch& BoundaryChannel::Staging() {
   if (!staging_) {
     staging_ = std::make_unique<Batch>();
     staging_->channel = id_;
-    // Dirty lists are per source shard: only this channel's owner thread
-    // writes this list during a window, and the coordinator reads it after
-    // the barrier.
-    group_->dirty_[static_cast<size_t>(src_)].push_back(this);
+    group_->dirty_.push_back(this);
   }
   return *staging_;
 }
@@ -54,42 +32,9 @@ ShardGroup::ShardGroup(Simulator* control, Options options) : control_(control) 
   next_times_.resize(static_cast<size_t>(count), kTimeNever);
   horizons_.resize(static_cast<size_t>(count), kTimeNever);
   modes_.resize(static_cast<size_t>(count), WindowMode::kSkip);
-  dirty_.resize(static_cast<size_t>(count));
   staged_.resize(static_cast<size_t>(count));
   staged_min_.resize(static_cast<size_t>(count), kTimeNever);
   pending_.resize(static_cast<size_t>(count));
-
-  int threads = options.threads;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = std::min(count, static_cast<int>(hw == 0 ? 1 : hw));
-  }
-  threads = std::min(std::max(threads, 1), count);
-  if (threads > 1) {
-    threads_ = threads;
-    workers_.reserve(static_cast<size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      workers_.emplace_back([this, w]() { WorkerLoop(w); });
-    }
-  }
-}
-
-ShardGroup::~ShardGroup() {
-  // Workers are only ever parked between windows here (ExecuteWindow does
-  // not return until every slice finished), so tearing down reduces to
-  // waking the parked threads. The store happens under mu_ so a worker that
-  // just evaluated its wait predicate cannot sleep through the notify, and
-  // the spin path re-checks shutdown_ on every iteration.
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_.store(true, std::memory_order_release);
-    }
-    work_cv_.notify_all();
-    for (std::thread& t : workers_) {
-      t.join();
-    }
-  }
 }
 
 int ShardGroup::shard_index(const Simulator* s) const {
@@ -148,7 +93,7 @@ TimeNs ShardGroup::SnapshotNextEvents() {
   return n;
 }
 
-int ShardGroup::PlanWindow(TimeNs limit, bool inclusive) {
+void ShardGroup::PlanWindow(TimeNs limit, bool inclusive) {
   // Per-channel lookahead: nothing can reach shard d over channel c before
   // next_event(source(c)) + lookahead(c). But "next_event(source)" is not
   // the source's own queue alone — the source may be woken THIS window by a
@@ -172,7 +117,6 @@ int ShardGroup::PlanWindow(TimeNs limit, bool inclusive) {
       }
     }
   }
-  int active = 0;
   bool merged = false;
   for (size_t i = 0; i < shards_.size(); ++i) {
     // A shard whose neighbours (and their transitive feeders) are quiet
@@ -211,18 +155,14 @@ int ShardGroup::PlanWindow(TimeNs limit, bool inclusive) {
     }
     horizons_[i] = target;
     modes_[i] = mode;
-    if (mode != WindowMode::kSkip) {
-      ++active;
-    }
   }
   if (merged) {
     ++stats_.merges;
   }
-  return active;
 }
 
-void ShardGroup::RunShardsSlice(size_t first, size_t stride) {
-  for (size_t i = first; i < shards_.size(); i += stride) {
+void ShardGroup::RunWindow() {
+  for (size_t i = 0; i < shards_.size(); ++i) {
     switch (modes_[i]) {
       case WindowMode::kSkip:
         // No event before this shard's horizon: don't even park its clock —
@@ -238,83 +178,15 @@ void ShardGroup::RunShardsSlice(size_t first, size_t stride) {
   }
 }
 
-uint64_t ShardGroup::AwaitEpoch(uint64_t seen) {
-  const int budget = SpinBudget();
-  for (int spin = 0; spin < budget; ++spin) {
-    const uint64_t e = epoch_.load(std::memory_order_acquire);
-    if (e != seen || shutdown_.load(std::memory_order_acquire)) {
-      return e;
-    }
-    CpuRelax();
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  work_cv_.wait(lock, [this, seen]() {
-    return epoch_.load(std::memory_order_acquire) != seen ||
-           shutdown_.load(std::memory_order_acquire);
-  });
-  return epoch_.load(std::memory_order_acquire);
-}
-
-void ShardGroup::WorkerLoop(int worker) {
-  uint64_t seen = 0;
-  for (;;) {
-    const uint64_t e = AwaitEpoch(seen);
-    if (shutdown_.load(std::memory_order_acquire)) {
-      return;
-    }
-    seen = e;  // the acquire on epoch_ ordered the coordinator's plan writes
-    RunShardsSlice(static_cast<size_t>(worker), static_cast<size_t>(threads_));
-    // Last worker through publishes the epoch as done; the acq_rel chain on
-    // remaining_ makes every worker's shard writes visible to whoever
-    // acquires done_epoch_.
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      done_epoch_.store(e, std::memory_order_release);
-      std::lock_guard<std::mutex> lock(mu_);
-      done_cv_.notify_one();
-    }
-  }
-}
-
-void ShardGroup::ExecuteWindow(int active) {
-  // Serial mode, or only one shard has work this window: run inline on the
-  // coordinating thread. No epoch bump, no barrier, no futex — on sparse
-  // fleets most windows take this path.
-  if (workers_.empty() || active <= 1) {
-    RunShardsSlice(0, 1);
-    return;
-  }
-  remaining_.store(threads_, std::memory_order_relaxed);
-  const uint64_t e = epoch_.load(std::memory_order_relaxed) + 1;
-  {
-    // Publishing under mu_ keeps the condvar handshake lost-wakeup-free for
-    // blocked workers; spinning workers see the release store directly.
-    std::lock_guard<std::mutex> lock(mu_);
-    epoch_.store(e, std::memory_order_release);
-  }
-  work_cv_.notify_all();
-  const int budget = SpinBudget();
-  for (int spin = 0; spin < budget; ++spin) {
-    if (done_epoch_.load(std::memory_order_acquire) == e) {
-      return;
-    }
-    CpuRelax();
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock,
-                [this, e]() { return done_epoch_.load(std::memory_order_acquire) == e; });
-}
-
 void ShardGroup::StageOutboxes() {
   // O(channels newly dirtied): a channel lands on its destination's staged
   // list the first time it posts into a fresh batch and stays there — batch
   // still accumulating — until CollectStaged pulls it across. A pass with
   // zero new boundary traffic falls straight through.
-  for (auto& list : dirty_) {
-    for (BoundaryChannel* c : list) {
-      staged_[static_cast<size_t>(c->dst_)].push_back(c);
-    }
-    list.clear();
+  for (BoundaryChannel* c : dirty_) {
+    staged_[static_cast<size_t>(c->dst_)].push_back(c);
   }
+  dirty_.clear();
 }
 
 void ShardGroup::CollectStaged(size_t d, TimeNs bound) {
@@ -360,8 +232,8 @@ void ShardGroup::ReleasePending(size_t d, TimeNs bound) {
   if (q.sorted_end < q.items.size()) {
     // Deterministic merge: delivery time first, then channel registration
     // order, then per-channel emission order — a total order independent of
-    // partitioning and thread interleaving. (The key is unique: emission
-    // order is monotone per channel.)
+    // partitioning and of the order channels were staged in. (The key is
+    // unique: emission order is monotone per channel.)
     std::sort(q.items.begin() + static_cast<ptrdiff_t>(q.head), q.items.end(),
               [](const PendingRecord& a, const PendingRecord& b) {
                 if (a.deliver_at != b.deliver_at) {
@@ -417,14 +289,13 @@ void ShardGroup::AdvanceShards(TimeNs limit, bool inclusive) {
     // Progress is guaranteed: the shard holding the earliest event has a
     // horizon at least min-inbound-lookahead past it (lookaheads are > 0),
     // so that event runs this window.
-    const int active = PlanWindow(limit, inclusive);
-    ExecuteWindow(active);
+    PlanWindow(limit, inclusive);
+    RunWindow();
     ++stats_.windows;
   }
   // Quiesce: no shard holds an event before (at, when inclusive) `limit`;
   // park every clock exactly there so code running at the sync point reads
-  // coherent clocks. Touching the shards from this thread is safe between
-  // windows (the barrier ordered the owners out).
+  // coherent clocks.
   for (const auto& shard : shards_) {
     if (inclusive) {
       shard->RunUntil(limit);
@@ -437,7 +308,7 @@ void ShardGroup::AdvanceShards(TimeNs limit, bool inclusive) {
 void ShardGroup::RunControlBatch(TimeNs t) {
   // Quiesce the shards AT the batch's timestamp, then run every control
   // event at or before it under that single quiesce. Control code observes
-  // — and may mutate — exactly the state the single-threaded schedule
+  // — and may mutate — exactly the state the single-simulator schedule
   // would have produced.
   AdvanceShards(t, /*inclusive=*/false);
   control_->RunUntil(t);

@@ -1,12 +1,12 @@
-// Region-sharded conservative parallel simulation (PDES).
+// Region-sharded conservative simulation.
 //
 // A ShardGroup runs K `Simulator` shards side by side, synchronized the
 // classic conservative way, with PER-CHANNEL lookahead: every directed
 // boundary channel (for an ATM link, one direction of a cross-shard trunk)
 // guarantees that a message emitted by its source shard at time t cannot be
 // observed by the destination before t + L_channel. At the start of each
-// barrier window the group snapshots every shard's earliest pending event
-// and gives each shard its own horizon
+// window the group snapshots every shard's earliest pending event and gives
+// each shard its own horizon
 //
 //     horizon(d) = min over inbound channels c of
 //                  ( next_event(source(c)) + L_c )
@@ -16,8 +16,6 @@
 // are idle (no pending events) is unconstrained and runs straight to the
 // next sync point, however small some distant pair's lookahead is; a shard
 // adjacent only to wide channels never crawls at the group-wide minimum.
-// Windows where only one shard has anything to do run inline on the
-// coordinating thread with no barrier at all.
 //
 // Cross-shard traffic crosses through per-channel mailboxes, batched and
 // DEFERRED: the trains a channel posts accumulate in a shard-local staging
@@ -35,7 +33,7 @@
 // exceeds T, so all records for one (destination, T) are released in the
 // same batch, in (delivery time, channel registration order, emission
 // order) order — a total order independent of how regions were
-// partitioned or which thread ran which window.
+// partitioned.
 //
 // One external `Simulator` (typically the PegasusSystem clock) acts as the
 // CONTROL shard: its events — workload arrivals, admission, QoS-monitor
@@ -44,31 +42,23 @@
 // runs EVERY control event at that timestamp as one batch (a Poisson
 // arrival burst, a co-periodic monitor + metrics tick) under a single
 // quiesce, so control code may read and mutate any shard's state exactly as
-// it does under the single-threaded engine. That discipline is what makes
-// the parallel run reproduce the single-threaded results bit for bit:
-// parallelism changes wall clock only, never outcomes.
+// it does under the single-simulator engine. That discipline is what makes
+// the sharded run reproduce the unsharded results bit for bit: sharding
+// changes wall clock only, never outcomes.
 //
-// Threading: each worker owns a fixed subset of shards; shard state is
-// touched only by its owner inside a window and only by the coordinating
-// thread between windows. The epoch barrier is sense-reversing and built on
-// atomics: workers spin briefly on the epoch counter before blocking on a
-// condvar, and the release/acquire pair on the epoch (and on the done
-// counter coming back) carries the happens-before edges the memory model
-// (and TSan) need between owner handoffs. With `threads = 1` the windows
-// run inline on the calling thread — same schedule, no std::thread — which
-// is also the profile-friendly mode on a single-core host.
+// Every window runs on the thread that calls RunUntil, shard by shard in
+// index order. On the metro fleet a cross-thread barrier per window cost
+// more than the window's work, so the partition serves memory locality
+// (each region keeps its own small event heap) and exercises the window
+// protocol, not parallelism.
 #ifndef PEGASUS_SRC_SIM_SHARD_H_
 #define PEGASUS_SRC_SIM_SHARD_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -140,7 +130,7 @@ class BoundaryChannel {
   // One window's postings on one channel: the unit that crosses the
   // mailbox. Span payload bytes live in `arena`; the records index into it.
   // Destination-side, the batch is shared by the per-delivery events and
-  // freed (on the owning shard's thread) when the last one has run.
+  // freed when the last one has run.
   struct Batch {
     uint32_t channel = 0;
     std::vector<SpanRecord> spans;
@@ -165,8 +155,7 @@ class BoundaryChannel {
   uint64_t next_order_ = 0;
   std::unique_ptr<Batch> staging_;
   // Earliest deliver_at in staging_; kTimeNever when staging_ is empty.
-  // Written by the owning shard's thread during a window, read by the
-  // coordinator between windows to decide when the batch must cross.
+  // Read between windows to decide when the batch must cross.
   TimeNs staging_min_ = kTimeNever;
 };
 
@@ -174,10 +163,6 @@ class ShardGroup {
  public:
   struct Options {
     int shards = 1;
-    // 0 = auto (one thread per shard, capped at the hardware concurrency;
-    // serial when the host has a single core). 1 = run windows inline with
-    // no worker threads. n > 1 = n workers, shards distributed round-robin.
-    int threads = 0;
   };
 
   struct Stats {
@@ -191,18 +176,17 @@ class ShardGroup {
                                // (zero-traffic windows skip the merge pass)
   };
 
-  // `control` is the externally owned control simulator (it is NOT run by
-  // worker threads; see the class comment). Shard simulators are created
-  // and owned by the group.
+  // `control` is the externally owned control simulator (see the class
+  // comment). Shard simulators are created and owned by the group.
   ShardGroup(Simulator* control, Options options);
-  ~ShardGroup();
 
   ShardGroup(const ShardGroup&) = delete;
   ShardGroup& operator=(const ShardGroup&) = delete;
 
   Simulator* control() const { return control_; }
   int shard_count() const { return static_cast<int>(shards_.size()); }
-  int thread_count() const { return threads_ == 0 ? 1 : threads_; }
+  // Windows always run on the calling thread.
+  int thread_count() const { return 1; }
   Simulator* shard(int i) { return shards_[static_cast<size_t>(i)].get(); }
   // Index of `s` among the shards, or -1 (control / foreign simulator).
   int shard_index(const Simulator* s) const;
@@ -252,12 +236,10 @@ class ShardGroup {
   TimeNs SnapshotNextEvents();
   // Computes per-shard horizons/modes for one window from the next_times_
   // snapshot and releases every pending boundary record the new horizons
-  // cover. Returns the number of shards with work (mode != kSkip).
-  int PlanWindow(TimeNs limit, bool inclusive);
-  // One window: every planned shard runs to its own horizon — on the worker
-  // pool when more than one shard has work, inline otherwise.
-  void ExecuteWindow(int active);
-  void RunShardsSlice(size_t first, size_t stride);
+  // cover.
+  void PlanWindow(TimeNs limit, bool inclusive);
+  // One window: every planned shard runs to its own horizon.
+  void RunWindow();
   // Moves channels that posted since the last call onto their destination's
   // staged list (no swap yet — the batch keeps accumulating until a horizon
   // needs it). O(channels newly dirtied); a window with zero boundary
@@ -274,10 +256,6 @@ class ShardGroup {
   // above, every record with deliver_at below it has already arrived.
   void ReleasePending(size_t d, TimeNs bound);
 
-  // Worker-pool plumbing (workers_ empty in serial mode).
-  void WorkerLoop(int worker);
-  uint64_t AwaitEpoch(uint64_t seen);
-
   Simulator* control_;
   std::vector<std::unique_ptr<Simulator>> shards_;
   std::vector<std::unique_ptr<BoundaryChannel>> channels_;
@@ -292,8 +270,7 @@ class ShardGroup {
   };
   std::vector<std::vector<InboundBound>> inbound_;
 
-  // Window plan, written by the coordinator before each window and read by
-  // the workers (the epoch barrier orders the accesses).
+  // Window plan, written by PlanWindow and read by RunWindow.
   std::vector<TimeNs> next_times_;
   // next_times_ relaxed to a fixpoint over the channel graph: the earliest
   // instant each shard could execute anything this window, counting events
@@ -303,14 +280,12 @@ class ShardGroup {
   std::vector<TimeNs> horizons_;
   std::vector<WindowMode> modes_;
 
-  // Channels that posted something this window, grouped by source shard so
-  // concurrent windows never contend on one list.
-  std::vector<std::vector<BoundaryChannel*>> dirty_;
-  // Dirty channels re-grouped by DESTINATION (coordinator only), plus the
-  // earliest staged deliver_at per destination. A channel sits here — its
-  // staging batch still accumulating — until the destination's horizon
-  // first covers one of its records; only then does the batch cross the
-  // mailbox.
+  // Channels that started a fresh staging batch since the last window.
+  std::vector<BoundaryChannel*> dirty_;
+  // Dirty channels grouped by DESTINATION, plus the earliest staged
+  // deliver_at per destination. A channel sits here — its staging batch
+  // still accumulating — until the destination's horizon first covers one
+  // of its records; only then does the batch cross the mailbox.
   std::vector<std::vector<BoundaryChannel*>> staged_;
   std::vector<TimeNs> staged_min_;
 
@@ -325,9 +300,9 @@ class ShardGroup {
     bool is_span;
     std::shared_ptr<BoundaryChannel::Batch> batch;
   };
-  // Per-destination holding area (coordinator only). Records append raw at
-  // collect time; the release pass sorts the unreleased tail on demand and
-  // consumes a prefix, compacting amortised O(1) per record.
+  // Per-destination holding area. Records append raw at collect time; the
+  // release pass sorts the unreleased tail on demand and consumes a prefix,
+  // compacting amortised O(1) per record.
   struct PendingQueue {
     std::vector<PendingRecord> items;
     size_t head = 0;        // items before head are released
@@ -335,20 +310,6 @@ class ShardGroup {
     TimeNs min_deliver = kTimeNever;
   };
   std::vector<PendingQueue> pending_;
-
-  // Sense-reversing epoch barrier: the coordinator publishes a window by
-  // bumping epoch_ (release) and waits for done_epoch_ to catch up; each
-  // worker spins briefly on epoch_ before blocking on the condvar, runs its
-  // slice, and the last one through remaining_ publishes done_epoch_.
-  int threads_ = 0;  // 0 = serial
-  std::vector<std::thread> workers_;
-  std::atomic<uint64_t> epoch_{0};
-  std::atomic<uint64_t> done_epoch_{0};
-  std::atomic<int> remaining_{0};
-  std::atomic<bool> shutdown_{false};
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
 };
 
 }  // namespace pegasus::sim

@@ -1,4 +1,4 @@
-// Region-sharded parallel simulation: the sharded engine must reproduce
+// Region-sharded simulation: the sharded engine must reproduce
 // the single-simulator engine bit for bit — identical event interleavings
 // at the observable level (delivery instants, counters, fleet fingerprints)
 // at every shard count — while the conservative window machinery actually
@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -40,7 +41,7 @@ uint64_t DigestLog(const std::vector<std::pair<int, sim::TimeNs>>& log) {
 
 TEST(ShardGroupTest, WindowsInterleaveShardAndControlEventsInTimeOrder) {
   sim::Simulator control;
-  sim::ShardGroup group(&control, {/*shards=*/2, /*threads=*/1});
+  sim::ShardGroup group(&control, {/*shards=*/2});
   sim::Simulator* a = group.shard(0);
   sim::Simulator* b = group.shard(1);
   sim::BoundaryChannel* ab = group.RegisterBoundary(a, b, /*lookahead=*/10);
@@ -70,7 +71,7 @@ TEST(ShardGroupTest, WindowsInterleaveShardAndControlEventsInTimeOrder) {
 
 TEST(ShardGroupTest, EventsAtRunUntilLimitExecute) {
   sim::Simulator control;
-  sim::ShardGroup group(&control, {/*shards=*/2, /*threads=*/1});
+  sim::ShardGroup group(&control, {/*shards=*/2});
   int ran = 0;
   group.shard(0)->ScheduleAt(100, [&]() { ++ran; });
   group.shard(1)->ScheduleAt(100, [&]() { ++ran; });
@@ -93,9 +94,9 @@ struct TortureResult {
 // lookahead), one endpoint on each side, VCs both ways, and both endpoints
 // flooding at coprime cadences well above the trunk rate — every window is
 // as small as windows get and the trunk queue lives at its limit.
-TortureResult RunTorture(int shards, int threads) {
+TortureResult RunTorture(int shards) {
   sim::Simulator control;
-  sim::ShardGroup group(&control, {shards, threads});
+  sim::ShardGroup group(&control, {shards});
   atm::Network net(&control);
   scenario::RegionPartitioner part(&net, shards > 0 ? &group : nullptr);
 
@@ -166,17 +167,15 @@ TortureResult RunTorture(int shards, int threads) {
 }
 
 TEST(ShardGroupTest, BoundaryTortureMatchesSingleSimulatorBitForBit) {
-  const TortureResult reference = RunTorture(/*shards=*/0, /*threads=*/0);
+  const TortureResult reference = RunTorture(/*shards=*/0);
   EXPECT_GT(reference.received_a, 0u);
   EXPECT_GT(reference.received_b, 0u);
   // The floods overrun the trunk by design; the tail-drop path must be hot.
   EXPECT_GT(reference.trunk_dropped, 0u);
 
-  for (const auto& [shards, threads] : std::vector<std::pair<int, int>>{
-           {1, 1}, {2, 1}, {2, 2}, {2, 0}}) {
-    const TortureResult sharded = RunTorture(shards, threads);
-    EXPECT_EQ(sharded.digest, reference.digest)
-        << "shards=" << shards << " threads=" << threads;
+  for (int shards : {1, 2}) {
+    const TortureResult sharded = RunTorture(shards);
+    EXPECT_EQ(sharded.digest, reference.digest) << "shards=" << shards;
     EXPECT_EQ(sharded.received_a, reference.received_a);
     EXPECT_EQ(sharded.received_b, reference.received_b);
     EXPECT_EQ(sharded.trunk_sent, reference.trunk_sent);
@@ -190,9 +189,9 @@ TEST(ShardGroupTest, BoundaryTortureMatchesSingleSimulatorBitForBit) {
 // nanosecond windows — every delivery instant must still land bit-equal to
 // the single-simulator schedule, including traffic that crosses BOTH
 // trunks (and so transits the fast region on its way to the slow one).
-TortureResult RunAsymmetricTorture(int shards, int threads) {
+TortureResult RunAsymmetricTorture(int shards) {
   sim::Simulator control;
-  sim::ShardGroup group(&control, {shards, threads});
+  sim::ShardGroup group(&control, {shards});
   atm::Network net(&control);
   scenario::RegionPartitioner part(&net, shards > 0 ? &group : nullptr);
 
@@ -277,16 +276,14 @@ TortureResult RunAsymmetricTorture(int shards, int threads) {
 }
 
 TEST(ShardGroupTest, AsymmetricLookaheadTortureMatchesSingleSimulatorBitForBit) {
-  const TortureResult reference = RunAsymmetricTorture(/*shards=*/0, /*threads=*/0);
+  const TortureResult reference = RunAsymmetricTorture(/*shards=*/0);
   EXPECT_GT(reference.received_a, 0u);
   EXPECT_GT(reference.received_b, 0u);
   EXPECT_GT(reference.trunk_dropped, 0u);
 
-  for (const auto& [shards, threads] : std::vector<std::pair<int, int>>{
-           {1, 1}, {3, 1}, {3, 2}, {3, 0}}) {
-    const TortureResult sharded = RunAsymmetricTorture(shards, threads);
-    EXPECT_EQ(sharded.digest, reference.digest)
-        << "shards=" << shards << " threads=" << threads;
+  for (int shards : {1, 3}) {
+    const TortureResult sharded = RunAsymmetricTorture(shards);
+    EXPECT_EQ(sharded.digest, reference.digest) << "shards=" << shards;
     EXPECT_EQ(sharded.received_a, reference.received_a);
     EXPECT_EQ(sharded.received_b, reference.received_b);
     EXPECT_EQ(sharded.trunk_sent, reference.trunk_sent);
@@ -298,7 +295,7 @@ TEST(ShardGroupTest, AsymmetricLookaheadTortureMatchesSingleSimulatorBitForBit) 
 // windows tick, the merge pass doesn't.
 TEST(ShardGroupTest, ZeroBoundaryTrafficWindowsSkipMergePass) {
   sim::Simulator control;
-  sim::ShardGroup group(&control, {/*shards=*/2, /*threads=*/1});
+  sim::ShardGroup group(&control, {/*shards=*/2});
   sim::Simulator* a = group.shard(0);
   sim::Simulator* b = group.shard(1);
   sim::BoundaryChannel* ab = group.RegisterBoundary(a, b, /*lookahead=*/100);
@@ -340,7 +337,7 @@ TEST(ShardGroupTest, ZeroBoundaryTrafficWindowsSkipMergePass) {
 // one per event.
 TEST(ShardGroupTest, SameTimestampControlEventsQuiesceOnce) {
   sim::Simulator control;
-  sim::ShardGroup group(&control, {/*shards=*/2, /*threads=*/1});
+  sim::ShardGroup group(&control, {/*shards=*/2});
   int ran = 0;
   group.shard(0)->ScheduleAt(50, []() {});
   group.shard(1)->ScheduleAt(150, []() {});
@@ -365,7 +362,7 @@ TEST(ShardGroupTest, SameTimestampControlEventsQuiesceOnce) {
 // nanosecond-scale step; per-channel bounds plan one per 5 us.
 TEST(ShardGroupTest, PerChannelLookaheadWidensWindows) {
   sim::Simulator control;
-  sim::ShardGroup group(&control, {/*shards=*/4, /*threads=*/1});
+  sim::ShardGroup group(&control, {/*shards=*/4});
   sim::Simulator* a = group.shard(0);
   sim::Simulator* b = group.shard(1);
   group.RegisterBoundary(a, b, sim::Microseconds(5));
@@ -394,39 +391,6 @@ TEST(ShardGroupTest, PerChannelLookaheadWidensWindows) {
   EXPECT_LT(group.stats().windows, 1000u);
 }
 
-// Tearing down a group whose workers are parked at the window barrier must
-// neither deadlock nor leak threads — run a few windows, then destroy
-// immediately, repeatedly, at several thread counts.
-TEST(ShardGroupTest, DestructionWithParkedWorkersIsClean) {
-  for (int threads : {2, 4}) {
-    for (int iter = 0; iter < 25; ++iter) {
-      sim::Simulator control;
-      sim::ShardGroup group(&control, {/*shards=*/4, threads});
-      sim::Simulator* a = group.shard(0);
-      sim::Simulator* b = group.shard(1);
-      sim::BoundaryChannel* ab = group.RegisterBoundary(a, b, /*lookahead=*/10);
-      group.RegisterBoundary(b, a, /*lookahead=*/10);
-      int delivered = 0;
-      for (int s = 0; s < 4; ++s) {
-        for (sim::TimeNs t = 1; t < 200; t += 7) {
-          group.shard(s)->ScheduleAt(t, []() {});
-        }
-      }
-      a->ScheduleAt(5, [&]() {
-        ab->Post(a->now() + 10, [&]() { ++delivered; });
-      });
-      group.RunUntil(100 + iter);
-      EXPECT_EQ(delivered, 1);
-      // Destructor runs here with all workers parked mid-sequence.
-    }
-    // And the degenerate case: construct, never run, destroy.
-    for (int iter = 0; iter < 25; ++iter) {
-      sim::Simulator control;
-      sim::ShardGroup group(&control, {/*shards=*/4, threads});
-    }
-  }
-}
-
 // --- Fleet equivalence: the full metro scenario, every shard count ---------
 
 scenario::TopologyParams SmallMetro() {
@@ -449,11 +413,11 @@ scenario::WorkloadParams ChurnParams() {
 }
 
 // shards == 0 runs the classic single-simulator engine.
-uint64_t RunFleet(int shards, int threads) {
+uint64_t RunFleet(int shards) {
   sim::Simulator sim;
   core::PegasusSystem system(&sim);
   const scenario::TopologyParams tparams = SmallMetro();
-  sim::ShardGroup group(&sim, {shards > 0 ? shards : 1, threads});
+  sim::ShardGroup group(&sim, {shards > 0 ? shards : 1});
   const scenario::MetroTopology topo =
       scenario::BuildMetroTopology(system, tparams, shards > 0 ? &group : nullptr);
   scenario::ScenarioEngine engine(&system, &topo, ChurnParams());
@@ -465,11 +429,9 @@ uint64_t RunFleet(int shards, int threads) {
 }
 
 TEST(ShardGroupTest, FleetFingerprintIdenticalAtEveryShardCount) {
-  const uint64_t reference = RunFleet(/*shards=*/0, /*threads=*/0);
-  for (const auto& [shards, threads] :
-       std::vector<std::pair<int, int>>{{1, 1}, {2, 2}, {4, 2}, {8, 0}}) {
-    EXPECT_EQ(RunFleet(shards, threads), reference)
-        << "shards=" << shards << " threads=" << threads;
+  const uint64_t reference = RunFleet(/*shards=*/0);
+  for (int shards : {1, 2, 4, 8}) {
+    EXPECT_EQ(RunFleet(shards), reference) << "shards=" << shards;
   }
 }
 
@@ -478,11 +440,11 @@ TEST(ShardGroupTest, FleetFingerprintIdenticalAtEveryShardCount) {
 // global sync points. None of that may perturb the observable interleaving:
 // the fleet fingerprint must stay bit-identical at every shard count, and
 // the broadcast plane must actually have run (trees opened, leaves grafted).
-uint64_t RunBroadcastFleet(int shards, int threads, scenario::FleetMetrics* out) {
+uint64_t RunBroadcastFleet(int shards, scenario::FleetMetrics* out) {
   sim::Simulator sim;
   core::PegasusSystem system(&sim);
   const scenario::TopologyParams tparams = SmallMetro();
-  sim::ShardGroup group(&sim, {shards > 0 ? shards : 1, threads});
+  sim::ShardGroup group(&sim, {shards > 0 ? shards : 1});
   const scenario::MetroTopology topo =
       scenario::BuildMetroTopology(system, tparams, shards > 0 ? &group : nullptr);
   scenario::WorkloadParams wparams = ChurnParams();
@@ -501,15 +463,13 @@ uint64_t RunBroadcastFleet(int shards, int threads, scenario::FleetMetrics* out)
 
 TEST(ShardGroupTest, BroadcastFleetFingerprintIdenticalAtEveryShardCount) {
   scenario::FleetMetrics reference_metrics;
-  const uint64_t reference = RunBroadcastFleet(/*shards=*/0, /*threads=*/0, &reference_metrics);
+  const uint64_t reference = RunBroadcastFleet(/*shards=*/0, &reference_metrics);
   EXPECT_GT(reference_metrics.mcast_trees_opened, 0);
   EXPECT_GT(reference_metrics.mcast_grafts, 0);
   EXPECT_GT(reference_metrics.mcast_peak_leaves, 1);
-  for (const auto& [shards, threads] :
-       std::vector<std::pair<int, int>>{{1, 1}, {2, 2}, {4, 2}, {8, 0}}) {
+  for (int shards : {1, 2, 4, 8}) {
     scenario::FleetMetrics metrics;
-    EXPECT_EQ(RunBroadcastFleet(shards, threads, &metrics), reference)
-        << "shards=" << shards << " threads=" << threads;
+    EXPECT_EQ(RunBroadcastFleet(shards, &metrics), reference) << "shards=" << shards;
     // The fan-out counters sit outside the fingerprint; pin them too.
     EXPECT_EQ(metrics.mcast_trees_opened, reference_metrics.mcast_trees_opened);
     EXPECT_EQ(metrics.mcast_grafts, reference_metrics.mcast_grafts);
@@ -521,7 +481,7 @@ TEST(ShardGroupTest, BroadcastFleetFingerprintIdenticalAtEveryShardCount) {
 TEST(ShardGroupTest, ShardedFleetActuallyCrossesBoundaries) {
   sim::Simulator sim;
   core::PegasusSystem system(&sim);
-  sim::ShardGroup group(&sim, {/*shards=*/4, /*threads=*/2});
+  sim::ShardGroup group(&sim, {/*shards=*/4});
   const scenario::MetroTopology topo =
       scenario::BuildMetroTopology(system, SmallMetro(), &group);
   scenario::ScenarioEngine engine(&system, &topo, ChurnParams());
@@ -536,6 +496,48 @@ TEST(ShardGroupTest, ShardedFleetActuallyCrossesBoundaries) {
     boundaries += link->is_boundary() ? 1 : 0;
   }
   EXPECT_GT(boundaries, 0);
+}
+
+// The group starts no threads: every window runs on the thread that called
+// RunUntil. A probe ticking every 5 us on each shard keeps all four shards
+// busy in every window of the fleet run and records where each tick ran.
+TEST(ShardGroupTest, EveryShardEventRunsOnTheCallingThread) {
+  sim::Simulator sim;
+  core::PegasusSystem system(&sim);
+  sim::ShardGroup group(&sim, {/*shards=*/4});
+  const scenario::MetroTopology topo =
+      scenario::BuildMetroTopology(system, SmallMetro(), &group);
+  scenario::ScenarioEngine engine(&system, &topo, ChurnParams());
+
+  struct Probe {
+    sim::Simulator* s;
+    std::thread::id caller;
+    uint64_t ticks = 0;
+    uint64_t foreign = 0;
+    void Fire() {
+      ++ticks;
+      foreign += std::this_thread::get_id() == caller ? 0 : 1;
+      s->ScheduleAfter(sim::Microseconds(5), [this]() { Fire(); });
+    }
+  };
+  std::vector<Probe> probes;
+  for (int i = 0; i < group.shard_count(); ++i) {
+    probes.push_back(Probe{group.shard(i), std::this_thread::get_id()});
+  }
+  for (Probe& p : probes) {
+    p.s->ScheduleAt(1, [&p]() { p.Fire(); });
+  }
+  engine.Run(sim::Seconds(1));
+
+  EXPECT_EQ(group.thread_count(), 1);
+  EXPECT_GT(group.stats().messages, 0u);
+  for (int i = 0; i < group.shard_count(); ++i) {
+    const Probe& p = probes[static_cast<size_t>(i)];
+    EXPECT_GT(p.ticks, 100'000u) << "shard " << i;
+    EXPECT_EQ(p.foreign, 0u) << "shard " << i;
+    // The probe was not the only thing the shard ran.
+    EXPECT_GT(group.shard(i)->executed(), p.ticks) << "shard " << i;
+  }
 }
 
 // --- Per-purpose RNG streams ----------------------------------------------

@@ -8,10 +8,6 @@
 # and the metro-scale fleet snapshot as BENCH_06.json (admission latency,
 # blocking probability and sustained cells/s on the generated small and mid
 # metro fabrics under Poisson session churn, from bench_e16_metro_scale),
-# and the region-sharded PDES snapshot as BENCH_08.json (metro-large wall
-# clocks and fingerprints at 1/2/4/8 shards vs the single-simulator
-# reference, from `bench_e16_metro_scale shards` — identical fingerprints
-# are enforced),
 # and the broadcast fan-out snapshot as BENCH_09.json (viewer sweep with
 # measured cell-hops vs the per-viewer unicast baseline and per-edge
 # reservations, from bench_e18_broadcast — the O(tree edges) acceptance is
@@ -81,18 +77,6 @@ if [[ -x "$E16" ]]; then
   cat "$OUT06"
 else
   echo "skipping $OUT06: $E16 missing" >&2
-fi
-
-# Region-sharded PDES scaling: the shards mode exits non-zero if any shard
-# count's fleet fingerprint diverges from the single-simulator reference,
-# so a determinism break fails the snapshot job, not just the JSON diff.
-OUT08="$(dirname "$OUT")/BENCH_08.json"
-if [[ -x "$E16" ]]; then
-  "$E16" shards >"$OUT08"
-  echo "wrote $OUT08:"
-  cat "$OUT08"
-else
-  echo "skipping $OUT08: $E16 missing" >&2
 fi
 
 # Broadcast fan-out: cells must scale with tree edges, not viewers. The
