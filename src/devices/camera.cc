@@ -60,6 +60,7 @@ void AtmCamera::BandReady(int band) {
   const sim::TimeNs band_ts = sim_->now();
   const int ty = band * kTileDim;
   std::vector<Tile> tiles;
+  tiles.reserve(static_cast<size_t>((config_.width + kTileDim - 1) / kTileDim));
   for (int tx = 0; tx < config_.width; tx += kTileDim) {
     Tile tile = current_frame_.ExtractTile(tx, ty);
     CompressTileInPlace(&tile, config_.compression, config_.jpeg_quality);

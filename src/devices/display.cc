@@ -1,6 +1,8 @@
 #include "src/devices/display.h"
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 namespace pegasus::dev {
 
@@ -97,9 +99,19 @@ void AtmDisplay::OnPacket(atm::Vci vci, const TilePacket& packet) {
   track.capture_ts = packet.capture_ts;
   track.any = true;
 
-  for (const Tile& src : packet.tiles) {
-    Tile tile = src;
-    if (!DecompressTileInPlace(&tile)) {
+  for (const Tile& tile : packet.tiles) {
+    // Raw tiles blit straight from the packet; only compressed ones are
+    // decoded into a copy.
+    const uint8_t* pixels = tile.data.data();
+    std::optional<std::vector<uint8_t>> decoded;
+    if (tile.compressed) {
+      decoded = DecompressTile(tile.data);
+      if (!decoded.has_value()) {
+        ++decode_errors_;
+        continue;
+      }
+      pixels = decoded->data();
+    } else if (tile.data.size() != kTilePixels) {
       ++decode_errors_;
       continue;
     }
@@ -110,23 +122,22 @@ void AtmDisplay::OnPacket(atm::Vci vci, const TilePacket& packet) {
       continue;
     }
     ++tiles_blitted_;
-    for (int row = 0; row < kTileDim; ++row) {
-      for (int col = 0; col < kTileDim; ++col) {
-        const int wx = tile.x + col;  // window coordinates
-        const int wy = tile.y + row;
-        if (wx >= desc.width || wy >= desc.height) {
-          continue;  // clipped by the descriptor
-        }
-        const int sx = desc.x + wx;  // screen coordinates
-        const int sy = desc.y + wy;
-        if (sx < 0 || sx >= width_ || sy < 0 || sy >= height_) {
-          continue;
-        }
-        if (owner_[static_cast<size_t>(sy) * width_ + sx] != vci) {
+    // The tile's rows and columns inside both the window and the screen.
+    const int sx0 = desc.x + tile.x;  // screen position of the tile's origin
+    const int sy0 = desc.y + tile.y;
+    const int col_begin = std::max(0, -sx0);
+    const int col_end = std::min({kTileDim, desc.width - tile.x, width_ - sx0});
+    const int row_begin = std::max(0, -sy0);
+    const int row_end = std::min({kTileDim, desc.height - tile.y, height_ - sy0});
+    for (int row = row_begin; row < row_end; ++row) {
+      const size_t screen_row = static_cast<size_t>(sy0 + row) * width_;
+      const uint8_t* src = pixels + static_cast<size_t>(row) * kTileDim;
+      for (int col = col_begin; col < col_end; ++col) {
+        const size_t at = screen_row + static_cast<size_t>(sx0 + col);
+        if (owner_[at] != vci) {
           continue;  // occluded by a higher window
         }
-        framebuffer_[static_cast<size_t>(sy) * width_ + sx] =
-            tile.data[static_cast<size_t>(row) * kTileDim + col];
+        framebuffer_[at] = src[col];
         ++pixels_drawn_;
       }
     }

@@ -23,7 +23,9 @@ class FrameSource {
   int width() const { return width_; }
   int height() const { return height_; }
 
-  // Produces frame number `n` (deterministic in n).
+  // Produces frame number `n`: deterministic in n and in the noise draws of
+  // the frames rendered before it. Costs W + H - 1 sines (one per
+  // anti-diagonal of the gradient) and, with noise, one draw per pixel.
   Frame Render(uint32_t frame_no);
 
  private:

@@ -50,6 +50,16 @@ Tile Frame::ExtractTile(int tx, int ty) const {
   tile.x = static_cast<uint16_t>(tx);
   tile.y = static_cast<uint16_t>(ty);
   tile.data.resize(kTilePixels, 0);
+  if (tx + kTileDim <= width && ty + kTileDim <= height) {
+    // Interior tile: eight whole rows.
+    const uint8_t* src = pixels.data() + static_cast<size_t>(ty) * width + tx;
+    for (int row = 0; row < kTileDim; ++row) {
+      std::copy_n(src + static_cast<size_t>(row) * width, kTileDim,
+                  tile.data.data() + static_cast<size_t>(row) * kTileDim);
+    }
+    return tile;
+  }
+  // Edge tile: clipped pixel by pixel, zero outside the frame.
   for (int row = 0; row < kTileDim; ++row) {
     for (int col = 0; col < kTileDim; ++col) {
       const int px = tx + col;

@@ -14,8 +14,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -23,32 +21,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : s_) {
     s = SplitMix64(sm);
   }
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  if (span == 0) {  // full 64-bit range
-    return static_cast<int64_t>(Next());
-  }
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t limit = UINT64_MAX - UINT64_MAX % span;
-  uint64_t r;
-  do {
-    r = Next();
-  } while (r >= limit);
-  return lo + static_cast<int64_t>(r % span);
 }
 
 double Rng::UniformDouble() {

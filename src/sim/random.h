@@ -20,10 +20,36 @@ class Rng {
   explicit Rng(uint64_t seed);
 
   // Next raw 64-bit value.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
-  // Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
-  int64_t UniformInt(int64_t lo, int64_t hi);
+  // Uniform integer in [lo, hi] (inclusive). Requires lo <= hi. Inline so
+  // that a constant power-of-two span folds to a compare and a mask.
+  int64_t UniformInt(int64_t lo, int64_t hi) {
+    // Unsigned arithmetic gives the signed form's values wherever that is
+    // defined, and no overflow for spans beyond INT64_MAX (the full range
+    // wraps to 0).
+    const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
+    if (span == 0) {  // full 64-bit range
+      return static_cast<int64_t>(Next());
+    }
+    // Rejection sampling to avoid modulo bias.
+    const uint64_t limit = UINT64_MAX - UINT64_MAX % span;
+    uint64_t r;
+    do {
+      r = Next();
+    } while (r >= limit);
+    return static_cast<int64_t>(static_cast<uint64_t>(lo) + r % span);
+  }
 
   // Uniform double in [0, 1).
   double UniformDouble();
@@ -52,6 +78,8 @@ class Rng {
   }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t s_[4];
   // Zipf cache: recomputing the harmonic normaliser is O(n), so cache per (n, theta).
   int64_t zipf_n_ = 0;

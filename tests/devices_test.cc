@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "src/atm/network.h"
 #include "src/devices/audio.h"
@@ -61,6 +62,70 @@ TEST(TileTest, ExtractAndBlitRoundTrip) {
     }
   }
   EXPECT_EQ(out.at(0, 0), 0);  // untouched
+}
+
+TEST(TileTest, ExtractTileMatchesPerPixelReference) {
+  // Ragged frames: neither side is a multiple of the tile size, so the last
+  // column and row of tiles hang off the edge, by 7 pixels and by 1, and
+  // must zero-fill.
+  for (const auto& [w, h] : {std::pair{161, 97}, std::pair{167, 103}}) {
+    SCOPED_TRACE(testing::Message() << w << "x" << h);
+    Frame frame(w, h);
+    for (int y = 0; y < frame.height; ++y) {
+      for (int x = 0; x < frame.width; ++x) {
+        frame.set(x, y, static_cast<uint8_t>(x * 31 + y * 17 + 1));
+      }
+    }
+    int edge_tiles = 0;
+    for (int ty = 0; ty < frame.height; ty += kTileDim) {
+      for (int tx = 0; tx < frame.width; tx += kTileDim) {
+        const Tile tile = frame.ExtractTile(tx, ty);
+        EXPECT_EQ(tile.x, tx);
+        EXPECT_EQ(tile.y, ty);
+        EXPECT_FALSE(tile.compressed);
+        ASSERT_EQ(tile.data.size(), static_cast<size_t>(kTilePixels));
+        bool edge = false;
+        for (int row = 0; row < kTileDim; ++row) {
+          for (int col = 0; col < kTileDim; ++col) {
+            const int px = tx + col;
+            const int py = ty + row;
+            const bool inside = px < frame.width && py < frame.height;
+            edge = edge || !inside;
+            EXPECT_EQ(tile.data[static_cast<size_t>(row) * kTileDim + col],
+                      inside ? frame.at(px, py) : 0)
+                << "tile (" << tx << ", " << ty << ") pixel (" << col << ", " << row << ")";
+          }
+        }
+        edge_tiles += edge ? 1 : 0;
+      }
+    }
+    EXPECT_EQ(edge_tiles, 21 + 13 - 1);  // last column plus last row
+  }
+}
+
+uint64_t Fnv1a64(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Golden values: the camera's content feeds every video experiment, and the
+// raw-tile workloads ship these pixels without any check on them.
+TEST(FrameSourceTest, RenderIsPinned) {
+  FrameSource noisy(320, 240, 0.1, 42);
+  // One source, in order: the noise stream carries over between frames.
+  EXPECT_EQ(Fnv1a64(noisy.Render(0).pixels), 0x4c53a294ca7b9f16ULL);
+  EXPECT_EQ(Fnv1a64(noisy.Render(1).pixels), 0x4cd6815ec5584d45ULL);
+  EXPECT_EQ(Fnv1a64(noisy.Render(37).pixels), 0xf24fd2a09f834467ULL);
+  FrameSource clean(161, 97, 0.0);
+  const Frame ragged = clean.Render(5);
+  EXPECT_EQ(ragged.width, 161);
+  EXPECT_EQ(ragged.height, 97);
+  EXPECT_EQ(ragged.frame_no, 5u);
+  EXPECT_EQ(Fnv1a64(ragged.pixels), 0xf9d13e6cbe3b85feULL);
 }
 
 TEST(CompressionTest, SmoothTileCompressesWell) {
@@ -256,6 +321,109 @@ TEST_F(DeviceFixture, WindowOcclusionRespectsZOrder) {
   EXPECT_EQ(display.OwnerAt(10, 10), atm::kVciUnassigned);
   wm.RestoreWindow(vc1->destination_vci);
   EXPECT_EQ(display.OwnerAt(10, 10), vc1->destination_vci);
+}
+
+TEST_F(DeviceFixture, DisplayClipsAndOccludesRawAndCompressedTilesAlike) {
+  // Two 64x48 screens show the same picture, one fed raw tiles and one
+  // Motion-JPEG tiles. Window A (37x27) hangs off the right and bottom
+  // edges; window B (10x10) sits on top of it, fully on screen.
+  const WindowDescriptor win_a{40, 28, 37, 27};
+  const WindowDescriptor win_b{50, 30, 10, 10};
+  constexpr int kScreenW = 64;
+  constexpr int kScreenH = 48;
+
+  // Tiles over window coordinates [0, cols * 8) x [0, rows * 8), as JPEG and
+  // as the raw pixels the codec gives back, so both feeds carry one picture.
+  auto picture = [](int cols, int rows, int shade, TilePacket* raw, TilePacket* jpeg) {
+    for (int ty = 0; ty < rows * kTileDim; ty += kTileDim) {
+      for (int tx = 0; tx < cols * kTileDim; tx += kTileDim) {
+        std::vector<uint8_t> pixels(kTilePixels);
+        for (int i = 0; i < kTilePixels; ++i) {
+          pixels[static_cast<size_t>(i)] =
+              static_cast<uint8_t>(tx * 5 + ty * 3 + i * 7 + shade);
+        }
+        Tile tile;
+        tile.x = static_cast<uint16_t>(tx);
+        tile.y = static_cast<uint16_t>(ty);
+        tile.compressed = true;
+        tile.data = CompressTile(pixels, 75);
+        jpeg->tiles.push_back(tile);
+        ASSERT_TRUE(DecompressTileInPlace(&tile));
+        raw->tiles.push_back(tile);
+      }
+    }
+  };
+  // A: 6x4 tiles. The x = 40 column lies outside the window, the x = 32
+  // column and the y = 24 row straddle its edges, and everything right of
+  // window x = 24 or below window y = 20 is off the screen.
+  TilePacket raw_a;
+  TilePacket jpeg_a;
+  picture(6, 4, 1, &raw_a, &jpeg_a);
+  // B: 3x2 tiles. The x = 16 column lies outside the window; the x = 8
+  // column and the y = 8 row straddle its edges, over pixels A owns.
+  TilePacket raw_b;
+  TilePacket jpeg_b;
+  picture(3, 2, 101, &raw_b, &jpeg_b);
+  // One malformed tile per feed, dropped before clipping.
+  Tile bad;
+  bad.data.assign(kTilePixels - 1, 9);
+  raw_a.tiles.push_back(bad);
+  bad.compressed = true;
+  jpeg_a.tiles.push_back(bad);
+
+  // Expected screen: the topmost window covering each pixel shows its own
+  // tile pixel there; everything else stays background.
+  std::vector<uint8_t> expected(static_cast<size_t>(kScreenW) * kScreenH, 0);
+  for (const auto& [win, packet] : {std::pair{win_a, &raw_a}, std::pair{win_b, &raw_b}}) {
+    for (const Tile& tile : packet->tiles) {
+      if (tile.data.size() != kTilePixels) {
+        continue;  // the malformed tile
+      }
+      for (int i = 0; i < kTilePixels; ++i) {
+        const int wx = tile.x + i % kTileDim;
+        const int wy = tile.y + i / kTileDim;
+        const int sx = win.x + wx;
+        const int sy = win.y + wy;
+        if (wx < win.width && wy < win.height && sx < kScreenW && sy < kScreenH) {
+          expected[static_cast<size_t>(sy) * kScreenW + sx] = tile.data[static_cast<size_t>(i)];
+        }
+      }
+    }
+  }
+
+  struct Feed {
+    atm::Endpoint* from;
+    atm::Endpoint* to;
+    const TilePacket* a;
+    const TilePacket* b;
+  };
+  for (const Feed& feed : {Feed{cam_ep_, disp_ep_, &raw_a, &raw_b},
+                           Feed{audio_in_ep_, audio_out_ep_, &jpeg_a, &jpeg_b}}) {
+    SCOPED_TRACE(feed.a->tiles[0].compressed ? "jpeg" : "raw");
+    auto vc_a = net_.OpenVc(feed.from, feed.to);
+    auto vc_b = net_.OpenVc(feed.from, feed.to);
+    ASSERT_TRUE(vc_a.has_value());
+    ASSERT_TRUE(vc_b.has_value());
+    AtmDisplay display(&sim_, feed.to, kScreenW, kScreenH);
+    WindowManager wm(&display);
+    wm.CreateWindow(vc_a->destination_vci, win_a.x, win_a.y, win_a.width, win_a.height);
+    wm.CreateWindow(vc_b->destination_vci, win_b.x, win_b.y, win_b.width, win_b.height);
+    feed.from->SendFrame(vc_a->source_vci, feed.a->Serialize());
+    feed.from->SendFrame(vc_b->source_vci, feed.b->Serialize());
+    sim_.RunUntil(sim_.now() + Milliseconds(5));
+
+    EXPECT_EQ(display.tiles_blitted(), 20 + 4);
+    EXPECT_EQ(display.tiles_clipped(), 4 + 2);
+    EXPECT_EQ(display.decode_errors(), 1u);
+    // A: its 24x20 on-screen part less B's 10x10; B: all of it.
+    EXPECT_EQ(display.pixels_drawn(), 24 * 20 - 10 * 10 + 10 * 10);
+    for (int y = 0; y < kScreenH; ++y) {
+      for (int x = 0; x < kScreenW; ++x) {
+        ASSERT_EQ(display.PixelAt(x, y), expected[static_cast<size_t>(y) * kScreenW + x])
+            << "screen (" << x << ", " << y << ")";
+      }
+    }
+  }
 }
 
 TEST_F(DeviceFixture, WindowOpsMoveNoPixels) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -305,6 +306,42 @@ TEST(RngTest, ShufflePreservesElements) {
   rng.Shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, orig);
+}
+
+// Golden values: every experiment's draws come from this stream, so a change
+// to the generator or to UniformInt's rejection and reduction must show here.
+TEST(RngTest, StreamIsPinned) {
+  auto draw = [](auto&& next) {
+    std::vector<int64_t> out;
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<int64_t>(next()));
+    }
+    return out;
+  };
+  Rng raw(42);
+  const std::vector<uint64_t> expected_raw{
+      0x15780b2e0c2ec716ULL, 0x6104d9866d113a7eULL, 0xae17533239e499a1ULL,
+      0xecb8ad4703b360a1ULL, 0xfde6dc7fe2ec5e64ULL, 0xc50da53101795238ULL,
+      0xb82154855a65ddb2ULL, 0xd99a2743ebe60087ULL};
+  for (uint64_t want : expected_raw) {
+    EXPECT_EQ(raw.Next(), want);
+  }
+
+  Rng byte(42);  // power-of-two span
+  EXPECT_EQ(draw([&] { return byte.UniformInt(0, 255); }),
+            (std::vector<int64_t>{22, 126, 161, 161, 100, 56, 178, 135}));
+  Rng offset(42);  // negative lo, non-power-of-two span: the modulo path
+  EXPECT_EQ(draw([&] { return offset.UniformInt(-3, 996); }),
+            (std::vector<int64_t>{739, 99, 6, 190, 473, 581, 751, 404}));
+  Rng full(42);  // span wraps to 0: the full 64-bit range
+  EXPECT_EQ(draw([&] {
+              return full.UniformInt(std::numeric_limits<int64_t>::min(),
+                                     std::numeric_limits<int64_t>::max());
+            }),
+            (std::vector<int64_t>{1546998764402558742, 6990951692964543102,
+                                  -5902157311460992607, -1389169964527427423,
+                                  -151191095644234140, -4247557243643801032,
+                                  -5178765164775350862, -2766855848391737209}));
 }
 
 TEST(SummaryTest, BasicStatistics) {
