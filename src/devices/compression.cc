@@ -182,16 +182,27 @@ void CompressTileInPlace(Tile* tile, CompressionMode mode, int quality) {
   tile->compressed = true;
 }
 
-bool DecompressTileInPlace(Tile* tile) {
-  if (!tile->compressed) {
-    return tile->data.size() == kTilePixels;
+const uint8_t* RawTilePixels(const Tile& tile, std::vector<uint8_t>* decoded) {
+  if (!tile.compressed) {
+    return tile.data.size() == kTilePixels ? tile.data.data() : nullptr;
   }
-  auto pixels = DecompressTile(tile->data);
+  auto pixels = DecompressTile(tile.data);
   if (!pixels.has_value()) {
+    return nullptr;
+  }
+  *decoded = std::move(*pixels);
+  return decoded->data();
+}
+
+bool DecompressTileInPlace(Tile* tile) {
+  std::vector<uint8_t> decoded;
+  if (RawTilePixels(*tile, &decoded) == nullptr) {
     return false;
   }
-  tile->data = std::move(*pixels);
-  tile->compressed = false;
+  if (tile->compressed) {
+    tile->data = std::move(decoded);
+    tile->compressed = false;
+  }
   return true;
 }
 

@@ -31,6 +31,10 @@ std::optional<std::vector<uint8_t>> DecompressTile(const std::vector<uint8_t>& d
 
 // Applies the camera's configured compression to a raw tile (in place).
 void CompressTileInPlace(Tile* tile, CompressionMode mode, int quality);
+// A tile's 64 raw pixels: its own data when raw, or `decoded` filled from the
+// compressed data. Returns nullptr on corrupt data: a raw tile that is not
+// exactly 64 bytes, or malformed compressed data.
+const uint8_t* RawTilePixels(const Tile& tile, std::vector<uint8_t>* decoded);
 // Ensures a tile is raw pixels, decompressing if necessary. Returns false on
 // corrupt data (the AAL5 CRC normally catches this first).
 bool DecompressTileInPlace(Tile* tile);

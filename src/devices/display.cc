@@ -1,7 +1,6 @@
 #include "src/devices/display.h"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 namespace pegasus::dev {
@@ -99,19 +98,11 @@ void AtmDisplay::OnPacket(atm::Vci vci, const TilePacket& packet) {
   track.capture_ts = packet.capture_ts;
   track.any = true;
 
+  std::vector<uint8_t> decoded;  // the current tile's pixels when compressed
   for (const Tile& tile : packet.tiles) {
-    // Raw tiles blit straight from the packet; only compressed ones are
-    // decoded into a copy.
-    const uint8_t* pixels = tile.data.data();
-    std::optional<std::vector<uint8_t>> decoded;
-    if (tile.compressed) {
-      decoded = DecompressTile(tile.data);
-      if (!decoded.has_value()) {
-        ++decode_errors_;
-        continue;
-      }
-      pixels = decoded->data();
-    } else if (tile.data.size() != kTilePixels) {
+    // Raw tiles blit straight from the packet.
+    const uint8_t* pixels = RawTilePixels(tile, &decoded);
+    if (pixels == nullptr) {
       ++decode_errors_;
       continue;
     }

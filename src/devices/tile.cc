@@ -50,24 +50,12 @@ Tile Frame::ExtractTile(int tx, int ty) const {
   tile.x = static_cast<uint16_t>(tx);
   tile.y = static_cast<uint16_t>(ty);
   tile.data.resize(kTilePixels, 0);
-  if (tx + kTileDim <= width && ty + kTileDim <= height) {
-    // Interior tile: eight whole rows.
-    const uint8_t* src = pixels.data() + static_cast<size_t>(ty) * width + tx;
-    for (int row = 0; row < kTileDim; ++row) {
-      std::copy_n(src + static_cast<size_t>(row) * width, kTileDim,
-                  tile.data.data() + static_cast<size_t>(row) * kTileDim);
-    }
-    return tile;
-  }
-  // Edge tile: clipped pixel by pixel, zero outside the frame.
-  for (int row = 0; row < kTileDim; ++row) {
-    for (int col = 0; col < kTileDim; ++col) {
-      const int px = tx + col;
-      const int py = ty + row;
-      if (px < width && py < height) {
-        tile.data[static_cast<size_t>(row) * kTileDim + col] = at(px, py);
-      }
-    }
+  // Copy the tile's rows clipped to the frame; the rest stays zero.
+  const int rows = std::min(kTileDim, height - ty);
+  const int cols = std::min(kTileDim, width - tx);
+  for (int row = 0; row < rows && cols > 0; ++row) {
+    std::copy_n(pixels.data() + static_cast<size_t>(ty + row) * width + tx, cols,
+                tile.data.data() + static_cast<size_t>(row) * kTileDim);
   }
   return tile;
 }
