@@ -14,7 +14,6 @@
 //   (default)        full sweep: topology scaling + arrival-rate scaling
 //   smoke [secs]     CI-sized run (2 aggregation switches, ~100 hosts);
 //                    exits non-zero if nothing was admitted
-//   snapshot         machine-readable JSON of the small/mid points
 //   shards [secs]    region-sharded scaling: metro-large unsharded and at
 //                    1/2/4/8 shards, a table of wall clock, windows, sync
 //                    points, hand-offs and fingerprints (must be identical);
@@ -118,37 +117,6 @@ int RunSmoke(int seconds) {
   return ok ? 0 : 1;
 }
 
-void PrintJson(const std::vector<Point>& points) {
-  std::printf("{\n  \"bench\": \"e16_metro_scale\",\n  \"points\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const scenario::FleetMetrics& m = points[i].metrics;
-    std::printf("    {\"name\": \"%s\", \"switches\": %d, \"hosts\": %d, "
-                "\"arrivals_per_sec\": %.0f, \"arrivals\": %lld, \"admitted\": %lld, "
-                "\"blocking_probability\": %.4f, \"peak_concurrent\": %lld, "
-                "\"admit_mean_us\": %.2f, \"convergence_ms\": %.1f, "
-                "\"cells_per_wall_second\": %.0f, \"fingerprint\": \"%llx\"}%s\n",
-                points[i].name.c_str(), points[i].switches, points[i].hosts,
-                points[i].arrivals_per_sec, static_cast<long long>(m.arrivals),
-                static_cast<long long>(m.admitted), m.blocking_probability(),
-                static_cast<long long>(m.peak_concurrent), m.mean_admit_wall_us(),
-                m.mean_convergence_ms(), m.cells_per_wall_second(),
-                static_cast<unsigned long long>(m.Fingerprint()),
-                i + 1 < points.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
-}
-
-int RunSnapshot() {
-  std::vector<Point> points;
-  points.push_back(MakePoint("metro-small", Metro(1, 2, 2, 8), 40.0, 4, 0.05));
-  points.push_back(MakePoint("metro-mid", Metro(2, 2, 3, 16), 120.0, 4, 0.02));
-  for (auto& p : points) {
-    RunPoint(&p, 16);
-  }
-  PrintJson(points);
-  return 0;
-}
-
 // Region-sharded scaling on the metro-large fabric: the single-simulator
 // reference, then 1/2/4/8 shards. Sharding must change wall clock only —
 // every fingerprint must equal the reference's — and the window, sync-point
@@ -187,9 +155,6 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "smoke") == 0) {
     const int seconds = argc > 2 ? std::max(2, std::atoi(argv[2])) : 3;
     return RunSmoke(seconds);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "snapshot") == 0) {
-    return RunSnapshot();
   }
   if (argc > 1 && std::strcmp(argv[1], "shards") == 0) {
     const int seconds = argc > 2 ? std::max(1, std::atoi(argv[2])) : 8;

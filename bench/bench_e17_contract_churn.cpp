@@ -138,7 +138,7 @@ void RunChurn(ChurnPoint* point, uint64_t seed) {
       point->drained = false;
     }
     for (const auto& link : system.network().links()) {
-      if (system.network().ReservedBandwidth(link.get()) != 0) {
+      if (system.network().ReservedBps(link.get()) != 0) {
         point->drained = false;
         break;
       }

@@ -22,7 +22,6 @@
 //   (default)        full viewer sweep 10 -> 10k on metro-mid + verdict
 //   smoke [secs]     CI-sized run on metro-small; exits non-zero if the
 //                    tree under-delivers, over-reserves or leaks
-//   snapshot         machine-readable JSON (sweep points + acceptance)
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -140,11 +139,11 @@ void RunPoint(SweepPoint* p) {
   p->tree_edges = tree_links != nullptr ? static_cast<int>(tree_links->size()) : 0;
   if (tree_links != nullptr) {
     for (atm::Link* link : *tree_links) {
-      if (network.ReservedBandwidth(link) != p->granted_bps) {
+      if (network.ReservedBps(link) != p->granted_bps) {
         p->edges_single_reserved = false;
       }
     }
-    p->trunk_reserved_bps = network.ReservedBandwidth(tree_links->front());
+    p->trunk_reserved_bps = network.ReservedBps(tree_links->front());
   }
 
   // Per-viewer unicast baseline: each viewer's resolved path length. The
@@ -199,7 +198,7 @@ void RunPoint(SweepPoint* p) {
 
   session->Close();
   for (const auto& link : network.links()) {
-    if (network.ReservedBandwidth(link.get()) != 0) {
+    if (network.ReservedBps(link.get()) != 0) {
       p->drained = false;
       break;
     }
@@ -264,44 +263,12 @@ int RunSmoke(int seconds) {
   return ok ? 0 : 1;
 }
 
-int RunSnapshot() {
-  std::vector<SweepPoint> sweep = MidSweep(1);
-  for (auto& p : sweep) {
-    RunPoint(&p);
-  }
-  double ratio_at_1k = 0;
-  const bool ok = Acceptance(sweep, &ratio_at_1k);
-  std::printf("{\n  \"bench\": \"e18_broadcast\",\n  \"sweep\": [\n");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i];
-    std::printf("    {\"viewers\": %d, \"leaf_hosts\": %d, \"tree_edges\": %d, "
-                "\"mcast_cells\": %llu, \"unicast_cells\": %llu, \"ratio\": %.1f, "
-                "\"mcast_cells_per_delivered_frame\": %.3f, "
-                "\"unicast_cells_per_delivered_frame\": %.1f, "
-                "\"trunk_reserved_bps\": %lld, \"granted_bps\": %lld, "
-                "\"edges_single_reserved\": %s, \"ledger_drained\": %s}%s\n",
-                p.viewers, p.leaf_hosts, p.tree_edges,
-                static_cast<unsigned long long>(p.mcast_cells),
-                static_cast<unsigned long long>(p.unicast_cells), p.ratio(),
-                p.mcast_cells_per_delivered_frame(), p.unicast_cells_per_delivered_frame(),
-                static_cast<long long>(p.trunk_reserved_bps),
-                static_cast<long long>(p.granted_bps), p.edges_single_reserved ? "true" : "false",
-                p.drained ? "true" : "false", i + 1 < sweep.size() ? "," : "");
-  }
-  std::printf("  ],\n  \"ratio_at_1k_viewers\": %.1f,\n  \"acceptance\": %s\n}\n", ratio_at_1k,
-              ok ? "true" : "false");
-  return ok ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "smoke") == 0) {
     const int seconds = argc > 2 ? std::max(2, std::atoi(argv[2])) : 2;
     return RunSmoke(seconds);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "snapshot") == 0) {
-    return RunSnapshot();
   }
 
   bench::PrintHeader(

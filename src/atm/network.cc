@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 namespace pegasus::atm {
 
@@ -195,17 +194,7 @@ std::optional<ResolvedRoute> Network::ResolveRoute(const Endpoint* src,
   route.latency_ns = path.links_latency +
                      src_at.to_switch->propagation_delay() + src_at.to_switch->cell_time() +
                      dst_at.from_switch->propagation_delay() + dst_at.from_switch->cell_time();
-  route.epoch = topology_epoch_;
   return route;
-}
-
-std::optional<std::vector<Link*>> Network::PathLinks(const Endpoint* src,
-                                                     const Endpoint* dst) const {
-  auto route = ResolveRoute(src, dst);
-  if (!route.has_value()) {
-    return std::nullopt;
-  }
-  return std::move(route->links);
 }
 
 Network::VcState* Network::FindVc(VcId id) {
@@ -232,134 +221,181 @@ const std::vector<VcId>& Network::VcsOnLink(const Link* link) const {
   return link_vcs_[static_cast<size_t>(id)];
 }
 
-std::optional<int64_t> Network::PathAvailableBps(const Endpoint* src, const Endpoint* dst) const {
-  auto route = ResolveRoute(src, dst);
-  if (!route.has_value()) {
-    return std::nullopt;
-  }
-  int64_t available = std::numeric_limits<int64_t>::max();
-  for (const Link* l : route->links) {
-    available = std::min(available, AvailableBandwidth(l));
-  }
-  return std::max<int64_t>(available, 0);
-}
-
-std::optional<sim::DurationNs> Network::PathLatencyNs(const Endpoint* src,
-                                                      const Endpoint* dst) const {
-  auto route = ResolveRoute(src, dst);
-  if (!route.has_value()) {
-    return std::nullopt;
-  }
-  return route->latency_ns;
-}
-
 std::optional<VcDescriptor> Network::OpenVc(Endpoint* src, Endpoint* dst, QosSpec qos) {
+  return OpenTree(src, &dst, 1, qos);
+}
+
+std::optional<VcDescriptor> Network::OpenVc(Endpoint* src, const std::vector<Endpoint*>& sinks,
+                                            QosSpec qos) {
+  return OpenTree(src, sinks.data(), sinks.size(), qos);
+}
+
+std::optional<VcDescriptor> Network::OpenTree(Endpoint* src, Endpoint* const* sinks,
+                                              size_t count, QosSpec qos) {
   auto src_it = endpoint_attachments_.find(src);
-  auto dst_it = endpoint_attachments_.find(dst);
-  if (src_it == endpoint_attachments_.end() || dst_it == endpoint_attachments_.end()) {
+  if (count == 0 || src_it == endpoint_attachments_.end()) {
     ++rejections_no_path_;
     return std::nullopt;
   }
   const Attachment& src_at = src_it->second;
-  const Attachment& dst_at = dst_it->second;
-
-  SwitchPath path;
-  if (!ReadPath(src_at.sw, dst_at.sw, &path)) {
-    ++rejections_no_path_;
+  VcState state;
+  state.desc.source = src;
+  state.desc.qos = qos;
+  // Dry pass first: any bad sink or full link rejects the whole open before
+  // a single route is touched.
+  if (!PlanGraft(state, src_at, sinks, count)) {
     return std::nullopt;
   }
-
-  // Collect the links the VC will traverse, in order.
-  std::vector<Link*> hop_links;
-  hop_links.reserve(path.hops.size() + 2);
-  hop_links.push_back(src_at.to_switch);
-  for (const PathHop& hop : path.hops) {
-    hop_links.push_back(hop.link);
-  }
-  hop_links.push_back(dst_at.from_switch);
-
-  return OpenVcAlongPath(src, dst, qos, src_at, dst_at, path, std::move(hop_links));
+  state.desc.id = next_vc_id_++;
+  state.nodes.front().in_vci = src_at.sw->AllocateVci(src_at.port);
+  state.desc.source_vci = state.nodes.front().in_vci;
+  CommitGraft(state, 1, 0, 0);
+  state.desc.destination = state.leaves.front().endpoint;
+  state.desc.destination_vci = state.leaves.front().vci;
+  const VcId id = state.desc.id;
+  return vcs_.emplace(id, std::move(state)).first->second.desc;
 }
 
-std::optional<VcDescriptor> Network::OpenVc(Endpoint* src, Endpoint* dst, QosSpec qos,
-                                            const ResolvedRoute& route) {
-  if (route.epoch != topology_epoch_) {
-    // The topology moved under the caller's resolve; fall back to a fresh
-    // one — same semantics, just not the fast path.
-    return OpenVc(src, dst, qos);
-  }
-  auto src_it = endpoint_attachments_.find(src);
-  auto dst_it = endpoint_attachments_.find(dst);
-  if (src_it == endpoint_attachments_.end() || dst_it == endpoint_attachments_.end()) {
-    ++rejections_no_path_;
-    return std::nullopt;
-  }
-  const Attachment& src_at = src_it->second;
-  const Attachment& dst_at = dst_it->second;
+bool Network::PlanGraft(VcState& state, const Attachment& source, Endpoint* const* leaves,
+                        size_t count) {
+  const size_t nodes = state.nodes.size();
+  const size_t leaf_count = state.leaves.size();
+  const size_t links = state.hop_links.size();
+  auto refuse = [&](int64_t* counter) {
+    state.nodes.resize(nodes);
+    state.leaves.resize(leaf_count);
+    state.hop_links.resize(links);
+    ++*counter;
+    return false;
+  };
   SwitchPath path;
-  if (!ReadPath(src_at.sw, dst_at.sw, &path)) {
-    ++rejections_no_path_;
-    return std::nullopt;
+  for (size_t i = 0; i < count; ++i) {
+    if (!PlanLeaf(state, source, leaves[i], &path)) {
+      return refuse(&rejections_no_path_);
+    }
   }
-  return OpenVcAlongPath(src, dst, qos, src_at, dst_at, path, route.links);
-}
-
-std::optional<VcDescriptor> Network::OpenVcAlongPath(Endpoint* src, Endpoint* dst, QosSpec qos,
-                                                     const Attachment& src_at,
-                                                     const Attachment& dst_at,
-                                                     const SwitchPath& path,
-                                                     std::vector<Link*> hop_links) {
-  // Admission control: the reservation must fit on every traversed link.
-  if (qos.peak_bps > 0) {
-    for (Link* l : hop_links) {
-      if (ReservedBps(l) + qos.peak_bps > l->bits_per_second()) {
-        ++rejections_bandwidth_;
-        return std::nullopt;
+  // Each tree edge carries ONE copy of the stream, so only the links this
+  // graft adds face admission; everything upstream is already reserved.
+  const int64_t bps = state.desc.qos.peak_bps;
+  if (bps > 0) {
+    for (size_t i = links; i < state.hop_links.size(); ++i) {
+      const Link* l = state.hop_links[i];
+      if (ReservedBps(l) + bps > l->bits_per_second()) {
+        return refuse(&rejections_bandwidth_);
       }
     }
   }
+  return true;
+}
 
-  // Allocate per-hop VCIs and install routes.
-  VcState state;
-  const Vci dst_vci = dst->AllocateIncomingVci();
-  Vci in_vci = src_at.sw->AllocateVci(src_at.port);
-  const Vci source_vci = in_vci;
-  int in_port = src_at.port;
-  Switch* sw = src_at.sw;
-  for (const PathHop& hop : path.hops) {
-    // The VCI on the inter-switch link is whatever is free on the next
-    // switch's input port.
-    const Vci out_vci = hop.next->AllocateVci(hop.next_in_port);
-    sw->AddRoute(in_port, in_vci, hop.out_port, out_vci);
-    state.hops.push_back(HopRecord{sw, in_port, in_vci});
-    in_port = hop.next_in_port;
-    in_vci = out_vci;
-    sw = hop.next;
+bool Network::PlanLeaf(VcState& state, const Attachment& source, Endpoint* leaf,
+                       SwitchPath* path) const {
+  auto leaf_it = endpoint_attachments_.find(leaf);
+  if (leaf_it == endpoint_attachments_.end()) {
+    return false;
   }
-  sw->AddRoute(in_port, in_vci, dst_at.port, dst_vci);
-  state.hops.push_back(HopRecord{sw, in_port, in_vci});
-
-  if (qos.peak_bps > 0) {
-    for (Link* l : hop_links) {
-      reserved_bps_[static_cast<size_t>(l->id())] += qos.peak_bps;
+  const Attachment& leaf_at = leaf_it->second;
+  if (!ReadPath(source.sw, leaf_at.sw, path)) {
+    return false;
+  }
+  auto find_node = [&state](const Switch* sw) {
+    for (size_t n = 0; n < state.nodes.size(); ++n) {
+      if (state.nodes[n].sw == sw) {
+        return static_cast<int>(n);
+      }
+    }
+    return -1;
+  };
+  // Follow the tree while the path agrees with it; every switch past that
+  // point must be new, or it would gain a second incoming edge.
+  const std::vector<PathHop>& hops = path->hops;
+  int cur = 0;
+  size_t shared = 0;
+  for (; shared < hops.size(); ++shared) {
+    const int next = find_node(hops[shared].next);
+    if (next < 0) {
+      break;
+    }
+    if (state.nodes[static_cast<size_t>(next)].parent != cur ||
+        state.nodes[static_cast<size_t>(next)].parent_port != hops[shared].out_port) {
+      return false;
+    }
+    cur = next;
+  }
+  for (size_t h = shared; h < hops.size(); ++h) {
+    if (find_node(hops[h].next) >= 0) {
+      return false;
     }
   }
-
-  VcDescriptor desc;
-  desc.id = next_vc_id_++;
-  desc.source = src;
-  desc.destination = dst;
-  desc.source_vci = source_vci;
-  desc.destination_vci = dst_vci;
-  desc.qos = qos;
-  desc.hop_count = static_cast<int>(path.hops.size()) + 1;
-  for (Link* l : hop_links) {
-    link_vcs_[static_cast<size_t>(l->id())].push_back(desc.id);
+  for (const TreeLeaf& other : state.leaves) {
+    if (other.node == cur && other.port == leaf_at.port) {
+      return false;
+    }
   }
-  state.hop_links = std::move(hop_links);
-  state.desc = desc;
-  vcs_[desc.id] = std::move(state);
-  return desc;
+  if (state.nodes.empty()) {
+    // The first leaf roots the tree at the source's switch, sized once.
+    state.nodes.reserve(1 + hops.size());
+    state.hop_links.reserve(2 + hops.size());
+    TreeNode root;
+    root.sw = source.sw;
+    root.in_port = source.port;
+    state.nodes.push_back(root);
+    state.hop_links.push_back(source.to_switch);
+  }
+  for (size_t h = shared; h < hops.size(); ++h) {
+    TreeNode node;
+    node.sw = hops[h].next;
+    node.in_port = hops[h].next_in_port;
+    node.parent = cur;
+    node.parent_port = hops[h].out_port;
+    node.link = hops[h].link;
+    state.nodes.push_back(node);
+    state.hop_links.push_back(hops[h].link);
+    cur = static_cast<int>(state.nodes.size()) - 1;
+  }
+  state.leaves.push_back(TreeLeaf{leaf, kVciUnassigned, cur, leaf_at.port, leaf_at.from_switch});
+  state.hop_links.push_back(leaf_at.from_switch);
+  return true;
+}
+
+void Network::CommitGraft(VcState& state, size_t first_node, size_t first_leaf,
+                          size_t first_link) {
+  // A route entry gains its first branch with AddRoute, later ones with
+  // AddRouteTarget; branch order is graft order, which is the replication
+  // order at every switch.
+  auto add_branch = [](const TreeNode& from, int out_port, Vci out_vci) {
+    if (!from.sw->AddRoute(from.in_port, from.in_vci, out_port, out_vci)) {
+      from.sw->AddRouteTarget(from.in_port, from.in_vci, out_port, out_vci);
+    }
+  };
+  size_t next = first_node;
+  for (size_t k = first_leaf; k < state.leaves.size(); ++k) {
+    TreeLeaf& leaf = state.leaves[k];
+    // This leaf's new switches, if any, end at its own node.
+    for (; next <= static_cast<size_t>(leaf.node); ++next) {
+      TreeNode& node = state.nodes[next];
+      // The VCI on the inbound link is whatever is free on that input port.
+      node.in_vci = node.sw->AllocateVci(node.in_port);
+      add_branch(state.nodes[static_cast<size_t>(node.parent)], node.parent_port, node.in_vci);
+    }
+    leaf.vci = leaf.endpoint->AllocateIncomingVci();
+    add_branch(state.nodes[static_cast<size_t>(leaf.node)], leaf.port, leaf.vci);
+    for (int n = leaf.node; n > 0; n = state.nodes[static_cast<size_t>(n)].parent) {
+      ++state.nodes[static_cast<size_t>(n)].refs;
+    }
+  }
+  const VcId id = state.desc.id;
+  for (size_t i = first_link; i < state.hop_links.size(); ++i) {
+    const size_t link_id = static_cast<size_t>(state.hop_links[i]->id());
+    if (state.desc.qos.peak_bps > 0) {
+      reserved_bps_[link_id] += state.desc.qos.peak_bps;
+    }
+    // Sorted insert: a graft can add an old id after younger VCs reached
+    // the link.
+    auto& on_link = link_vcs_[link_id];
+    on_link.insert(std::lower_bound(on_link.begin(), on_link.end(), id), id);
+  }
+  state.desc.hop_count = static_cast<int>(state.nodes.size());
 }
 
 std::optional<std::pair<VcDescriptor, VcDescriptor>> Network::OpenDuplex(Endpoint* src,
@@ -384,21 +420,12 @@ bool Network::CloseVc(VcId id) {
     return false;
   }
   VcState& state = it->second;
-  if (state.mcast == nullptr) {
-    for (const HopRecord& hop : state.hops) {
-      hop.sw->RemoveRoute(hop.in_port, hop.in_vci);
-    }
-    state.desc.destination->ReleaseIncomingVci(state.desc.destination_vci);
-  } else {
-    // A tree: retire each switch's whole entry (RemoveRoute drops every
-    // branch at once) and release EVERY leaf's incoming VCI, not just the
-    // descriptor's nominal destination.
-    for (const auto& [sw_id, in] : state.mcast->node_in) {
-      switches_[static_cast<size_t>(sw_id)]->RemoveRoute(in.first, in.second);
-    }
-    for (const McastLeafRec& rec : state.mcast->leaves) {
-      rec.leaf->ReleaseIncomingVci(rec.leaf_vci);
-    }
+  // Every tree switch has one entry; RemoveRoute drops all its branches.
+  for (const TreeNode& node : state.nodes) {
+    node.sw->RemoveRoute(node.in_port, node.in_vci);
+  }
+  for (const TreeLeaf& leaf : state.leaves) {
+    leaf.endpoint->ReleaseIncomingVci(leaf.vci);
   }
   for (Link* l : state.hop_links) {
     if (state.desc.qos.peak_bps > 0) {
@@ -419,58 +446,6 @@ void Network::EraseFromLinkIndex(const Link* link, VcId id) {
   }
 }
 
-bool Network::PlanGraft(const McastState& m, Endpoint* leaf,
-                        std::set<std::pair<int, int>>* planned_branches,
-                        std::set<int>* planned_nodes, std::vector<Link*>* new_links) const {
-  auto leaf_it = endpoint_attachments_.find(leaf);
-  if (leaf_it == endpoint_attachments_.end()) {
-    return false;
-  }
-  const Attachment& leaf_at = leaf_it->second;
-  SwitchPath path;
-  if (!ReadPath(m.root, leaf_at.sw, &path)) {
-    return false;
-  }
-  auto in_tree = [&](int sw_id) {
-    return m.node_in.count(sw_id) > 0 || planned_nodes->count(sw_id) > 0;
-  };
-  auto have_branch = [&](const std::pair<int, int>& key) {
-    return m.branches.count(key) > 0 || planned_branches->count(key) > 0;
-  };
-  const Switch* cur = m.root;
-  for (const PathHop& hop : path.hops) {
-    const std::pair<int, int> key{cur->id(), hop.out_port};
-    if (!have_branch(key)) {
-      if (in_tree(hop.next->id())) {
-        // The fresh path reaches a tree switch over a different edge than
-        // the tree's — grafting would give that switch two incoming edges
-        // (duplicate delivery). Only possible after a topology change.
-        return false;
-      }
-      planned_branches->insert(key);
-      planned_nodes->insert(hop.next->id());
-      new_links->push_back(hop.link);
-    }
-    cur = hop.next;
-  }
-  const std::pair<int, int> leaf_key{cur->id(), leaf_at.port};
-  if (have_branch(leaf_key)) {
-    return false;
-  }
-  planned_branches->insert(leaf_key);
-  new_links->push_back(leaf_at.from_switch);
-  return true;
-}
-
-void Network::ChargeTreeLink(VcState& state, Link* link) {
-  if (state.desc.qos.peak_bps > 0) {
-    reserved_bps_[static_cast<size_t>(link->id())] += state.desc.qos.peak_bps;
-  }
-  auto& on_link = link_vcs_[static_cast<size_t>(link->id())];
-  on_link.insert(std::lower_bound(on_link.begin(), on_link.end(), state.desc.id), state.desc.id);
-  state.hop_links.push_back(link);
-}
-
 void Network::UnchargeTreeLink(VcState& state, Link* link) {
   if (state.desc.qos.peak_bps > 0) {
     reserved_bps_[static_cast<size_t>(link->id())] -= state.desc.qos.peak_bps;
@@ -482,193 +457,77 @@ void Network::UnchargeTreeLink(VcState& state, Link* link) {
   }
 }
 
-void Network::CommitGraft(VcState& state, McastState& m, Endpoint* leaf) {
-  const Attachment& leaf_at = endpoint_attachments_.at(leaf);
-  SwitchPath path;
-  ReadPath(m.root, leaf_at.sw, &path);  // PlanGraft found it reachable
-  McastLeafRec rec;
-  rec.leaf = leaf;
-  auto add_branch = [&](Switch* sw, int out_port, Vci out_vci, Link* link, int next_switch_id) {
-    const auto& in = m.node_in.at(sw->id());
-    if (sw->HasRoute(in.first, in.second)) {
-      sw->AddRouteTarget(in.first, in.second, out_port, out_vci);
-    } else {
-      sw->AddRoute(in.first, in.second, out_port, out_vci);
-    }
-    m.branches[{sw->id(), out_port}] = McastBranch{out_vci, link, 0, next_switch_id};
-    ChargeTreeLink(state, link);
-  };
-  Switch* cur = m.root;
-  for (const PathHop& hop : path.hops) {
-    const std::pair<int, int> key{cur->id(), hop.out_port};
-    if (m.branches.count(key) == 0) {
-      const Vci out_vci = hop.next->AllocateVci(hop.next_in_port);
-      m.node_in[hop.next->id()] = {hop.next_in_port, out_vci};
-      add_branch(cur, hop.out_port, out_vci, hop.link, hop.next->id());
-    }
-    ++m.branches.at(key).refs;
-    rec.branch_keys.push_back(key);
-    cur = hop.next;
-  }
-  rec.leaf_vci = leaf->AllocateIncomingVci();
-  const std::pair<int, int> leaf_key{cur->id(), leaf_at.port};
-  add_branch(cur, leaf_at.port, rec.leaf_vci, leaf_at.from_switch, -1);
-  ++m.branches.at(leaf_key).refs;
-  rec.branch_keys.push_back(leaf_key);
-  m.leaves.push_back(std::move(rec));
-}
-
-std::optional<VcDescriptor> Network::OpenMulticastVc(Endpoint* src,
-                                                     const std::vector<Endpoint*>& sinks,
-                                                     QosSpec qos) {
-  auto src_it = endpoint_attachments_.find(src);
-  if (sinks.empty() || src_it == endpoint_attachments_.end()) {
-    ++rejections_no_path_;
-    return std::nullopt;
-  }
-  const Attachment& src_at = src_it->second;
-  auto tree = std::make_unique<McastState>();
-  McastState& m = *tree;
-  m.source = src;
-  m.root = src_at.sw;
-
-  // Dry pass: simulate every graft to learn the tree's distinct edges. Any
-  // bad sink rejects the whole open before a single route is touched.
-  std::set<std::pair<int, int>> planned_branches;
-  std::set<int> planned_nodes;
-  std::vector<Link*> union_links;
-  union_links.push_back(src_at.to_switch);
-  std::set<const Endpoint*> seen;
-  for (Endpoint* sink : sinks) {
-    if (sink == src || !seen.insert(sink).second ||
-        !PlanGraft(m, sink, &planned_branches, &planned_nodes, &union_links)) {
-      ++rejections_no_path_;
-      return std::nullopt;
-    }
-  }
-  // Admission: each tree edge carries ONE copy of the stream, so each is
-  // checked (and later charged) once, however many sinks ride it.
-  if (qos.peak_bps > 0) {
-    for (Link* l : union_links) {
-      if (ReservedBps(l) + qos.peak_bps > l->bits_per_second()) {
-        ++rejections_bandwidth_;
-        return std::nullopt;
-      }
-    }
-  }
-
-  VcState state;
-  state.desc.id = next_vc_id_++;
-  state.desc.source = src;
-  state.desc.qos = qos;
-  state.desc.source_vci = src_at.sw->AllocateVci(src_at.port);
-  m.node_in[src_at.sw->id()] = {src_at.port, state.desc.source_vci};
-  ChargeTreeLink(state, src_at.to_switch);
-  for (Endpoint* sink : sinks) {
-    CommitGraft(state, m, sink);
-  }
-  state.desc.destination = sinks.front();
-  state.desc.destination_vci = m.leaves.front().leaf_vci;
-  state.desc.hop_count = static_cast<int>(m.node_in.size());
-  state.mcast = std::move(tree);
-  const VcDescriptor desc = state.desc;
-  vcs_[desc.id] = std::move(state);
-  return desc;
-}
-
 std::optional<Vci> Network::AddLeaf(VcId id, Endpoint* leaf) {
   VcState* state = FindVc(id);
-  if (state == nullptr || state->mcast == nullptr) {
+  if (state == nullptr || LeafVci(id, leaf).has_value()) {
     return std::nullopt;
   }
-  McastState& m = *state->mcast;
-  if (leaf == m.source) {
+  const size_t nodes = state->nodes.size();
+  const size_t leaves = state->leaves.size();
+  const size_t links = state->hop_links.size();
+  if (!PlanGraft(*state, endpoint_attachments_.at(state->desc.source), &leaf, 1)) {
     return std::nullopt;
   }
-  for (const McastLeafRec& rec : m.leaves) {
-    if (rec.leaf == leaf) {
-      return std::nullopt;
-    }
-  }
-  std::set<std::pair<int, int>> planned_branches;
-  std::set<int> planned_nodes;
-  std::vector<Link*> new_links;
-  if (!PlanGraft(m, leaf, &planned_branches, &planned_nodes, &new_links)) {
-    ++rejections_no_path_;
-    return std::nullopt;
-  }
-  // Late join: only the GRAFT path faces admission — everything upstream of
-  // the attach point is already reserved.
-  if (state->desc.qos.peak_bps > 0) {
-    for (Link* l : new_links) {
-      if (ReservedBps(l) + state->desc.qos.peak_bps > l->bits_per_second()) {
-        ++rejections_bandwidth_;
-        return std::nullopt;
-      }
-    }
-  }
-  CommitGraft(*state, m, leaf);
-  state->desc.hop_count = static_cast<int>(m.node_in.size());
-  return m.leaves.back().leaf_vci;
+  CommitGraft(*state, nodes, leaves, links);
+  return state->leaves.back().vci;
 }
 
 bool Network::RemoveLeaf(VcId id, Endpoint* leaf) {
-  VcState* state = FindVc(id);
-  if (state == nullptr || state->mcast == nullptr) {
-    return false;
-  }
-  McastState& m = *state->mcast;
-  if (m.leaves.size() <= 1) {
+  VcState* found = FindVc(id);
+  if (found == nullptr || found->leaves.size() <= 1) {
     return false;  // the last leaf comes off via CloseVc
   }
-  auto rec_it = std::find_if(m.leaves.begin(), m.leaves.end(),
-                             [leaf](const McastLeafRec& r) { return r.leaf == leaf; });
-  if (rec_it == m.leaves.end()) {
+  VcState& state = *found;
+  auto leaf_it = std::find_if(state.leaves.begin(), state.leaves.end(),
+                              [leaf](const TreeLeaf& l) { return l.endpoint == leaf; });
+  if (leaf_it == state.leaves.end()) {
     return false;
   }
-  // Prune bottom-up: the leaf-most branch always hits zero refs; upstream
-  // branches survive while any other leaf still rides them.
-  for (auto key_it = rec_it->branch_keys.rbegin(); key_it != rec_it->branch_keys.rend();
-       ++key_it) {
-    McastBranch& branch = m.branches.at(*key_it);
-    if (--branch.refs > 0) {
-      continue;
-    }
-    const auto& in = m.node_in.at(key_it->first);
-    switches_[static_cast<size_t>(key_it->first)]->RemoveRouteTarget(in.first, in.second,
-                                                                     key_it->second);
-    UnchargeTreeLink(*state, branch.link);
-    if (branch.next_switch_id >= 0) {
-      m.node_in.erase(branch.next_switch_id);
-    }
-    m.branches.erase(*key_it);
+  const TreeLeaf gone = *leaf_it;
+  state.leaves.erase(leaf_it);
+  const TreeNode& at = state.nodes[static_cast<size_t>(gone.node)];
+  at.sw->RemoveRouteTarget(at.in_port, at.in_vci, gone.port);
+  UnchargeTreeLink(state, gone.link);
+  gone.endpoint->ReleaseIncomingVci(gone.vci);
+  for (int n = gone.node; n > 0; n = state.nodes[static_cast<size_t>(n)].parent) {
+    --state.nodes[static_cast<size_t>(n)].refs;
   }
-  leaf->ReleaseIncomingVci(rec_it->leaf_vci);
-  m.leaves.erase(rec_it);
-  state->desc.hop_count = static_cast<int>(m.node_in.size());
+  // Prune bottom-up: a switch no leaf depends on any more loses its branch;
+  // upstream branches survive while any other leaf still rides them.
+  for (int n = gone.node; n > 0 && state.nodes[static_cast<size_t>(n)].refs == 0;) {
+    const TreeNode dead = state.nodes[static_cast<size_t>(n)];
+    const TreeNode& parent = state.nodes[static_cast<size_t>(dead.parent)];
+    parent.sw->RemoveRouteTarget(parent.in_port, parent.in_vci, dead.parent_port);
+    UnchargeTreeLink(state, dead.link);
+    // Parents precede children, so only indices above n shift.
+    state.nodes.erase(state.nodes.begin() + n);
+    for (TreeNode& node : state.nodes) {
+      node.parent -= node.parent > n ? 1 : 0;
+    }
+    for (TreeLeaf& l : state.leaves) {
+      l.node -= l.node > n ? 1 : 0;
+    }
+    n = dead.parent;
+  }
+  state.desc.destination = state.leaves.front().endpoint;
+  state.desc.destination_vci = state.leaves.front().vci;
+  state.desc.hop_count = static_cast<int>(state.nodes.size());
   return true;
 }
 
-bool Network::IsMulticastVc(VcId id) const {
+int Network::LeafCount(VcId id) const {
   const VcState* state = FindVc(id);
-  return state != nullptr && state->mcast != nullptr;
+  return state == nullptr ? 0 : static_cast<int>(state->leaves.size());
 }
 
-int Network::McastLeafCount(VcId id) const {
+std::optional<Vci> Network::LeafVci(VcId id, const Endpoint* leaf) const {
   const VcState* state = FindVc(id);
-  return state == nullptr || state->mcast == nullptr
-             ? 0
-             : static_cast<int>(state->mcast->leaves.size());
-}
-
-std::optional<Vci> Network::McastLeafVci(VcId id, const Endpoint* leaf) const {
-  const VcState* state = FindVc(id);
-  if (state == nullptr || state->mcast == nullptr) {
+  if (state == nullptr) {
     return std::nullopt;
   }
-  for (const McastLeafRec& rec : state->mcast->leaves) {
-    if (rec.leaf == leaf) {
-      return rec.leaf_vci;
+  for (const TreeLeaf& l : state->leaves) {
+    if (l.endpoint == leaf) {
+      return l.vci;
     }
   }
   return std::nullopt;

@@ -6,15 +6,19 @@
 // control, and the routing-table updates are exactly the operations a
 // device-managing workstation performs on its local switch.
 //
+// Every VC is a delivery tree: a root at the source's switch, one branch
+// per tree edge, one leaf per sink. A point-to-point VC is the one-leaf
+// tree, so open, graft, prune, renegotiation and teardown have one shape.
+//
 // Admission-plane fast path: each source switch keeps one shortest-path
 // tree (a parent per switch), built lazily by a full BFS on the first
 // resolve from that source and invalidated by a topology epoch; a route is
 // read by walking parents back from the destination. The reservation ledger
 // is a flat vector indexed by dense link id, a per-link -> VC index makes
 // congestion fan-out O(affected VCs), and one hash table holds every open
-// VC's state. The BFS expands neighbours in deterministic switch-id
-// (insertion) order, so equal-length paths tie-break identically across
-// runs, and a full BFS assigns the same parents as one stopped at the
+// VC's state as flat vectors. The BFS expands neighbours in deterministic
+// switch-id (insertion) order, so equal-length paths tie-break identically
+// across runs, and a full BFS assigns the same parents as one stopped at the
 // destination — a tree path is exactly the per-pair BFS path.
 #ifndef PEGASUS_SRC_ATM_NETWORK_H_
 #define PEGASUS_SRC_ATM_NETWORK_H_
@@ -24,7 +28,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <unordered_map>
@@ -48,27 +51,27 @@ struct QosSpec {
 // Identifier of an established VC, valid until CloseVc.
 using VcId = int64_t;
 
-// Where a VC enters and leaves the network, as seen by the two endpoints.
+// Where a VC enters and leaves the network, as seen by its endpoints.
 struct VcDescriptor {
   VcId id = -1;
   Endpoint* source = nullptr;
+  // The first leaf (the only one of a point-to-point VC).
   Endpoint* destination = nullptr;
   // VCI the source must stamp on outgoing cells.
   Vci source_vci = kVciUnassigned;
-  // VCI the destination will observe on delivered cells.
+  // VCI the first leaf observes on delivered cells (LeafVci for the rest).
   Vci destination_vci = kVciUnassigned;
   QosSpec qos;
+  // Switches the tree spans.
   int hop_count = 0;
 };
 
 // A resolved src->dst route: the ordered links a VC would traverse plus the
-// one-way latency floor, stamped with the topology epoch it was computed
-// under. One ResolveRoute serves a whole admission pass (bandwidth check,
-// latency check, VC install) instead of three BFS walks.
+// one-way latency floor. One ResolveRoute serves an admission pass's
+// bandwidth and latency checks.
 struct ResolvedRoute {
   std::vector<Link*> links;
   sim::DurationNs latency_ns = 0;
-  uint64_t epoch = 0;
 };
 
 class Network {
@@ -107,21 +110,25 @@ class Network {
   void ConnectSwitches(Switch* a, int port_a, Switch* b, int port_b, int64_t link_bps,
                        sim::DurationNs propagation = sim::Microseconds(5));
 
-  // Monotone counter bumped by every topology mutation; route trees and
-  // resolved routes carry the epoch they were built under and are rebuilt
-  // (trees) or re-resolved (routes) on mismatch.
+  // Monotone counter bumped by every topology mutation; route trees carry
+  // the epoch they were built under and are rebuilt on mismatch.
   uint64_t topology_epoch() const { return topology_epoch_; }
 
   // --- Signalling ---
-  // Establishes a unidirectional VC from `src` to `dst`. Returns nullopt when
-  // no path exists or admission control rejects the reservation.
+  // Establishes a unidirectional VC from `src` to `dst`: the one-leaf tree.
+  // Returns nullopt when no path exists or admission control rejects the
+  // reservation. `dst` may be `src` itself (a loopback through its switch).
   std::optional<VcDescriptor> OpenVc(Endpoint* src, Endpoint* dst, QosSpec qos = {});
-  // As above, but reuses a route already resolved by ResolveRoute for this
-  // src/dst pair — the admission caller checks bandwidth and latency against
-  // the same resolve that installs the VC. A stale epoch falls back to a
-  // fresh resolve (semantics identical, just slower).
-  std::optional<VcDescriptor> OpenVc(Endpoint* src, Endpoint* dst, QosSpec qos,
-                                     const ResolvedRoute& route);
+  // Establishes a one-to-many VC: a shared delivery tree from `src` to every
+  // sink, built as the union of the sinks' paths in the source switch's route
+  // tree (one parent per switch, so the union IS a tree and insertion-id
+  // tie-breaks carry over). Cells the source stamps with `source_vci` are
+  // replicated once per tree BRANCH at each switch; the reservation is
+  // charged once per tree edge, however many leaves share it. All-or-nothing:
+  // an empty list or any unattached/unreachable/duplicate sink rejects the
+  // whole open.
+  std::optional<VcDescriptor> OpenVc(Endpoint* src, const std::vector<Endpoint*>& sinks,
+                                     QosSpec qos = {});
   // Establishes a data VC plus a reverse control VC, as every Pegasus device
   // does (§2.2). first = forward/data, second = reverse/control.
   std::optional<std::pair<VcDescriptor, VcDescriptor>> OpenDuplex(Endpoint* src, Endpoint* dst,
@@ -130,32 +137,19 @@ class Network {
   bool CloseVc(VcId id);
   const VcDescriptor* GetVc(VcId id) const;
 
-  // --- point-to-multipoint signalling ---
-  // Establishes a one-to-many VC: a shared delivery tree from `src` to every
-  // sink, built as the union of the sinks' paths in the source switch's route
-  // tree (one parent per switch, so the union IS a tree and insertion-id
-  // tie-breaks carry over). Cells the source stamps with
-  // `source_vci` are replicated once per tree BRANCH at each switch; the
-  // reservation is charged once per tree edge, however many leaves share it.
-  // All-or-nothing: any unattached/unreachable/duplicate sink rejects the
-  // whole open. The returned descriptor's destination/destination_vci are the
-  // FIRST sink's (use McastLeafVci for the others).
-  std::optional<VcDescriptor> OpenMulticastVc(Endpoint* src, const std::vector<Endpoint*>& sinks,
-                                              QosSpec qos = {});
-  // Grafts a further leaf onto an open tree: admission is checked on (and the
+  // Grafts a further leaf onto an open VC: admission is checked on (and the
   // reservation charged for) only the links the graft newly adds. Returns the
   // leaf's incoming VCI, or nullopt on reject (unknown id, duplicate leaf,
   // no path, or insufficient bandwidth on the graft path).
   std::optional<Vci> AddLeaf(VcId id, Endpoint* leaf);
   // Prunes a leaf: branches no other leaf depends on are removed bottom-up,
   // their reservations released. Refuses to remove the LAST leaf — close the
-  // tree with CloseVc instead (a leafless tree would strand the source VCI).
+  // VC with CloseVc instead (a leafless tree would strand the source VCI).
   bool RemoveLeaf(VcId id, Endpoint* leaf);
-  bool IsMulticastVc(VcId id) const;
-  int McastLeafCount(VcId id) const;
-  // The incoming VCI `leaf` observes on an open tree, nullopt when the
+  int LeafCount(VcId id) const;
+  // The incoming VCI `leaf` observes on an open VC, nullopt when the
   // endpoint is not currently a leaf.
-  std::optional<Vci> McastLeafVci(VcId id, const Endpoint* leaf) const;
+  std::optional<Vci> LeafVci(VcId id, const Endpoint* leaf) const;
 
   // --- congestion signalling ---
   // Observer for congestion on any link the VC traverses. `severity` is the
@@ -184,8 +178,6 @@ class Network {
     const int id = link->id();
     return (id >= 0 && static_cast<size_t>(id) < reserved_bps_.size()) ? reserved_bps_[id] : 0;
   }
-  // Alias of ReservedBps under the name admission-control clients use.
-  int64_t ReservedBandwidth(const Link* link) const { return ReservedBps(link); }
   // Unreserved capacity remaining on `link`, in bits per second.
   int64_t AvailableBandwidth(const Link* link) const {
     return link->bits_per_second() - ReservedBps(link);
@@ -195,21 +187,10 @@ class Network {
   // link, queueing excluded), in one route-tree walk. nullopt when either
   // endpoint is unattached or no path exists.
   std::optional<ResolvedRoute> ResolveRoute(const Endpoint* src, const Endpoint* dst) const;
-  // Smallest unreserved capacity over the links a VC from `src` to `dst`
-  // would traverse — the largest reservation the path can still admit.
-  // nullopt when either endpoint is unattached or no path exists.
-  std::optional<int64_t> PathAvailableBps(const Endpoint* src, const Endpoint* dst) const;
-  // The ordered links a VC from `src` to `dst` would traverse. Multi-leg
-  // admission does joint per-link accounting over these sets, because two
-  // legs of one pipeline may share a directed link. nullopt when either
-  // endpoint is unattached or no path exists.
-  std::optional<std::vector<Link*>> PathLinks(const Endpoint* src, const Endpoint* dst) const;
-  // The links an established VC traverses (its reservation applies to each),
-  // or nullptr for an unknown id. Valid until the VC is closed.
+  // The links an established VC traverses (its reservation applies to each,
+  // once per tree edge), or nullptr for an unknown id. Valid until the VC is
+  // closed or its tree changes.
   const std::vector<Link*>* VcLinks(VcId id) const;
-  // One-way delivery-time floor for a cell along src -> dst: propagation
-  // plus one cell serialisation per traversed link (queueing excluded).
-  std::optional<sim::DurationNs> PathLatencyNs(const Endpoint* src, const Endpoint* dst) const;
 
   int64_t open_vc_count() const { return static_cast<int64_t>(vcs_.size()); }
   // Admission refusals, split by cause: a reservation that did not fit
@@ -237,49 +218,34 @@ class Network {
   const std::vector<VcId>& VcsOnLink(const Link* link) const;
 
  private:
-  struct HopRecord {
-    Switch* sw;
-    int in_port;
-    Vci in_vci;
+  // One switch of a VC's tree. nodes[0] is the root: the source's switch,
+  // entered on the source's attachment port.
+  struct TreeNode {
+    Switch* sw = nullptr;
+    int in_port = -1;
+    Vci in_vci = kVciUnassigned;
+    int parent = -1;       // index into nodes; -1 at the root
+    int parent_port = -1;  // the parent's output port feeding this switch
+    Link* link = nullptr;  // parent -> this switch; null at the root
+    int refs = 0;          // leaves downstream; not kept at the root
   };
-  // One tree edge out of a switch: the branch of that switch's route entry
-  // feeding either the next tree switch or a leaf endpoint.
-  struct McastBranch {
-    Vci out_vci = kVciUnassigned;
-    Link* link = nullptr;
-    int refs = 0;             // leaves downstream of this branch
-    int next_switch_id = -1;  // -1 when the branch feeds a leaf endpoint
-  };
-  struct McastLeafRec {
-    Endpoint* leaf = nullptr;
-    Vci leaf_vci = kVciUnassigned;
-    // The tree edges this leaf rides, root -> leaf; RemoveLeaf walks them in
-    // reverse decrementing refs, pruning each branch that hits zero.
-    std::vector<std::pair<int, int>> branch_keys;
-  };
-  // Control-plane view of one delivery tree, held by its VcState.
-  // Entries/branches live in the switches' route tables; this mirrors enough
-  // to graft and prune without re-deriving the tree from route-table scans.
-  struct McastState {
-    Endpoint* source = nullptr;
-    Switch* root = nullptr;
-    // switch id -> the tree's (in_port, in_vci) entry at that switch. Every
-    // tree switch has exactly one incoming edge (BFS-union property).
-    std::map<int, std::pair<int, Vci>> node_in;
-    // (switch id, out_port) -> branch. Distinct out ports by construction.
-    std::map<std::pair<int, int>, McastBranch> branches;
-    std::vector<McastLeafRec> leaves;  // graft order (deterministic)
+  // One leaf: a branch of nodes[node] delivering to an endpoint.
+  struct TreeLeaf {
+    Endpoint* endpoint = nullptr;
+    Vci vci = kVciUnassigned;  // incoming VCI at the endpoint
+    int node = -1;
+    int port = -1;             // output port on nodes[node].sw
+    Link* link = nullptr;      // switch -> endpoint
   };
   struct VcState {
     VcDescriptor desc;
-    std::vector<HopRecord> hops;
-    // Every link the VC traverses, in order; reservation bookkeeping applies
-    // desc.qos.peak_bps to each (nothing when best-effort). For a multicast
-    // tree this is the deduped set of tree edges — each charged ONCE — so
-    // UpdateVcQos and congestion fan-out work on trees unchanged.
+    // Appended in graft order, so a parent always precedes its children and
+    // one graft's new switches sit together, in path order.
+    std::vector<TreeNode> nodes;
+    std::vector<TreeLeaf> leaves;
+    // Every tree edge once, in graft order; reservation bookkeeping applies
+    // desc.qos.peak_bps to each (nothing when best-effort).
     std::vector<Link*> hop_links;
-    // Tree bookkeeping of a multicast VC; null for a unicast one.
-    std::unique_ptr<McastState> mcast;
     // The VC's congestion observer; empty when none is set.
     CongestionCallback on_congestion;
   };
@@ -333,29 +299,27 @@ class Network {
   // Registers a freshly created link: assigns its dense id and grows the
   // flat ledgers.
   Link* RegisterLink(std::unique_ptr<Link> link);
-  // Shared tail of both OpenVc flavours: admission over `hop_links`, then
-  // route installation along `path`.
-  std::optional<VcDescriptor> OpenVcAlongPath(Endpoint* src, Endpoint* dst, QosSpec qos,
-                                              const Attachment& src_at, const Attachment& dst_at,
-                                              const SwitchPath& path,
-                                              std::vector<Link*> hop_links);
-  // Dry-runs grafting `leaf` onto tree `m` extended by the not-yet-committed
-  // branches/nodes in `planned_*` (accumulated across the sinks of one open):
-  // appends the links the graft would newly add to `new_links` and extends
-  // the planned sets. False when the leaf is unattached, unreachable, its
-  // port already carries a branch, or the fresh path would give an existing
-  // tree switch a second incoming edge (only possible after a topology
-  // change mid-tree-life).
-  bool PlanGraft(const McastState& m, Endpoint* leaf,
-                 std::set<std::pair<int, int>>* planned_branches, std::set<int>* planned_nodes,
-                 std::vector<Link*>* new_links) const;
-  // Installs the graft a successful PlanGraft described: allocates VCIs,
-  // adds route branches, charges the reservation on each NEW tree edge and
-  // bumps branch refcounts along the whole path. Must not fail.
-  void CommitGraft(VcState& state, McastState& m, Endpoint* leaf);
-  // Books a new tree edge: reservation, per-link VC index (sorted insert —
-  // a graft can add an old id after younger VCs reached the link), hop_links.
-  void ChargeTreeLink(VcState& state, Link* link);
+  // The one tree open behind both OpenVc calls.
+  std::optional<VcDescriptor> OpenTree(Endpoint* src, Endpoint* const* sinks, size_t count,
+                                       QosSpec qos);
+  // Plans grafting `count` leaves onto the tree `source` roots and admits
+  // the links the graft adds: appends the new switches, links and leaf
+  // records (the root and the source's uplink first, on an empty tree)
+  // without installing anything. On refusal the state is restored, the
+  // rejection counted and false returned.
+  bool PlanGraft(VcState& state, const Attachment& source, Endpoint* const* leaves,
+                 size_t count);
+  // Plans one leaf (see PlanGraft); false, with the state untouched, when
+  // the leaf is unattached or unreachable, its port already carries a
+  // branch, or its path would enter a tree switch over a second edge (only
+  // possible after a topology change mid-tree-life).
+  bool PlanLeaf(VcState& state, const Attachment& source, Endpoint* leaf,
+                SwitchPath* path) const;
+  // Installs a planned graft — everything past the given sizes: allocates
+  // VCIs and adds route branches leaf by leaf in graft order, counts each
+  // leaf on its ancestors, and charges the new links. Must not fail.
+  void CommitGraft(VcState& state, size_t first_node, size_t first_leaf, size_t first_link);
+  // Removes a tree edge's reservation, VC index entry and hop_links slot.
   void UnchargeTreeLink(VcState& state, Link* link);
   // Drops `id` from `link`'s id-sorted VC index (binary search, not a scan).
   void EraseFromLinkIndex(const Link* link, VcId id);
@@ -381,8 +345,8 @@ class Network {
   // resolve ever get one built.
   mutable std::vector<RouteTree> route_trees_;
   uint64_t topology_epoch_ = 0;
-  // Every open VC, unicast or tree. Looked up by id, never iterated, so
-  // hash order cannot leak into behaviour.
+  // Every open VC. Looked up by id, never iterated, so hash order cannot
+  // leak into behaviour.
   std::unordered_map<VcId, VcState> vcs_;
   // Reserved bits/s per link, indexed by link id — AvailableBandwidth on the
   // admission walk is a load, not a map lookup.

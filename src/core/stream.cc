@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numeric>
-#include <set>
 #include <utility>
 
 #include "src/core/compute_node.h"
@@ -83,24 +81,41 @@ void JointCpuCheck(std::vector<CpuEndCheck>* ends) {
   }
 }
 
-// Joint per-link bandwidth admission over all legs of a pipeline. Two legs
-// may share a directed link (a chain that revisits a switch), so demand is
-// accumulated per link; each overcommitted link scales the legs crossing it
-// proportionally, which keeps the clamped set jointly admissible.
-// `old_contrib` is the reservation each leg already holds (handed back for
-// the purpose of the check; all zero on first admission).
+// Joint per-link bandwidth admission over all legs of a pipeline. A link
+// may recur across legs (a chain that revisits a switch) and within the tree
+// leg (sinks sharing an edge); it carries each leg's demand once. Each
+// overcommitted link scales the legs crossing it proportionally, which
+// keeps the clamped set jointly admissible. `old_contrib` is the
+// reservation each leg already holds (handed back for the purpose of the
+// check; all zero on first admission).
 void JointLinkCheck(const atm::Network& network,
                     const std::vector<std::vector<atm::Link*>>& leg_links,
                     const std::vector<int64_t>& wanted, const std::vector<int64_t>& old_contrib,
                     std::vector<int64_t>* clamped) {
-  std::map<atm::Link*, int64_t> demand;
-  std::map<atm::Link*, int64_t> add_back;
+  // Scratch indexed by link id, as the network's reservation ledger is. It
+  // is clear between calls and each call clears what it touched, so a check
+  // costs O(links visited), not O(links in the fabric).
+  struct LinkLoad {
+    int64_t demand = 0;
+    int64_t add_back = 0;
+    size_t counted_leg = 0;  // 1 + the last leg whose demand is in
+  };
+  thread_local std::vector<LinkLoad> loads;
+  loads.resize(std::max(loads.size(), network.links().size()));
+  auto load_of = [](const atm::Link* l) -> LinkLoad& {
+    return loads[static_cast<size_t>(l->id())];
+  };
   for (size_t i = 0; i < leg_links.size(); ++i) {
-    for (atm::Link* l : leg_links[i]) {
-      if (wanted[i] > 0) {
-        demand[l] += wanted[i];
+    for (const atm::Link* l : leg_links[i]) {
+      LinkLoad& load = load_of(l);
+      if (load.counted_leg == i + 1) {
+        continue;
       }
-      add_back[l] += old_contrib[i];
+      load.counted_leg = i + 1;
+      if (wanted[i] > 0) {
+        load.demand += wanted[i];
+      }
+      load.add_back += old_contrib[i];
     }
   }
   clamped->assign(wanted.begin(), wanted.end());
@@ -108,24 +123,29 @@ void JointLinkCheck(const atm::Network& network,
     if (wanted[i] <= 0) {
       continue;
     }
-    for (atm::Link* l : leg_links[i]) {
+    for (const atm::Link* l : leg_links[i]) {
+      const LinkLoad& load = load_of(l);
       const int64_t available =
-          std::max<int64_t>(0, network.AvailableBandwidth(l) + add_back[l]);
-      const int64_t total = demand[l];
-      if (total > available) {
+          std::max<int64_t>(0, network.AvailableBandwidth(l) + load.add_back);
+      if (load.demand > available) {
         // 128-bit intermediate: wanted * available can exceed int64 for
         // absurd-but-legal specs, and signed overflow is UB.
         const int64_t share = static_cast<int64_t>(
-            static_cast<__int128>(wanted[i]) * available / total);
+            static_cast<__int128>(wanted[i]) * available / load.demand);
         (*clamped)[i] = std::min((*clamped)[i], share);
       }
     }
   }
+  for (const std::vector<atm::Link*>& links : leg_links) {
+    for (const atm::Link* l : links) {
+      load_of(l) = LinkLoad{};
+    }
+  }
 }
 
-// The ATM endpoint a multicast sink receives on: an explicit endpoint wins,
-// a storage leaf listens on the file server, a display leaf on its device.
-atm::Endpoint* McastSinkEndpoint(const MulticastSink& sink) {
+// The ATM endpoint a sink receives on: an explicit endpoint wins, a storage
+// sink listens on the file server, a display sink on its device.
+atm::Endpoint* SinkEndpoint(const MulticastSink& sink) {
   if (sink.endpoint != nullptr) {
     return sink.endpoint;
   }
@@ -149,45 +169,26 @@ std::string JoinDetails(const std::vector<std::string>& details) {
   return joined;
 }
 
-// Assembles the pipeline's CPU contracts in path order — source host, every
-// compute stage, sink host — for the joint per-kernel check. `*_old_util` is
-// what the stream already holds (all zero on first admission).
-std::vector<CpuEndCheck> BuildCpuEnds(nemesis::Kernel* source_kernel,
-                                      const nemesis::QosParams& source_wanted,
-                                      double source_old_util, nemesis::Kernel* sink_kernel,
-                                      const nemesis::QosParams& sink_wanted,
-                                      double sink_old_util,
-                                      const std::vector<nemesis::Kernel*>& stage_kernels,
-                                      const std::vector<nemesis::QosParams>& stage_wanted,
-                                      const std::vector<double>& stage_old_util) {
-  std::vector<CpuEndCheck> cpu_ends;
-  CpuEndCheck source;
-  source.end = StreamSession::kSourceEnd;
-  source.kernel = source_kernel;
-  source.wanted = source_wanted;
-  source.old_util = source_old_util;
-  source.kind = AdmitFailure::kSourceCpu;
-  source.what = "source";
-  cpu_ends.push_back(source);
-  for (size_t k = 0; k < stage_kernels.size(); ++k) {
-    CpuEndCheck stage;
-    stage.end = 2 + static_cast<int>(k);
-    stage.kernel = stage_kernels[k];
-    stage.wanted = stage_wanted[k];
-    stage.old_util = stage_old_util[k];
-    stage.kind = AdmitFailure::kComputeCpu;
-    stage.what = "compute stage";
-    cpu_ends.push_back(stage);
+// One CPU contract of the joint check. `old_util` is what the stream
+// already holds there (zero on first admission).
+CpuEndCheck CpuEnd(int end, nemesis::Kernel* kernel, const nemesis::QosParams& wanted,
+                   double old_util) {
+  CpuEndCheck e;
+  e.end = end;
+  e.kernel = kernel;
+  e.wanted = wanted;
+  e.old_util = old_util;
+  if (end == StreamSession::kSourceEnd) {
+    e.kind = AdmitFailure::kSourceCpu;
+    e.what = "source";
+  } else if (end == StreamSession::kSinkEnd) {
+    e.kind = AdmitFailure::kSinkCpu;
+    e.what = "sink";
+  } else {
+    e.kind = AdmitFailure::kComputeCpu;
+    e.what = "compute stage";
   }
-  CpuEndCheck sink;
-  sink.end = StreamSession::kSinkEnd;
-  sink.kernel = sink_kernel;
-  sink.wanted = sink_wanted;
-  sink.old_util = sink_old_util;
-  sink.kind = AdmitFailure::kSinkCpu;
-  sink.what = "sink";
-  cpu_ends.push_back(sink);
-  return cpu_ends;
+  return e;
 }
 
 // The one joint cross-layer admission pass shared by first admission
@@ -211,7 +212,7 @@ struct JointAdmissionRequest {
   // A point-to-point spec without an explicit leg entry takes bandwidth
   // clamps on the stream-wide knob instead of a materialised leg.
   bool counter_streamwide = false;
-  // CPU contracts in path order (BuildCpuEnds).
+  // CPU contracts in path order: source, every compute stage, every sink.
   std::vector<CpuEndCheck> cpu_ends;
   // Resolved per-stage CPU demands, for materialising counter legs.
   std::vector<nemesis::QosParams> stage_cpu;
@@ -287,9 +288,8 @@ bool RunJointAdmission(JointAdmissionRequest& req, StreamSpec counter,
     if (e.end == StreamSession::kSourceEnd) {
       counter.source_cpu = e.clamped;
     } else if (e.end == StreamSession::kSinkEnd) {
-      // One-to-many admission carries one sink entry per leaf host, all at
-      // the same per-sink demand; the joint offer must satisfy the
-      // tightest of them.
+      // Every sink end carries its own entry, all at the same per-sink
+      // demand; the joint offer must satisfy the tightest of them.
       if (e.clamped.slice < counter.sink_cpu.slice) {
         counter.sink_cpu = e.clamped;
       }
@@ -389,7 +389,9 @@ nemesis::PeriodicDomain* StreamSession::EndHandler(int end) const {
     return source_handler_.get();
   }
   if (end == kSinkEnd) {
-    return sink_handler_.get();
+    // Only a session with a single sink end can be QoS-managed, so the
+    // manager's kSinkEnd is always sinks_.front().
+    return sinks_.empty() ? nullptr : sinks_.front().handler.get();
   }
   const size_t leg = static_cast<size_t>(end - 2);
   return leg < legs_.size() ? legs_[leg].handler.get() : nullptr;
@@ -702,8 +704,8 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
   const size_t nlegs = legs_.size();
   const size_t nstages = nlegs > 0 ? nlegs - 1 : 0;
 
-  // Resolve the per-leg demands. For a point-to-point stream the classic
-  // knobs apply; for a pipeline, entries missing from spec.legs keep the
+  // Resolve the per-leg demands. Without Via() stages the stream-wide knob
+  // applies; for a pipeline, entries missing from spec.legs keep the
   // leg's current grant (granted specs carry explicit legs, so editing
   // contract().granted renegotiates naturally).
   std::vector<int64_t> old_bps(nlegs);
@@ -746,16 +748,10 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
   if (spec.disk_bps > 0 && (storage_ == nullptr || file_ < 0)) {
     report.verdict = AdmitVerdict::kRejected;
     report.failure = AdmitFailure::kDiskBandwidth;
-    report.detail = "disk rate demanded but no storage endpoint on the path";
+    report.detail = "disk rate demanded but the session has no single file to reserve";
     return report;
   }
 
-  std::vector<nemesis::Kernel*> stage_kernels(nstages);
-  std::vector<double> stage_old_util(nstages);
-  for (size_t k = 0; k < nstages; ++k) {
-    stage_kernels[k] = legs_[k].compute != nullptr ? legs_[k].compute->kernel() : nullptr;
-    stage_old_util[k] = old_stage_cpu[k].Utilization();
-  }
   JointAdmissionRequest req;
   req.network = &network;
   req.nlegs = nlegs;
@@ -767,32 +763,21 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
   req.counter_streamwide =
       nlegs == 1 &&
       (spec.legs.empty() || spec.legs[0].bandwidth_bps == LegSpec::kInheritBps);
-  const nemesis::QosParams no_sink_cpu{0, sim::Milliseconds(100), true};
-  req.cpu_ends = BuildCpuEnds(
-      source_ws_ != nullptr ? source_ws_->kernel() : nullptr, spec.source_cpu,
-      source_handler_ != nullptr ? source_handler_->qos().Utilization() : 0.0,
-      sink_ws_ != nullptr ? sink_ws_->kernel() : nullptr,
-      multicast_ ? no_sink_cpu : spec.sink_cpu,
-      sink_handler_ != nullptr ? sink_handler_->qos().Utilization() : 0.0, stage_kernels,
-      wanted_stage_cpu, stage_old_util);
-  if (multicast_) {
-    // One sink-CPU contract per leaf host, all at the same per-sink demand
-    // (BuildCpuEnds's single sink slot stays empty — a one-to-many session
-    // has no sink_ws_). Leaves sharing a kernel are grouped by the joint
-    // check; the counter-offer keeps the tightest clamp.
-    for (const McastSinkBinding& b : mcast_sinks_) {
-      if (b.sink.ws == nullptr) {
-        continue;
-      }
-      CpuEndCheck leaf;
-      leaf.end = kSinkEnd;
-      leaf.kernel = b.sink.ws->kernel();
-      leaf.wanted = spec.sink_cpu;
-      leaf.old_util = b.handler != nullptr ? b.handler->qos().Utilization() : 0.0;
-      leaf.kind = AdmitFailure::kSinkCpu;
-      leaf.what = "sink";
-      req.cpu_ends.push_back(leaf);
-    }
+  req.cpu_ends.push_back(CpuEnd(kSourceEnd, source_ws_ != nullptr ? source_ws_->kernel() : nullptr,
+                                spec.source_cpu,
+                                source_handler_ != nullptr
+                                    ? source_handler_->qos().Utilization()
+                                    : 0.0));
+  for (size_t k = 0; k < nstages; ++k) {
+    req.cpu_ends.push_back(
+        CpuEnd(2 + static_cast<int>(k),
+               legs_[k].compute != nullptr ? legs_[k].compute->kernel() : nullptr,
+               wanted_stage_cpu[k], old_stage_cpu[k].Utilization()));
+  }
+  for (const SinkBinding& b : sinks_) {
+    req.cpu_ends.push_back(CpuEnd(kSinkEnd, b.sink.ws != nullptr ? b.sink.ws->kernel() : nullptr,
+                                  spec.sink_cpu,
+                                  b.handler != nullptr ? b.handler->qos().Utilization() : 0.0));
   }
   req.stage_cpu = wanted_stage_cpu;
   req.check_disk = storage_ != nullptr && file_ >= 0 && spec.disk_bps != old.disk_bps;
@@ -853,33 +838,18 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
       }
       return true;
     }
-    if (kernel == nullptr) {
-      return false;
+    if (handler == nullptr || handler->kernel() == nullptr) {
+      return BindCpu(slot, kernel, qos, request, suffix, end);
     }
-    if (handler != nullptr && handler->kernel() != nullptr) {
-      if (!kernel->UpdateQos(handler, qos)) {
-        return false;
-      }
-      if (manager_ != nullptr && manager_->kernel() == kernel) {
-        manager_->Register(handler, manager_weight_, request,
-                           [this, end](const nemesis::GrantUpdate& update) {
-                           OnGrantChanged(end, update);
-                         });
-      }
-      return true;
-    }
-    auto domain = std::make_unique<nemesis::PeriodicDomain>(
-        system_->simulator(), name_ + suffix, qos, qos.slice, qos.period);
-    if (!kernel->AddDomain(domain.get())) {
+    if (kernel == nullptr || !kernel->UpdateQos(handler, qos)) {
       return false;
     }
     if (manager_ != nullptr && manager_->kernel() == kernel) {
-      manager_->Register(domain.get(), manager_weight_, request,
+      manager_->Register(handler, manager_weight_, request,
                          [this, end](const nemesis::GrantUpdate& update) {
                            OnGrantChanged(end, update);
                          });
     }
-    *slot = std::move(domain);
     return true;
   };
   struct CpuApply {
@@ -911,25 +881,14 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
                            old_stage_cpu[k], 2 + static_cast<int>(k),
                            "/via" + std::to_string(k), AdmitFailure::kComputeCpu});
   }
-  if (multicast_) {
-    // Per-leaf sink handlers move together at the one per-sink contract.
-    for (size_t si = 0; si < mcast_sinks_.size(); ++si) {
-      McastSinkBinding& b = mcast_sinks_[si];
-      if (b.sink.ws == nullptr) {
-        continue;
-      }
-      cpu_applies.push_back({&b.handler, b.sink.ws->kernel(), spec.sink_cpu,
-                             update_requests ? spec.sink_cpu : requested_sink_cpu_,
-                             b.handler != nullptr ? b.handler->qos() : no_cpu,
-                             requested_sink_cpu_, kSinkEnd, "/snk" + std::to_string(si),
-                             AdmitFailure::kSinkCpu});
-    }
-  } else {
-    cpu_applies.push_back({&sink_handler_, sink_ws_ != nullptr ? sink_ws_->kernel() : nullptr,
-                           spec.sink_cpu,
-                           update_requests ? spec.sink_cpu : requested_sink_cpu_,
-                           sink_handler_ != nullptr ? sink_handler_->qos() : no_cpu,
-                           requested_sink_cpu_, kSinkEnd, "/snk", AdmitFailure::kSinkCpu});
+  // Every sink end's handler moves together at the one per-sink contract.
+  for (size_t si = 0; si < sinks_.size(); ++si) {
+    SinkBinding& b = sinks_[si];
+    cpu_applies.push_back({&b.handler, b.sink.ws != nullptr ? b.sink.ws->kernel() : nullptr,
+                           spec.sink_cpu, update_requests ? spec.sink_cpu : requested_sink_cpu_,
+                           b.handler != nullptr ? b.handler->qos() : no_cpu,
+                           requested_sink_cpu_, kSinkEnd, "/snk" + std::to_string(si),
+                           AdmitFailure::kSinkCpu});
   }
   std::sort(cpu_applies.begin(), cpu_applies.end(), [](const CpuApply& a, const CpuApply& b) {
     return a.wanted.Utilization() - a.prev.Utilization() <
@@ -1009,8 +968,8 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
   if (source_handler_ != nullptr) {
     contract_.granted.source_cpu = source_handler_->qos();
   }
-  if (sink_handler_ != nullptr) {
-    contract_.granted.sink_cpu = sink_handler_->qos();
+  if (const nemesis::PeriodicDomain* sink = EndHandler(kSinkEnd)) {
+    contract_.granted.sink_cpu = sink->qos();
   }
   ++contract_.renegotiations;
   ApplySourcePacing();
@@ -1020,30 +979,117 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
   return report;
 }
 
-void StreamSession::UnbindMulticastSink(McastSinkBinding& b) {
+bool StreamSession::BindCpu(std::unique_ptr<nemesis::PeriodicDomain>* slot,
+                            nemesis::Kernel* kernel, const nemesis::QosParams& qos,
+                            const nemesis::QosParams& request, const std::string& suffix,
+                            int end) {
+  if (kernel == nullptr) {
+    return false;
+  }
+  auto domain = std::make_unique<nemesis::PeriodicDomain>(
+      system_->simulator(), name_ + suffix, qos, qos.slice, qos.period);
+  if (!kernel->AddDomain(domain.get())) {
+    return false;
+  }
+  if (manager_ != nullptr && manager_->kernel() == kernel) {
+    manager_->Register(domain.get(), manager_weight_, request,
+                       [this, end](const nemesis::GrantUpdate& update) {
+                         OnGrantChanged(end, update);
+                       });
+  }
+  *slot = std::move(domain);
+  return true;
+}
+
+AdmitFailure StreamSession::BindSink(SinkBinding& b, const nemesis::QosParams& cpu, bool control,
+                                     size_t index) {
+  if (cpu.slice > 0 &&
+      !BindCpu(&b.handler, b.sink.ws != nullptr ? b.sink.ws->kernel() : nullptr, cpu,
+               requested_sink_cpu_, "/snk" + std::to_string(index), kSinkEnd)) {
+    return AdmitFailure::kSinkCpu;
+  }
+  if (window_.has_value() && b.sink.display != nullptr) {
+    dev::WindowManager wm(b.sink.display);
+    wm.CreateWindow(b.vci, window_->x, window_->y, window_->w, window_->h);
+    b.window_created = true;
+  }
+  // Control path (§2.2): index marks ride a VC from the source host to a
+  // recording sink; a To*() end pairs with the source — a duplex between
+  // the two hosts, or one VC from the sink's host to a storage source.
   atm::Network& network = system_->network();
-  if (b.sink.storage != nullptr && b.record_file >= 0) {
-    b.sink.storage->StopRecording(b.leaf_vci, []() {});
+  std::optional<atm::VcDescriptor> to_far_end;
+  std::optional<atm::VcDescriptor> back;
+  if (b.sink.storage != nullptr) {
+    if (source_ws_ != nullptr) {
+      to_far_end = network.OpenVc(source_ws_->host(), b.sink.storage->endpoint());
+      if (!to_far_end.has_value()) {
+        return AdmitFailure::kNoPath;
+      }
+    }
+  } else if (control && b.sink.ws != nullptr) {
+    if (source_ws_ != nullptr) {
+      auto duplex = network.OpenDuplex(b.sink.ws->host(), source_ws_->host());
+      if (!duplex.has_value()) {
+        return AdmitFailure::kNoPath;
+      }
+      to_far_end = duplex->first;
+      back = duplex->second;
+    } else {
+      to_far_end = network.OpenVc(b.sink.ws->host(), source_ep_);
+      if (!to_far_end.has_value()) {
+        return AdmitFailure::kNoPath;
+      }
+    }
+  }
+  if (to_far_end.has_value()) {
+    b.control_vcs.push_back(to_far_end->id);
+    if (back.has_value()) {
+      b.control_vcs.push_back(back->id);
+    }
+    if (control_send_vci_ == atm::kVciUnassigned) {
+      control_send_vci_ = to_far_end->source_vci;
+      control_receive_vci_ =
+          back.has_value() ? back->destination_vci : to_far_end->destination_vci;
+    }
+  }
+  if (b.sink.storage != nullptr) {
+    b.record_file = b.sink.storage->StartRecording(
+        b.vci, to_far_end.has_value() ? to_far_end->destination_vci : atm::kVciUnassigned,
+        b.sink.record_stream_id);
+  }
+  return AdmitFailure::kNone;
+}
+
+void StreamSession::UnbindSink(SinkBinding& b) {
+  atm::Network& network = system_->network();
+  if (b.record_file >= 0) {
+    b.sink.storage->StopRecording(b.vci, []() {});
     b.record_file = -1;
   }
-  if (b.window_created && b.sink.display != nullptr) {
+  if (b.window_created) {
     dev::WindowManager wm(b.sink.display);
-    wm.DestroyWindow(b.leaf_vci);
+    wm.DestroyWindow(b.vci);
     b.window_created = false;
   }
   ReleaseCpuEnd(&b.handler, b.sink.ws != nullptr ? b.sink.ws->kernel() : nullptr);
-  if (b.control_vc >= 0) {
-    network.CloseVc(b.control_vc);
-    control_vcs_.erase(std::remove(control_vcs_.begin(), control_vcs_.end(), b.control_vc),
-                       control_vcs_.end());
-    b.control_vc = -1;
+  for (atm::VcId vc : b.control_vcs) {
+    network.CloseVc(vc);
+  }
+  b.control_vcs.clear();
+}
+
+void StreamSession::RefreshTreeLeg() {
+  if (const atm::VcDescriptor* desc = system_->network().GetVc(legs_.back().vc)) {
+    contract_.hop_count += desc->hop_count - legs_.back().hop_count;
+    legs_.back().hop_count = desc->hop_count;
+    legs_.back().sink_vci = desc->destination_vci;
   }
 }
 
 std::optional<atm::Vci> StreamSession::SinkVci(const atm::Endpoint* endpoint) const {
-  for (const McastSinkBinding& b : mcast_sinks_) {
+  for (const SinkBinding& b : sinks_) {
     if (b.sink.endpoint == endpoint) {
-      return b.leaf_vci;
+      return b.vci;
     }
   }
   return std::nullopt;
@@ -1052,146 +1098,103 @@ std::optional<atm::Vci> StreamSession::SinkVci(const atm::Endpoint* endpoint) co
 AdmissionReport StreamSession::AddSink(const MulticastSink& sink) {
   AdmissionReport report;
   report.verdict = AdmitVerdict::kRejected;
-  if (!active_ || !multicast_ || legs_.empty()) {
-    report.failure = AdmitFailure::kEndpoint;
-    report.detail = "not an active one-to-many session";
+  auto refuse = [&report](AdmitFailure failure, const char* detail) {
+    report.failure = failure;
+    report.detail = detail;
     return report;
+  };
+  if (!active_ || legs_.empty()) {
+    return refuse(AdmitFailure::kEndpoint, "session is closed");
   }
   atm::Network& network = system_->network();
-  atm::Endpoint* ep = McastSinkEndpoint(sink);
+  atm::Endpoint* ep = SinkEndpoint(sink);
   if (ep == nullptr) {
-    report.failure = AdmitFailure::kEndpoint;
-    report.detail = "sink names no endpoint";
-    return report;
+    return refuse(AdmitFailure::kEndpoint, "sink names no endpoint");
   }
   if (SinkVci(ep).has_value()) {
-    report.failure = AdmitFailure::kEndpoint;
-    report.detail = "endpoint is already a leaf";
-    return report;
+    return refuse(AdmitFailure::kEndpoint, "endpoint is already a sink");
   }
-  // The graft must meet the session's latency bound like any original leaf.
+  if (manager_ != nullptr) {
+    return refuse(AdmitFailure::kEndpoint, "a QoS-managed session keeps a single sink end");
+  }
+  if (sink.storage != nullptr && disk_reserved_) {
+    return refuse(AdmitFailure::kDiskBandwidth, "the disk reservation covers one file");
+  }
+  // The graft must meet the session's latency bound like any original sink.
   if (contract_.granted.latency_bound > 0) {
-    auto route = network.ResolveRoute(source_ep_, ep);
+    atm::Endpoint* tree_source =
+        legs_.size() > 1 ? legs_[legs_.size() - 2].compute->endpoint() : source_ep_;
+    auto route = network.ResolveRoute(tree_source, ep);
     if (!route.has_value()) {
-      report.failure = AdmitFailure::kNoPath;
-      report.detail = "no switch path to the new leaf";
-      return report;
+      return refuse(AdmitFailure::kNoPath, "no switch path to the new sink");
     }
-    if (route->latency_ns > contract_.granted.latency_bound) {
-      report.failure = AdmitFailure::kLatency;
-      report.detail = "graft path exceeds the latency bound";
-      return report;
-    }
-  }
-  // Sink CPU on the leaf host alone — the rest of the tree is untouched.
-  const nemesis::QosParams sink_cpu = contract_.granted.sink_cpu;
-  nemesis::Kernel* leaf_kernel =
-      sink.ws != nullptr ? sink.ws->kernel() : nullptr;
-  if (sink_cpu.slice > 0 && sink.ws != nullptr) {
-    if (leaf_kernel == nullptr) {
-      report.failure = AdmitFailure::kSinkCpu;
-      report.detail = "no kernel attached to the leaf host";
-      return report;
-    }
-    if (sink_cpu.Utilization() > CpuHeadroom(leaf_kernel) + 1e-9) {
-      report.failure = AdmitFailure::kSinkCpu;
-      report.detail = "leaf host CPU demand exceeds Atropos headroom";
-      return report;
+    if (upstream_latency_ns_ + route->latency_ns > contract_.granted.latency_bound) {
+      return refuse(AdmitFailure::kLatency, "graft path exceeds the latency bound");
     }
   }
   // Graft admission: AddLeaf checks (and charges) ONLY the links the graft
   // newly adds — links the tree already crosses are free.
-  auto leaf_vci = network.AddLeaf(legs_.front().vc, ep);
-  if (!leaf_vci.has_value()) {
-    report.failure = AdmitFailure::kNetworkBandwidth;
-    report.detail = "graft admission refused (no path or a new link lacks capacity)";
-    return report;
+  auto vci = network.AddLeaf(legs_.back().vc, ep);
+  if (!vci.has_value()) {
+    return refuse(AdmitFailure::kNetworkBandwidth,
+                  "graft admission refused (no path or a new link lacks capacity)");
   }
-  McastSinkBinding b;
+  SinkBinding b;
   b.sink = sink;
   b.sink.endpoint = ep;
-  b.leaf_vci = *leaf_vci;
-  if (sink_cpu.slice > 0 && sink.ws != nullptr) {
-    auto domain = std::make_unique<nemesis::PeriodicDomain>(
-        system_->simulator(), name_ + "/snk" + std::to_string(mcast_sinks_.size()), sink_cpu,
-        sink_cpu.slice, sink_cpu.period);
-    if (!leaf_kernel->AddDomain(domain.get())) {
-      network.RemoveLeaf(legs_.front().vc, ep);
-      report.failure = AdmitFailure::kSinkCpu;
-      report.detail = "scheduler admission refused the contract after the headroom check";
-      return report;
-    }
-    b.handler = std::move(domain);
+  b.vci = *vci;
+  // Sink CPU on the new sink's host alone — the rest of the session is
+  // untouched.
+  const AdmitFailure failure = BindSink(b, contract_.granted.sink_cpu, false, sinks_.size());
+  if (failure != AdmitFailure::kNone) {
+    UnbindSink(b);
+    network.RemoveLeaf(legs_.back().vc, ep);
+    return refuse(failure, failure == AdmitFailure::kSinkCpu
+                               ? "sink host CPU refused the contract"
+                               : "control VC establishment failed");
   }
-  if (mcast_window_requested_ && b.sink.display != nullptr) {
-    dev::WindowManager wm(b.sink.display);
-    wm.CreateWindow(b.leaf_vci, mcast_window_x_, mcast_window_y_, mcast_window_w_,
-                    mcast_window_h_);
-    b.window_created = true;
+  if (b.record_file >= 0 && file_ < 0) {
+    storage_ = b.sink.storage;
+    file_ = b.record_file;
+    recording_ = true;
+  } else if (b.record_file >= 0 && recording_) {
+    storage_ = nullptr;  // several recordings: no one file for a disk rate
   }
-  if (b.sink.storage != nullptr) {
-    atm::Vci control_receive = atm::kVciUnassigned;
-    if (source_ws_ != nullptr) {
-      auto control = network.OpenVc(source_ws_->host(), b.sink.storage->endpoint());
-      if (!control.has_value()) {
-        ReleaseCpuEnd(&b.handler, leaf_kernel);
-        if (b.window_created && b.sink.display != nullptr) {
-          dev::WindowManager wm(b.sink.display);
-          wm.DestroyWindow(b.leaf_vci);
-        }
-        network.RemoveLeaf(legs_.front().vc, ep);
-        report.failure = AdmitFailure::kNoPath;
-        report.detail = "control VC establishment failed";
-        return report;
-      }
-      b.control_vc = control->id;
-      control_vcs_.push_back(control->id);
-      control_receive = control->destination_vci;
-      if (control_send_vci_ == atm::kVciUnassigned) {
-        control_send_vci_ = control->source_vci;
-        control_receive_vci_ = control->destination_vci;
-      }
-    }
-    b.record_file =
-        b.sink.storage->StartRecording(b.leaf_vci, control_receive, b.sink.record_stream_id);
-    if (file_ < 0) {
-      file_ = b.record_file;  // file() names the first recording leaf
-    }
-  }
-  mcast_sinks_.push_back(std::move(b));
-  if (const atm::VcDescriptor* desc = network.GetVc(legs_.front().vc)) {
-    contract_.hop_count = desc->hop_count;
-    legs_.front().hop_count = desc->hop_count;
-  }
+  sinks_.push_back(std::move(b));
+  RefreshTreeLeg();
   report.verdict = AdmitVerdict::kAccepted;
   report.failure = AdmitFailure::kNone;
   return report;
 }
 
 bool StreamSession::RemoveSink(const atm::Endpoint* endpoint) {
-  if (!active_ || !multicast_ || legs_.empty()) {
-    return false;
-  }
-  auto it = std::find_if(mcast_sinks_.begin(), mcast_sinks_.end(),
-                         [endpoint](const McastSinkBinding& b) {
-                           return b.sink.endpoint == endpoint;
-                         });
-  if (it == mcast_sinks_.end()) {
-    return false;
-  }
-  // The last leaf cannot be pruned (the network refuses a leafless tree);
+  // The last sink cannot be pruned (the network refuses a leafless tree);
   // Close() the session instead.
-  if (mcast_sinks_.size() <= 1) {
+  if (!active_ || sinks_.size() <= 1) {
     return false;
   }
-  atm::Network& network = system_->network();
-  UnbindMulticastSink(*it);
-  network.RemoveLeaf(legs_.front().vc, it->sink.endpoint);
-  mcast_sinks_.erase(it);
-  if (const atm::VcDescriptor* desc = network.GetVc(legs_.front().vc)) {
-    contract_.hop_count = desc->hop_count;
-    legs_.front().hop_count = desc->hop_count;
+  auto it = std::find_if(sinks_.begin(), sinks_.end(), [endpoint](const SinkBinding& b) {
+    return b.sink.endpoint == endpoint;
+  });
+  if (it == sinks_.end()) {
+    return false;
   }
+  if (recording_ && it->record_file == file_) {
+    // The session's disk file stops with this sink, and its rate with it.
+    if (disk_reserved_) {
+      storage_->server()->ReleaseStream(file_);
+      disk_reserved_ = false;
+    }
+    storage_ = nullptr;
+    file_ = -1;
+    recording_ = false;
+    contract_.granted.disk_bps = 0;
+    nominal_.disk_bps = 0;
+  }
+  UnbindSink(*it);
+  system_->network().RemoveLeaf(legs_.back().vc, it->sink.endpoint);
+  sinks_.erase(it);
+  RefreshTreeLeg();
   return true;
 }
 
@@ -1202,18 +1205,16 @@ void StreamSession::Close() {
   active_ = false;
   atm::Network& network = system_->network();
 
-  // One-to-many: unbind every leaf (recording, window, per-host CPU,
-  // control) before the tree VC below releases the shared reservations.
-  for (McastSinkBinding& b : mcast_sinks_) {
-    UnbindMulticastSink(b);
+  // Sink ends: recording, window, per-host CPU and control path, before
+  // the tree VC below releases the shared reservations.
+  for (SinkBinding& b : sinks_) {
+    UnbindSink(b);
   }
 
-  // Storage layer: stop the transfer, release the rate reservation (which
+  // Storage layer: stop the play-out, release the rate reservation (which
   // also drops the budget-pressure subscription) and the play-out pacing.
   if (storage_ != nullptr) {
-    if (recording_) {
-      storage_->StopRecording(sink_vci(), []() {});
-    } else if (file_ >= 0) {
+    if (!recording_ && file_ >= 0) {
       storage_->StopPlayback(file_);
       storage_->SetPlayoutPaceBps(file_, 0);
     }
@@ -1223,16 +1224,8 @@ void StreamSession::Close() {
     }
   }
 
-  // Display layer: retire the window granted to the final leg's VC.
-  if (window_created_ && sink_display_ != nullptr) {
-    dev::WindowManager wm(sink_display_);
-    wm.DestroyWindow(sink_vci());
-    window_created_ = false;
-  }
-
-  // CPU layer: retire the handler domains and their manager registrations.
+  // CPU layer: retire the source's handler domain and its registration.
   ReleaseCpuEnd(&source_handler_, source_ws_ != nullptr ? source_ws_->kernel() : nullptr);
-  ReleaseCpuEnd(&sink_handler_, sink_ws_ != nullptr ? sink_ws_->kernel() : nullptr);
 
   // Compute layer: detach every stage (no more packets reach it) and
   // release its contract domain.
@@ -1250,10 +1243,6 @@ void StreamSession::Close() {
       leg.vc = -1;
     }
   }
-  for (atm::VcId vc : control_vcs_) {
-    network.CloseVc(vc);
-  }
-  control_vcs_.clear();
 }
 
 // --- StreamBuilder ---
@@ -1262,7 +1251,6 @@ StreamBuilder::StreamBuilder(PegasusSystem* system, std::string name)
     : system_(system), name_(std::move(name)) {}
 
 StreamBuilder& StreamBuilder::From(Workstation* ws, dev::AtmCamera* camera) {
-  source_kind_ = EndpointKind::kWorkstationDevice;
   source_ws_ = ws;
   source_ep_ = ws != nullptr ? ws->device_endpoint(camera) : nullptr;
   source_camera_ = camera;
@@ -1270,7 +1258,6 @@ StreamBuilder& StreamBuilder::From(Workstation* ws, dev::AtmCamera* camera) {
 }
 
 StreamBuilder& StreamBuilder::From(Workstation* ws, dev::AudioCapture* capture) {
-  source_kind_ = EndpointKind::kWorkstationDevice;
   source_ws_ = ws;
   source_ep_ = ws != nullptr ? ws->device_endpoint(capture) : nullptr;
   source_audio_ = capture;
@@ -1278,14 +1265,12 @@ StreamBuilder& StreamBuilder::From(Workstation* ws, dev::AudioCapture* capture) 
 }
 
 StreamBuilder& StreamBuilder::FromEndpoint(Workstation* ws, atm::Endpoint* endpoint) {
-  source_kind_ = EndpointKind::kWorkstationDevice;
   source_ws_ = ws;
   source_ep_ = endpoint;
   return *this;
 }
 
 StreamBuilder& StreamBuilder::FromStorage(StorageNode* storage, pfs::FileId file) {
-  source_kind_ = EndpointKind::kStorage;
   source_storage_ = storage;
   source_ep_ = storage != nullptr ? storage->endpoint() : nullptr;
   playback_file_ = file;
@@ -1301,37 +1286,37 @@ StreamBuilder& StreamBuilder::Via(ComputeNode* node, dev::TileProcessor::Config 
 }
 
 StreamBuilder& StreamBuilder::To(Workstation* ws, dev::AtmDisplay* display) {
-  sink_kind_ = EndpointKind::kWorkstationDevice;
-  sink_ws_ = ws;
-  sink_ep_ = ws != nullptr ? ws->device_endpoint(display) : nullptr;
-  sink_display_ = display;
+  SinkEnd end{{}, true};
+  end.sink.ws = ws;
+  end.sink.display = display;
+  sinks_.push_back(end);
   return *this;
 }
 
 StreamBuilder& StreamBuilder::To(Workstation* ws, dev::AudioPlayback* playback) {
-  sink_kind_ = EndpointKind::kWorkstationDevice;
-  sink_ws_ = ws;
-  sink_ep_ = ws != nullptr ? ws->device_endpoint(playback) : nullptr;
-  return *this;
+  return ToEndpoint(ws, ws != nullptr ? ws->device_endpoint(playback) : nullptr);
 }
 
 StreamBuilder& StreamBuilder::ToEndpoint(Workstation* ws, atm::Endpoint* endpoint) {
-  sink_kind_ = EndpointKind::kWorkstationDevice;
-  sink_ws_ = ws;
-  sink_ep_ = endpoint;
+  SinkEnd end{{}, true};
+  end.sink.ws = ws;
+  end.sink.endpoint = endpoint;
+  sinks_.push_back(end);
   return *this;
 }
 
 StreamBuilder& StreamBuilder::ToStorage(StorageNode* storage, uint32_t stream_id) {
-  sink_kind_ = EndpointKind::kStorage;
-  sink_storage_ = storage;
-  sink_ep_ = storage != nullptr ? storage->endpoint() : nullptr;
-  record_stream_id_ = stream_id;
+  SinkEnd end{{}, true};
+  end.sink.storage = storage;
+  end.sink.record_stream_id = stream_id;
+  sinks_.push_back(end);
   return *this;
 }
 
 StreamBuilder& StreamBuilder::ToMany(const std::vector<MulticastSink>& sinks) {
-  multicast_sinks_ = sinks;
+  for (const MulticastSink& sink : sinks) {
+    sinks_.push_back({sink, false});
+  }
   return *this;
 }
 
@@ -1341,11 +1326,7 @@ StreamBuilder& StreamBuilder::WithSpec(const StreamSpec& spec) {
 }
 
 StreamBuilder& StreamBuilder::WithWindow(int x, int y, int w, int h) {
-  window_requested_ = true;
-  window_x_ = x;
-  window_y_ = y;
-  window_w_ = w;
-  window_h_ = h;
+  window_ = StreamSession::Window{x, y, w, h};
   return *this;
 }
 
@@ -1376,38 +1357,46 @@ StreamBuilder& StreamBuilder::OnDegrade(StreamSession::DegradeCallback cb) {
 }
 
 StreamResult StreamBuilder::Open() {
-  if (!multicast_sinks_.empty()) {
-    return OpenMulticast();
-  }
   StreamResult result;
   AdmissionReport& report = result.report;
   atm::Network& network = system_->network();
-
-  // --- resolve endpoints: source, every compute detour, sink ---
-  if (source_ep_ == nullptr || sink_ep_ == nullptr ||
-      source_kind_ == EndpointKind::kNone || sink_kind_ == EndpointKind::kNone) {
+  auto reject = [&](AdmitFailure failure, std::string detail) {
     report.verdict = AdmitVerdict::kRejected;
-    report.failure = AdmitFailure::kEndpoint;
-    report.detail = "source or sink endpoint missing";
+    report.failure = failure;
+    report.detail = std::move(detail);
     return result;
+  };
+
+  // --- resolve endpoints: source, every compute detour, every sink ---
+  std::vector<atm::Endpoint*> sink_eps;
+  sink_eps.reserve(sinks_.size());
+  int recorders = 0;
+  for (const SinkEnd& end : sinks_) {
+    sink_eps.push_back(SinkEndpoint(end.sink));
+    recorders += end.sink.storage != nullptr ? 1 : 0;
+  }
+  if (source_ep_ == nullptr || sink_eps.empty() ||
+      std::count(sink_eps.begin(), sink_eps.end(), nullptr) > 0) {
+    return reject(AdmitFailure::kEndpoint, "source or sink endpoint missing");
   }
   for (const ViaStage& via : vias_) {
     if (via.node == nullptr || via.node->endpoint() == nullptr) {
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = AdmitFailure::kEndpoint;
-      report.detail = "compute node missing";
-      return result;
+      return reject(AdmitFailure::kEndpoint, "compute node missing");
     }
   }
-  StorageNode* storage = sink_storage_ != nullptr ? sink_storage_ : source_storage_;
-  std::vector<atm::Endpoint*> chain;
-  chain.push_back(source_ep_);
-  for (const ViaStage& via : vias_) {
-    chain.push_back(via.node->endpoint());
+  if (manager_ != nullptr && sinks_.size() > 1) {
+    return reject(AdmitFailure::kEndpoint,
+                  "QoS-manager registration needs a single sink end");
   }
-  chain.push_back(sink_ep_);
-  const size_t nlegs = chain.size() - 1;
+  // Legs in path order: one per Via() stage, then the tree leg from the
+  // last stage to every sink.
+  std::vector<atm::Endpoint*> heads;
+  heads.push_back(source_ep_);
+  for (const ViaStage& via : vias_) {
+    heads.push_back(via.node->endpoint());
+  }
   const size_t nstages = vias_.size();
+  const size_t nlegs = nstages + 1;
   std::vector<int64_t> wanted_bps(nlegs);
   for (size_t i = 0; i < nlegs; ++i) {
     wanted_bps[i] = spec_.LegBandwidthBps(i);
@@ -1416,52 +1405,54 @@ StreamResult StreamBuilder::Open() {
   // --- cross-layer admission: check EVERY layer of EVERY leg in one pass
   // before binding anything, collecting all failures into one joint
   // counter-offer (the pass shared with RenegotiateImpl) ---
-  // One ResolveRoute per leg serves the whole pass: the joint bandwidth
-  // check, the latency check and the VC install below all reuse this
-  // resolve instead of re-running the pathfinder.
-  std::vector<atm::ResolvedRoute> leg_routes(nlegs);
+  // One ResolveRoute per leg and per sink serves the joint bandwidth check
+  // and the latency check. The tree leg's links are its sinks' routes
+  // laid end to end; the joint check charges a shared edge once.
   std::vector<std::vector<atm::Link*>> leg_links(nlegs);
-  for (size_t i = 0; i < nlegs; ++i) {
-    auto route = network.ResolveRoute(chain[i], chain[i + 1]);
+  sim::DurationNs upstream_latency = 0;
+  for (size_t i = 0; i < nstages; ++i) {
+    auto route = network.ResolveRoute(heads[i], heads[i + 1]);
     if (!route.has_value()) {
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = AdmitFailure::kNoPath;
-      report.detail = "no switch path on leg " + std::to_string(i);
-      return result;
+      return reject(AdmitFailure::kNoPath, "no switch path on leg " + std::to_string(i));
     }
-    leg_links[i] = route->links;
-    leg_routes[i] = std::move(*route);
+    upstream_latency += route->latency_ns;
+    leg_links[i] = std::move(route->links);
   }
-
-  // Latency bound against the chain's delivery-time floor. A resolved leg
-  // always carries its latency, so an uncomputable floor is a kNoPath
-  // rejection above — never silently treated as zero latency.
-  if (spec_.latency_bound > 0) {
-    sim::DurationNs total_latency = 0;
-    for (size_t i = 0; i < nlegs; ++i) {
-      total_latency += leg_routes[i].latency_ns;
+  sim::DurationNs deepest = 0;
+  for (atm::Endpoint* ep : sink_eps) {
+    auto route = network.ResolveRoute(heads.back(), ep);
+    if (!route.has_value()) {
+      return reject(AdmitFailure::kNoPath, "no switch path on leg " + std::to_string(nstages));
     }
-    if (total_latency > spec_.latency_bound) {
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = AdmitFailure::kLatency;
-      report.detail = "chain latency floor exceeds the bound";
-      return result;
+    deepest = std::max(deepest, route->latency_ns);
+    if (leg_links.back().empty()) {
+      leg_links.back() = std::move(route->links);
+    } else {
+      leg_links.back().insert(leg_links.back().end(), route->links.begin(), route->links.end());
     }
   }
 
-  if (spec_.disk_bps > 0 && storage == nullptr) {
-    report.verdict = AdmitVerdict::kRejected;
-    report.failure = AdmitFailure::kDiskBandwidth;
-    report.detail = "disk rate demanded but no storage endpoint on the path";
-    return result;
+  // Latency bound against the chain's delivery-time floor: the legs before
+  // the tree plus its deepest sink. A resolved leg always carries its
+  // latency, so an uncomputable floor is a kNoPath rejection above — never
+  // silently treated as zero latency.
+  if (spec_.latency_bound > 0 && upstream_latency + deepest > spec_.latency_bound) {
+    return reject(AdmitFailure::kLatency, "chain latency floor exceeds the bound");
   }
 
-  std::vector<nemesis::Kernel*> stage_kernels(nstages);
-  std::vector<nemesis::QosParams> stage_cpu(nstages);
-  for (size_t k = 0; k < nstages; ++k) {
-    stage_kernels[k] = vias_[k].node->kernel();
-    stage_cpu[k] = spec_.LegComputeCpu(k);
+  // Disk rate applies to the session's one file: the single recording
+  // sink's, else the play-out.
+  StorageNode* disk_storage = source_storage_;
+  for (const SinkEnd& end : sinks_) {
+    if (end.sink.storage != nullptr) {
+      disk_storage = recorders == 1 ? end.sink.storage : nullptr;
+    }
   }
+  if (spec_.disk_bps > 0 && disk_storage == nullptr) {
+    return reject(AdmitFailure::kDiskBandwidth,
+                  "disk rate demanded but the session has no single file to reserve");
+  }
+
   JointAdmissionRequest req;
   req.network = &network;
   req.nlegs = nlegs;
@@ -1472,15 +1463,24 @@ StreamResult StreamBuilder::Open() {
   req.counter_streamwide =
       nlegs == 1 &&
       (spec_.legs.empty() || spec_.legs[0].bandwidth_bps == LegSpec::kInheritBps);
-  req.cpu_ends =
-      BuildCpuEnds(source_ws_ != nullptr ? source_ws_->kernel() : nullptr, spec_.source_cpu,
-                   0.0, sink_ws_ != nullptr ? sink_ws_->kernel() : nullptr, spec_.sink_cpu,
-                   0.0, stage_kernels, stage_cpu, std::vector<double>(nstages, 0.0));
-  req.stage_cpu = stage_cpu;
+  req.cpu_ends.push_back(CpuEnd(StreamSession::kSourceEnd,
+                                source_ws_ != nullptr ? source_ws_->kernel() : nullptr,
+                                spec_.source_cpu, 0.0));
+  req.stage_cpu.resize(nstages);
+  for (size_t k = 0; k < nstages; ++k) {
+    req.stage_cpu[k] = spec_.LegComputeCpu(k);
+    req.cpu_ends.push_back(
+        CpuEnd(2 + static_cast<int>(k), vias_[k].node->kernel(), req.stage_cpu[k], 0.0));
+  }
+  for (const SinkEnd& end : sinks_) {
+    req.cpu_ends.push_back(CpuEnd(StreamSession::kSinkEnd,
+                                  end.sink.ws != nullptr ? end.sink.ws->kernel() : nullptr,
+                                  spec_.sink_cpu, 0.0));
+  }
   req.check_disk = spec_.disk_bps > 0;
   req.disk_wanted = spec_.disk_bps;
   if (req.check_disk) {
-    req.disk_available = storage->server()->AvailableStreamBps();
+    req.disk_available = disk_storage->server()->AvailableStreamBps();
   }
   if (!RunJointAdmission(req, spec_, &report)) {
     return result;
@@ -1492,14 +1492,16 @@ StreamResult StreamBuilder::Open() {
   s->name_ = name_;
   s->system_ = system_;
   s->source_ws_ = source_ws_;
-  s->sink_ws_ = sink_ws_;
   s->source_ep_ = source_ep_;
-  s->sink_ep_ = sink_ep_;
   s->source_camera_ = source_camera_;
   s->source_audio_ = source_audio_;
-  s->sink_display_ = sink_display_;
-  s->storage_ = storage;
-  s->recording_ = sink_storage_ != nullptr;
+  s->upstream_latency_ns_ = upstream_latency;
+  s->window_ = window_;
+  if (s->window_.has_value() && (s->window_->w == 0 || s->window_->h == 0) &&
+      source_camera_ != nullptr) {
+    s->window_->w = source_camera_->config().width;
+    s->window_->h = source_camera_->config().height;
+  }
   s->manager_ = manager_;
   s->manager_weight_ = manager_weight_;
   s->requested_source_cpu_ = requested_source_cpu_.value_or(spec_.source_cpu);
@@ -1510,19 +1512,21 @@ StreamResult StreamBuilder::Open() {
   }
   s->degrade_cb_ = std::move(degrade_cb_);
   s->active_ = true;
+  auto fail = [&](AdmitFailure failure, std::string detail) {
+    s->Close();
+    system_->AdoptSession(std::move(session));
+    return reject(failure, std::move(detail));
+  };
 
-  // Network: one reserved VC per leg; control VCs are best-effort, as in
-  // the paper's signalling.
+  // Network: one reserved VC per leg, the last a tree to every sink.
   int total_hops = 0;
   for (size_t i = 0; i < nlegs; ++i) {
-    auto vc = network.OpenVc(chain[i], chain[i + 1], atm::QosSpec{wanted_bps[i]}, leg_routes[i]);
+    const atm::QosSpec qos{wanted_bps[i]};
+    auto vc = i < nstages ? network.OpenVc(heads[i], heads[i + 1], qos)
+                          : network.OpenVc(heads[i], sink_eps, qos);
     if (!vc.has_value()) {
-      s->Close();
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = AdmitFailure::kNetworkBandwidth;
-      report.detail = "VC establishment failed after admission on leg " + std::to_string(i);
-      system_->AdoptSession(std::move(session));
-      return result;
+      return fail(AdmitFailure::kNetworkBandwidth,
+                  "VC establishment failed after admission on leg " + std::to_string(i));
     }
     StreamSession::Leg leg;
     leg.vc = vc->id;
@@ -1542,124 +1546,53 @@ StreamResult StreamBuilder::Open() {
         s->legs_[k].sink_vci, s->legs_[k + 1].source_vci, vias_[k].config);
   }
 
-  bool control_failed = false;
-  if (source_kind_ == EndpointKind::kWorkstationDevice &&
-      sink_kind_ == EndpointKind::kWorkstationDevice) {
-    // Control duplex: sink host -> source host (start/stop, mode select,
-    // sync), plus the reverse path, as every Pegasus device pairs (§2.2).
-    auto control = network.OpenDuplex(sink_ws_->host(), source_ws_->host());
-    if (control.has_value()) {
-      s->control_vcs_ = {control->first.id, control->second.id};
-      s->control_send_vci_ = control->first.source_vci;
-      s->control_receive_vci_ = control->second.destination_vci;
-    } else {
-      control_failed = true;
-    }
-  } else if (storage != nullptr) {
-    // Control stream from the managing host to the file server, which "can
-    // also be viewed as a multimedia device" (§2.2): index marks ride here.
-    Workstation* managing = sink_storage_ != nullptr ? source_ws_ : sink_ws_;
-    if (managing != nullptr) {
-      auto control = network.OpenVc(managing->host(), storage->endpoint());
-      if (control.has_value()) {
-        s->control_vcs_ = {control->id};
-        s->control_send_vci_ = control->source_vci;
-        s->control_receive_vci_ = control->destination_vci;
-      } else {
-        control_failed = true;
-      }
-    }
-  }
-  if (control_failed) {
-    // A session without its control path is not the contract that was asked
-    // for (index marks and device control would vanish silently).
-    s->Close();
-    report.verdict = AdmitVerdict::kRejected;
-    report.failure = AdmitFailure::kNoPath;
-    report.detail = "control VC establishment failed";
-    system_->AdoptSession(std::move(session));
-    return result;
-  }
-
-  // CPU: bind the per-end handler domains and per-stage compute domains
+  // CPU: the source's handler domain and each stage's compute domain,
   // through scheduler admission.
-  struct CpuBind {
-    std::unique_ptr<nemesis::PeriodicDomain>* handler;
-    nemesis::QosParams qos;
-    nemesis::Kernel* kernel;
-    nemesis::QosParams requested;
-    std::string suffix;
-    AdmitFailure failure;
-    int end;
-  };
-  std::vector<CpuBind> binds;
-  binds.push_back({&s->source_handler_, spec_.source_cpu,
-                   source_ws_ != nullptr ? source_ws_->kernel() : nullptr,
-                   s->requested_source_cpu_, "/src", AdmitFailure::kSourceCpu,
-                   StreamSession::kSourceEnd});
-  for (size_t k = 0; k < nstages; ++k) {
-    const nemesis::QosParams stage_cpu = spec_.LegComputeCpu(k);
-    binds.push_back({&s->legs_[k].handler, stage_cpu, vias_[k].node->kernel(), stage_cpu,
-                     "/via" + std::to_string(k), AdmitFailure::kComputeCpu,
-                     2 + static_cast<int>(k)});
+  const char* const kCpuRefused =
+      "scheduler admission refused the contract after the headroom check";
+  if (spec_.source_cpu.slice > 0 &&
+      !s->BindCpu(&s->source_handler_, source_ws_->kernel(), spec_.source_cpu,
+                  s->requested_source_cpu_, "/src", StreamSession::kSourceEnd)) {
+    return fail(AdmitFailure::kSourceCpu, kCpuRefused);
   }
-  binds.push_back({&s->sink_handler_, spec_.sink_cpu,
-                   sink_ws_ != nullptr ? sink_ws_->kernel() : nullptr,
-                   s->requested_sink_cpu_, "/snk", AdmitFailure::kSinkCpu,
-                   StreamSession::kSinkEnd});
-  for (const CpuBind& bind : binds) {
-    if (bind.qos.slice <= 0) {
-      continue;
+  for (size_t k = 0; k < nstages; ++k) {
+    if (req.stage_cpu[k].slice > 0 &&
+        !s->BindCpu(&s->legs_[k].handler, vias_[k].node->kernel(), req.stage_cpu[k],
+                    req.stage_cpu[k], "/via" + std::to_string(k), 2 + static_cast<int>(k))) {
+      return fail(AdmitFailure::kComputeCpu, kCpuRefused);
     }
-    auto domain = std::make_unique<nemesis::PeriodicDomain>(
-        system_->simulator(), name_ + bind.suffix, bind.qos, bind.qos.slice, bind.qos.period);
-    if (!bind.kernel->AddDomain(domain.get())) {
-      s->Close();
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = bind.failure;
-      report.detail = "scheduler admission refused the contract after the headroom check";
-      system_->AdoptSession(std::move(session));
-      return result;
-    }
-    if (manager_ != nullptr && manager_->kernel() == bind.kernel) {
-      manager_->Register(domain.get(), manager_weight_, bind.requested,
-                         [s, end = bind.end](const nemesis::GrantUpdate& update) {
-                           s->OnGrantChanged(end, update);
-                         });
-    }
-    *bind.handler = std::move(domain);
   }
 
-  // Storage: start the transfer under the rate reservation.
-  if (sink_storage_ != nullptr) {
-    s->file_ = sink_storage_->StartRecording(s->sink_vci(), s->control_receive_vci_,
-                                             record_stream_id_);
-  } else if (source_storage_ != nullptr) {
+  // Sinks: each end's CPU, window, control path and recording, through the
+  // routine AddSink reuses.
+  const atm::VcId tree = s->legs_.back().vc;
+  for (size_t i = 0; i < sinks_.size(); ++i) {
+    s->sinks_.emplace_back();
+    StreamSession::SinkBinding& b = s->sinks_.back();
+    b.sink = sinks_[i].sink;
+    b.sink.endpoint = sink_eps[i];
+    b.vci = network.LeafVci(tree, sink_eps[i]).value_or(atm::kVciUnassigned);
+    const AdmitFailure failure = s->BindSink(b, spec_.sink_cpu, sinks_[i].control, i);
+    if (failure != AdmitFailure::kNone) {
+      return fail(failure, failure == AdmitFailure::kSinkCpu ? kCpuRefused
+                                                             : "control VC establishment failed");
+    }
+    if (b.record_file >= 0 && s->file_ < 0) {
+      s->file_ = b.record_file;
+      s->recording_ = true;
+    }
+  }
+
+  // Storage: the disk rate rides the session's one file.
+  if (s->file_ < 0 && source_storage_ != nullptr) {
     s->file_ = playback_file_;
   }
-  if (spec_.disk_bps > 0 && storage != nullptr && s->file_ >= 0) {
-    if (!storage->server()->ReserveStream(s->file_, spec_.disk_bps)) {
-      s->Close();
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = AdmitFailure::kDiskBandwidth;
-      report.detail = "PFS reservation refused after the budget check";
-      system_->AdoptSession(std::move(session));
-      return result;
+  s->storage_ = disk_storage;
+  if (spec_.disk_bps > 0 && s->file_ >= 0) {
+    if (!disk_storage->server()->ReserveStream(s->file_, spec_.disk_bps)) {
+      return fail(AdmitFailure::kDiskBandwidth, "PFS reservation refused after the budget check");
     }
     s->disk_reserved_ = true;
-  }
-
-  // Display: the window manager grants the final leg's VC a window.
-  if (sink_display_ != nullptr && window_requested_) {
-    int w = window_w_;
-    int h = window_h_;
-    if ((w == 0 || h == 0) && source_camera_ != nullptr) {
-      w = source_camera_->config().width;
-      h = source_camera_->config().height;
-    }
-    dev::WindowManager wm(sink_display_);
-    wm.CreateWindow(s->sink_vci(), window_x_, window_y_, w, h);
-    s->window_created_ = true;
   }
 
   // The granted contract carries fully explicit legs for pipelines, so
@@ -1680,232 +1613,6 @@ StreamResult StreamBuilder::Open() {
   // Pace every media source to the granted rates so the reservations hold
   // (camera and audio to the first leg, storage play-out to min(net, disk)),
   // and subscribe the session to the other layers' degradation signals.
-  s->ApplySourcePacing();
-  s->BindAdaptationHooks();
-
-  report.verdict = AdmitVerdict::kAccepted;
-  report.failure = AdmitFailure::kNone;
-  result.session = s;
-  system_->AdoptSession(std::move(session));
-  return result;
-}
-
-StreamResult StreamBuilder::OpenMulticast() {
-  StreamResult result;
-  AdmissionReport& report = result.report;
-  atm::Network& network = system_->network();
-  auto reject = [&](AdmitFailure failure, const char* detail) {
-    report.verdict = AdmitVerdict::kRejected;
-    report.failure = failure;
-    report.detail = detail;
-    return result;
-  };
-
-  // --- resolve the fan-out set; one-to-many composes with From*/WithSpec/
-  // WithWindow/WithAdaptation but not with the point-to-point-only pieces ---
-  if (source_ep_ == nullptr || source_kind_ == EndpointKind::kNone) {
-    return reject(AdmitFailure::kEndpoint, "source endpoint missing");
-  }
-  if (sink_kind_ != EndpointKind::kNone) {
-    return reject(AdmitFailure::kEndpoint, "To*() and ToMany() are mutually exclusive");
-  }
-  if (!vias_.empty()) {
-    return reject(AdmitFailure::kEndpoint,
-                  "compute detours are point-to-point; ToMany() takes no Via() stages");
-  }
-  if (manager_ != nullptr) {
-    return reject(AdmitFailure::kEndpoint,
-                  "QoS-manager registration is not supported on one-to-many sessions");
-  }
-  if (spec_.disk_bps > 0) {
-    return reject(AdmitFailure::kDiskBandwidth,
-                  "disk reservation is per-file; not supported on one-to-many sessions");
-  }
-  std::vector<atm::Endpoint*> leaf_eps;
-  leaf_eps.reserve(multicast_sinks_.size());
-  for (const MulticastSink& sink : multicast_sinks_) {
-    atm::Endpoint* ep = McastSinkEndpoint(sink);
-    if (ep == nullptr) {
-      return reject(AdmitFailure::kEndpoint, "a multicast sink names no endpoint");
-    }
-    leaf_eps.push_back(ep);
-  }
-
-  // --- joint admission over the TREE: per-sink cached resolves give the
-  // deduplicated union of traversed links — exactly the edge set
-  // OpenMulticastVc will build — so each shared edge is charged once, and
-  // the deepest leaf bounds the latency ---
-  std::vector<atm::Link*> union_links;
-  std::set<atm::Link*> seen_links;
-  sim::DurationNs worst_latency = 0;
-  for (atm::Endpoint* ep : leaf_eps) {
-    auto route = network.ResolveRoute(source_ep_, ep);
-    if (!route.has_value()) {
-      return reject(AdmitFailure::kNoPath, "no switch path to a sink");
-    }
-    worst_latency = std::max(worst_latency, route->latency_ns);
-    for (atm::Link* l : route->links) {
-      if (seen_links.insert(l).second) {
-        union_links.push_back(l);
-      }
-    }
-  }
-  if (spec_.latency_bound > 0 && worst_latency > spec_.latency_bound) {
-    return reject(AdmitFailure::kLatency, "deepest leaf exceeds the latency bound");
-  }
-
-  const nemesis::QosParams no_cpu{0, sim::Milliseconds(100), true};
-  JointAdmissionRequest req;
-  req.network = &network;
-  req.nlegs = 1;
-  req.nstages = 0;
-  std::vector<std::vector<atm::Link*>> leg_links{union_links};
-  req.leg_links = &leg_links;
-  req.wanted_bps = {spec_.bandwidth_bps};
-  req.old_bps = {0};
-  // A clamp lands on the stream-wide knob: the counter-offer scales the
-  // whole tree as one unit.
-  req.counter_streamwide = true;
-  req.cpu_ends = BuildCpuEnds(source_ws_ != nullptr ? source_ws_->kernel() : nullptr,
-                              spec_.source_cpu, 0.0, nullptr, no_cpu, 0.0, {}, {}, {});
-  for (const MulticastSink& sink : multicast_sinks_) {
-    if (sink.ws == nullptr) {
-      continue;
-    }
-    CpuEndCheck leaf;
-    leaf.end = StreamSession::kSinkEnd;
-    leaf.kernel = sink.ws->kernel();
-    leaf.wanted = spec_.sink_cpu;
-    leaf.kind = AdmitFailure::kSinkCpu;
-    leaf.what = "sink";
-    req.cpu_ends.push_back(leaf);
-  }
-  if (!RunJointAdmission(req, spec_, &report)) {
-    return result;
-  }
-
-  // --- every layer accepts: bind the tree ---
-  auto session = std::unique_ptr<StreamSession>(new StreamSession());
-  StreamSession* s = session.get();
-  s->name_ = name_;
-  s->system_ = system_;
-  s->multicast_ = true;
-  s->source_ws_ = source_ws_;
-  s->source_ep_ = source_ep_;
-  s->source_camera_ = source_camera_;
-  s->source_audio_ = source_audio_;
-  s->requested_source_cpu_ = requested_source_cpu_.value_or(spec_.source_cpu);
-  s->requested_sink_cpu_ = requested_sink_cpu_.value_or(spec_.sink_cpu);
-  if (adaptation_.has_value()) {
-    s->has_adaptation_ = true;
-    s->policy_ = *adaptation_;
-  }
-  s->degrade_cb_ = std::move(degrade_cb_);
-  s->mcast_window_requested_ = window_requested_;
-  s->mcast_window_x_ = window_x_;
-  s->mcast_window_y_ = window_y_;
-  s->mcast_window_w_ = window_w_;
-  s->mcast_window_h_ = window_h_;
-  if ((s->mcast_window_w_ == 0 || s->mcast_window_h_ == 0) && source_camera_ != nullptr) {
-    s->mcast_window_w_ = source_camera_->config().width;
-    s->mcast_window_h_ = source_camera_->config().height;
-  }
-  s->active_ = true;
-
-  auto vc = network.OpenMulticastVc(source_ep_, leaf_eps, atm::QosSpec{spec_.bandwidth_bps});
-  if (!vc.has_value()) {
-    s->Close();
-    report.verdict = AdmitVerdict::kRejected;
-    report.failure = AdmitFailure::kNetworkBandwidth;
-    report.detail = "tree establishment failed after admission";
-    system_->AdoptSession(std::move(session));
-    return result;
-  }
-  StreamSession::Leg leg;
-  leg.vc = vc->id;
-  leg.source_vci = vc->source_vci;
-  leg.sink_vci = vc->destination_vci;
-  leg.granted_bps = spec_.bandwidth_bps;
-  leg.hop_count = vc->hop_count;
-  s->legs_.push_back(std::move(leg));
-
-  // Source CPU.
-  if (spec_.source_cpu.slice > 0) {
-    auto domain = std::make_unique<nemesis::PeriodicDomain>(
-        system_->simulator(), name_ + "/src", spec_.source_cpu, spec_.source_cpu.slice,
-        spec_.source_cpu.period);
-    if (!source_ws_->kernel()->AddDomain(domain.get())) {
-      s->Close();
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = AdmitFailure::kSourceCpu;
-      report.detail = "scheduler admission refused the contract after the headroom check";
-      system_->AdoptSession(std::move(session));
-      return result;
-    }
-    s->source_handler_ = std::move(domain);
-  }
-
-  // Per-leaf binds: sink CPU, window, recording + control, in sink order.
-  for (size_t i = 0; i < multicast_sinks_.size(); ++i) {
-    s->mcast_sinks_.emplace_back();
-    StreamSession::McastSinkBinding& b = s->mcast_sinks_.back();
-    b.sink = multicast_sinks_[i];
-    b.sink.endpoint = leaf_eps[i];
-    b.leaf_vci = network.McastLeafVci(vc->id, leaf_eps[i]).value_or(atm::kVciUnassigned);
-    if (spec_.sink_cpu.slice > 0 && b.sink.ws != nullptr) {
-      auto domain = std::make_unique<nemesis::PeriodicDomain>(
-          system_->simulator(), name_ + "/snk" + std::to_string(i), spec_.sink_cpu,
-          spec_.sink_cpu.slice, spec_.sink_cpu.period);
-      if (!b.sink.ws->kernel()->AddDomain(domain.get())) {
-        s->Close();
-        report.verdict = AdmitVerdict::kRejected;
-        report.failure = AdmitFailure::kSinkCpu;
-        report.detail = "scheduler admission refused the contract after the headroom check";
-        system_->AdoptSession(std::move(session));
-        return result;
-      }
-      b.handler = std::move(domain);
-    }
-    if (window_requested_ && b.sink.display != nullptr) {
-      dev::WindowManager wm(b.sink.display);
-      wm.CreateWindow(b.leaf_vci, s->mcast_window_x_, s->mcast_window_y_, s->mcast_window_w_,
-                      s->mcast_window_h_);
-      b.window_created = true;
-    }
-    if (b.sink.storage != nullptr) {
-      atm::Vci control_receive = atm::kVciUnassigned;
-      if (source_ws_ != nullptr) {
-        // Index marks ride a control VC from the managing (source) host to
-        // the file server, as for a unicast recording.
-        auto control = network.OpenVc(source_ws_->host(), b.sink.storage->endpoint());
-        if (!control.has_value()) {
-          s->Close();
-          report.verdict = AdmitVerdict::kRejected;
-          report.failure = AdmitFailure::kNoPath;
-          report.detail = "control VC establishment failed";
-          system_->AdoptSession(std::move(session));
-          return result;
-        }
-        b.control_vc = control->id;
-        s->control_vcs_.push_back(control->id);
-        control_receive = control->destination_vci;
-        if (s->control_send_vci_ == atm::kVciUnassigned) {
-          s->control_send_vci_ = control->source_vci;
-          s->control_receive_vci_ = control->destination_vci;
-        }
-      }
-      b.record_file =
-          b.sink.storage->StartRecording(b.leaf_vci, control_receive, b.sink.record_stream_id);
-      if (s->file_ < 0) {
-        s->file_ = b.record_file;  // file() names the first recording leaf
-      }
-    }
-  }
-
-  s->contract_.granted = spec_;
-  s->contract_.hop_count = vc->hop_count;
-  s->contract_.established_at = system_->simulator()->now();
-  s->nominal_ = s->contract_.granted;
   s->ApplySourcePacing();
   s->BindAdaptationHooks();
 

@@ -14,14 +14,18 @@
 // degradation through a callback, so the feedback loop of §3.3 spans
 // layers. Teardown releases all three layers' reservations.
 //
-// A stream may be a multi-leg *pipeline*: Via() routes it through compute
-// servers (Figure 4) that process the media in transit, and the whole chain
-// — every leg's links, every compute stage's CPU, both end hosts' CPU and
-// the disk rate — is admitted atomically as ONE contract. When admission
-// fails, the report carries a single joint counter-offer computed across
-// all failing resources in one pass: each overcommitted link scales the
-// legs crossing it proportionally, each overcommitted kernel scales the
-// CPU contracts it would host, and the disk clamp rides in the same spec.
+// Every session has one shape: a chain of legs whose last leg is a
+// delivery tree. Via() routes the stream through compute servers (Figure 4)
+// that process the media in transit, each detour ending a point-to-point
+// leg; the final leg fans out to every sink end — one per To*() call or
+// ToMany() entry, so a plain camera-to-display stream is the one-sink
+// tree. The whole chain — every leg's links (each tree edge once), every
+// compute stage's CPU, the source's and every sink host's CPU and the disk
+// rate — is admitted atomically as ONE contract. When admission fails, the
+// report carries a single joint counter-offer computed across all failing
+// resources in one pass: each overcommitted link scales the legs crossing
+// it proportionally, each overcommitted kernel scales the CPU contracts it
+// would host, and the disk clamp rides in the same spec.
 #ifndef PEGASUS_SRC_CORE_STREAM_H_
 #define PEGASUS_SRC_CORE_STREAM_H_
 
@@ -79,20 +83,24 @@ struct StreamSpec {
   // effort (never rejected by the network). For pipelines this is the
   // default every leg without an explicit LegSpec entry inherits.
   int64_t bandwidth_bps = 0;
-  // End-to-end network latency bound, summed over every leg. 0 =
-  // unconstrained. Admission rejects chains whose propagation plus per-hop
-  // serialisation exceed it.
+  // End-to-end network latency bound: every leg before the tree plus the
+  // deepest sink's route. 0 = unconstrained. Admission rejects chains whose
+  // propagation plus per-hop serialisation exceed it.
   sim::DurationNs latency_bound = 0;
   // CPU contract for the protocol/decode work at each end, admitted against
-  // the host kernel's Atropos headroom. slice == 0 = no CPU demand.
+  // the host kernel's Atropos headroom; `sink_cpu` is demanded at EVERY sink
+  // end, and a sink with no host kernel (a storage recorder, a bare
+  // endpoint) refuses it. slice == 0 = no CPU demand.
   nemesis::QosParams source_cpu = nemesis::QosParams{0, sim::Milliseconds(100), true};
   nemesis::QosParams sink_cpu = nemesis::QosParams{0, sim::Milliseconds(100), true};
-  // Disk rate to reserve at the Pegasus File Server when a storage endpoint
-  // is on the path, in bytes per second. 0 = no reservation.
+  // Disk rate to reserve at the Pegasus File Server on the session's one
+  // file — a FromStorage play-out or the single recording sink's file — in
+  // bytes per second. 0 = no reservation. Refused when the session has no
+  // such file or records at more than one sink.
   int64_t disk_bps = 0;
   // Per-leg overrides for multi-leg pipelines (one leg per Via() stage plus
-  // the final leg to the sink). May be shorter than the pipeline; missing
-  // entries inherit as described on LegSpec.
+  // the final tree leg to the sinks). May be shorter than the pipeline;
+  // missing entries inherit as described on LegSpec.
   std::vector<LegSpec> legs;
 
   // The bandwidth leg `leg` asks for, with inheritance resolved.
@@ -224,9 +232,10 @@ struct QosContract {
   int renegotiations = 0;
 };
 
-// One leaf of a one-to-many stream (StreamBuilder::ToMany / AddSink). A
-// workstation leaf names the endpoint packets should land on (and optionally
-// a display to window them); a storage leaf records the stream there.
+// One sink end of a stream: To*(), each ToMany() entry and AddSink() add
+// one leaf to the final leg's tree. A workstation sink names the endpoint
+// packets should land on (and optionally a display to window them); a
+// storage sink records the stream there.
 struct MulticastSink {
   Workstation* ws = nullptr;
   atm::Endpoint* endpoint = nullptr;   // any endpoint on `ws`
@@ -236,13 +245,15 @@ struct MulticastSink {
 };
 
 // An admitted stream: one VC per pipeline leg (each paced to its granted
-// bandwidth), the control VC(s), the per-end handler domains and per-stage
-// compute domains holding the CPU contracts, the PFS reservation and the
-// sink window — all released together by Close().
+// bandwidth; the last is the tree to every sink), the per-stage compute
+// domains and the source's handler domain, each sink end's binding (host
+// CPU, window, control path, recording), and the PFS reservation — all
+// released together by Close().
 class StreamSession {
  public:
-  // CPU contract "ends": 0 = source host, 1 = sink host, 2+k = the compute
-  // stage terminating leg k.
+  // CPU contract "ends": 0 = source host, 1 = the sink ends' hosts (every
+  // sink holds the one sink_cpu contract), 2+k = the compute stage
+  // terminating leg k.
   static constexpr int kSourceEnd = 0;
   static constexpr int kSinkEnd = 1;
 
@@ -278,45 +289,51 @@ class StreamSession {
   bool active() const { return active_; }
 
   // --- data plane handles ---
-  // The pipeline's legs in path order; size 1 for a point-to-point stream.
+  // The pipeline's legs in path order; size 1 without Via() stages.
   const std::vector<Leg>& legs() const { return legs_; }
   int leg_count() const { return static_cast<int>(legs_.size()); }
-  // The first leg's VC (the data VC of a point-to-point stream).
+  // The first leg's VC (the tree itself when there is no Via() stage).
   atm::VcId data_vc() const { return legs_.empty() ? -1 : legs_.front().vc; }
   // VCI the source device must stamp on outgoing packets.
   atm::Vci source_vci() const {
     return legs_.empty() ? atm::kVciUnassigned : legs_.front().source_vci;
   }
-  // VCI the sink observes on delivered packets.
+  // VCI the first sink observes on delivered packets (SinkVci for others).
   atm::Vci sink_vci() const {
     return legs_.empty() ? atm::kVciUnassigned : legs_.back().sink_vci;
   }
-  // Control stream: managing host -> far end (index marks, start/stop).
+  // The first control stream a sink end opened: managing host -> far end
+  // (index marks, start/stop).
   atm::Vci control_send_vci() const { return control_send_vci_; }
   atm::Vci control_receive_vci() const { return control_receive_vci_; }
-  // The continuous file a ToStorage session records into, the file a
-  // FromStorage session plays, or the first recording leaf's file of a
-  // one-to-many session; -1 otherwise.
+  // The file the session's disk rate applies to — the single recording
+  // sink's, else the FromStorage play-out — or, with several recording
+  // sinks, the first one's; -1 otherwise.
   pfs::FileId file() const { return file_; }
   // The handler domains holding the CPU contracts (null when no CPU was
-  // demanded at that end). Exposed so callers can observe manager grants.
+  // demanded at that end): the source's, and the first sink end's.
+  // Exposed so callers can observe manager grants.
   nemesis::PeriodicDomain* source_handler() const { return source_handler_.get(); }
-  nemesis::PeriodicDomain* sink_handler() const { return sink_handler_.get(); }
+  nemesis::PeriodicDomain* sink_handler() const { return EndHandler(kSinkEnd); }
 
-  // --- one-to-many sessions (StreamBuilder::ToMany) ---
-  bool is_multicast() const { return multicast_; }
-  int sink_count() const { return static_cast<int>(mcast_sinks_.size()); }
-  // The VCI `endpoint` observes on delivered packets, if it is a leaf.
+  // --- sink ends: the leaves of the final leg's tree ---
+  int sink_count() const { return static_cast<int>(sinks_.size()); }
+  // The VCI `endpoint` observes on delivered packets, if it is a sink.
   std::optional<atm::Vci> SinkVci(const atm::Endpoint* endpoint) const;
-  // Grafts one more leaf onto the tree. Only the NEW branch path is
-  // admitted — links the tree already crosses are free, sink CPU is
-  // admitted against the leaf host alone, and every other contract of the
-  // session is untouched. A late viewer joining a popular channel costs
-  // O(graft path), not a re-admission of the whole tree.
+  // Grafts one more sink onto the final leg's tree. Only the NEW branch
+  // path is admitted — links the tree already crosses are free, sink CPU
+  // is admitted against the new sink's host alone, and every other contract
+  // of the session is untouched. A late viewer joining a popular channel
+  // costs O(graft path), not a re-admission of the whole tree. The graft
+  // must meet the latency bound over the earlier legs plus its own route
+  // from the last stage. Refused on a QoS-managed session (a manager
+  // registration per sink end is undefined), and for a storage sink while
+  // the session holds a disk reservation (it covers one file).
   AdmissionReport AddSink(const MulticastSink& sink);
-  // Prunes the leaf delivering to `endpoint`, releasing its window,
-  // recording, CPU contract and every tree branch that served only it.
-  // Refuses to remove the last leaf — Close() the session instead.
+  // Prunes the sink delivering to `endpoint`, releasing its window,
+  // recording (and the disk reservation, if it was the session's file),
+  // control path, CPU contract and every tree branch that served only it.
+  // Refuses to remove the last sink — Close() the session instead.
   bool RemoveSink(const atm::Endpoint* endpoint);
 
   // Re-negotiates the contract in place, all-or-nothing: every layer's new
@@ -358,11 +375,11 @@ class StreamSession {
 
   void set_degrade_callback(DegradeCallback cb) { degrade_cb_ = std::move(cb); }
 
-  // Releases every layer's resources: all legs' VCs and their link
-  // reservations, the compute stages and their contract domains, the
-  // per-end handler domains (and their QoS-manager registrations), the PFS
-  // stream reservation (stopping recording/playback), and the sink window.
-  // Idempotent.
+  // Releases every layer's resources: each sink end's window, recording,
+  // control path and CPU contract, the PFS stream reservation (stopping
+  // play-out), the source's handler domain (and every QoS-manager
+  // registration), the compute stages and their contract domains, and all
+  // legs' VCs with their link reservations. Idempotent.
   void Close();
 
  private:
@@ -370,6 +387,43 @@ class StreamSession {
 
   StreamSession() = default;
 
+  // Window geometry every display sink is bound with (WithWindow at build
+  // time, sizes resolved); AddSink reuses it so late joiners match.
+  struct Window {
+    int x = 0;
+    int y = 0;
+    int w = 0;
+    int h = 0;
+  };
+  // One sink end, in graft order.
+  struct SinkBinding {
+    MulticastSink sink;  // endpoint resolved
+    atm::Vci vci = atm::kVciUnassigned;
+    std::unique_ptr<nemesis::PeriodicDomain> handler;  // sink-host CPU
+    std::vector<atm::VcId> control_vcs;
+    pfs::FileId record_file = -1;
+    bool window_created = false;
+  };
+
+  // Creates the handler domain holding a CPU contract on `kernel` and
+  // registers it when the session is QoS-managed there. False when there
+  // is no kernel or its scheduler refuses.
+  bool BindCpu(std::unique_ptr<nemesis::PeriodicDomain>* slot, nemesis::Kernel* kernel,
+               const nemesis::QosParams& qos, const nemesis::QosParams& request,
+               const std::string& suffix, int end);
+  // Binds one sink end: its host CPU at `cpu`, its window, its control
+  // path — a duplex to the source host (or one VC to a storage source)
+  // when `control` (To*() ends), one from the source host for a storage
+  // sink — and its recording. Returns the failing layer, kNone on success;
+  // whatever was bound stays in `b` for UnbindSink.
+  AdmitFailure BindSink(SinkBinding& b, const nemesis::QosParams& cpu, bool control,
+                        size_t index);
+  // Releases one sink end's window, recording, CPU and control path (not
+  // its tree branch).
+  void UnbindSink(SinkBinding& b);
+  // Re-reads the tree leg's hop count and first-sink VCI after a graft or
+  // prune.
+  void RefreshTreeLeg();
   void ReleaseCpuEnd(std::unique_ptr<nemesis::PeriodicDomain>* handler,
                      nemesis::Kernel* kernel);
   // The handler holding the contract for `end`, or null.
@@ -412,50 +466,27 @@ class StreamSession {
   QosContract contract_;
   bool active_ = false;
 
-  // Endpoints.
-  Workstation* source_ws_ = nullptr;
-  Workstation* sink_ws_ = nullptr;
+  // Source end.
+  Workstation* source_ws_ = nullptr;  // null for a storage source
   atm::Endpoint* source_ep_ = nullptr;
-  atm::Endpoint* sink_ep_ = nullptr;
   dev::AtmCamera* source_camera_ = nullptr;
   dev::AudioCapture* source_audio_ = nullptr;
-  dev::AtmDisplay* sink_display_ = nullptr;
-  StorageNode* storage_ = nullptr;
-  bool recording_ = false;
 
-  // One-to-many sessions: per-leaf bindings, in graft order. The tree
-  // itself is legs_[0] (vc = the multicast VcId, granted_bps = the ONE
-  // per-tree-edge reservation); each leaf adds only its own window,
-  // recording, control VC and sink-host CPU contract.
-  struct McastSinkBinding {
-    MulticastSink sink;
-    atm::Vci leaf_vci = atm::kVciUnassigned;
-    std::unique_ptr<nemesis::PeriodicDomain> handler;  // sink-host CPU
-    atm::VcId control_vc = -1;                         // recording leaves
-    pfs::FileId record_file = -1;
-    bool window_created = false;
-  };
-  bool multicast_ = false;
-  std::vector<McastSinkBinding> mcast_sinks_;
-  // Window geometry display leaves are bound with (WithWindow at build
-  // time; AddSink reuses it so late joiners get the same window).
-  bool mcast_window_requested_ = false;
-  int mcast_window_x_ = 0;
-  int mcast_window_y_ = 0;
-  int mcast_window_w_ = 0;
-  int mcast_window_h_ = 0;
-  // Unbinds one leaf's window/recording/CPU/control (not the tree branch).
-  void UnbindMulticastSink(McastSinkBinding& b);
+  // Sink ends: the leaves of legs_.back(), whose VC carries the ONE
+  // per-tree-edge reservation.
+  std::vector<SinkBinding> sinks_;
+  std::optional<Window> window_;
+  // Latency floor of the legs before the tree, fixed at Open; a graft adds
+  // its own route.
+  sim::DurationNs upstream_latency_ns_ = 0;
 
   // Network + compute: the bound pipeline.
   std::vector<Leg> legs_;
-  std::vector<atm::VcId> control_vcs_;
   atm::Vci control_send_vci_ = atm::kVciUnassigned;
   atm::Vci control_receive_vci_ = atm::kVciUnassigned;
 
   // CPU.
   std::unique_ptr<nemesis::PeriodicDomain> source_handler_;
-  std::unique_ptr<nemesis::PeriodicDomain> sink_handler_;
   // Handlers removed from their kernel stay here, inert, because a pending
   // job-release timer in the simulator may still reference them.
   std::vector<std::unique_ptr<nemesis::PeriodicDomain>> retired_handlers_;
@@ -466,12 +497,12 @@ class StreamSession {
   nemesis::QosParams requested_source_cpu_;
   nemesis::QosParams requested_sink_cpu_;
 
-  // Storage.
+  // Storage: the file disk_bps applies to and its server (see file());
+  // `recording_` when it is a recording sink's rather than a play-out.
+  StorageNode* storage_ = nullptr;
   pfs::FileId file_ = -1;
+  bool recording_ = false;
   bool disk_reserved_ = false;
-
-  // Display.
-  bool window_created_ = false;
 
   // Adaptation plane. Each signal source holds its own limit fraction; the
   // session adapts toward their minimum, so independent degradations
@@ -514,6 +545,10 @@ struct StreamResult {
 //                .Open();
 //   if (r.report.ok()) camera->Start(r.session->source_vci());
 //
+// One-to-many is the same call with more sinks: ToMany() (or repeated To*())
+// adds leaves to the final leg's tree, and AddSink()/RemoveSink() graft and
+// prune them on the open session.
+//
 // A pipeline detours through compute servers, still as one contract:
 //
 //   core::StreamSpec spec = core::StreamSpec::Video(25, 8'000'000);
@@ -545,18 +580,23 @@ class StreamBuilder {
   // chains.
   StreamBuilder& Via(ComputeNode* node, dev::TileProcessor::Config stage);
 
+  // Each To*() call adds one sink end, paired with a control path back to
+  // the source (§2.2): a duplex between the sink's host and a device
+  // source's host, or one VC from the sink's host to a storage source.
   StreamBuilder& To(Workstation* ws, dev::AtmDisplay* display);
   StreamBuilder& To(Workstation* ws, dev::AudioPlayback* playback);
   StreamBuilder& ToEndpoint(Workstation* ws, atm::Endpoint* endpoint);
   // Record into a fresh continuous file; index marks for `stream_id` on the
-  // control VC drive the time index.
+  // control VC from the source host drive the time index.
   StreamBuilder& ToStorage(StorageNode* storage, uint32_t stream_id = 1);
-  // One-to-many: the stream fans out over ONE shared multicast tree to
-  // every listed sink (displays, plain endpoints, storage recorders — may
-  // be mixed). Joint admission charges each tree edge once, so a trunk
-  // shared by a thousand viewers reserves one stream's bandwidth; the
-  // counter-offer scales the whole tree as a unit. Mutually exclusive with
-  // To*/Via/ManagedBy. Late joins ride StreamSession::AddSink.
+  // One-to-many: adds every listed sink (displays, plain endpoints, storage
+  // recorders — may be mixed) to the final leg's ONE shared tree. Joint
+  // admission charges each tree edge once, so a trunk shared by a thousand
+  // viewers reserves one stream's bandwidth; the counter-offer scales the
+  // whole tree leg as a unit. Display and endpoint sinks added here only
+  // receive (no control path); storage sinks record as with ToStorage.
+  // Composes with To*() and Via(); ManagedBy() needs a single sink end.
+  // Late joins ride StreamSession::AddSink.
   StreamBuilder& ToMany(const std::vector<MulticastSink>& sinks);
 
   StreamBuilder& WithSpec(const StreamSpec& spec);
@@ -564,7 +604,8 @@ class StreamBuilder {
   StreamBuilder& WithWindow(int x, int y, int w = 0, int h = 0);
   // Registers the session's CPU contracts with the QoS manager (clients are
   // matched to the manager's kernel), wiring its longer-timescale reviews to
-  // the session's degradation callback.
+  // the session's degradation callback. Needs a single sink end: Open()
+  // refuses more.
   StreamBuilder& ManagedBy(nemesis::QosManagerDomain* manager, double weight = 1.0);
   // The CPU the stream *wants* long-term at an end, possibly more than the
   // spec admits now; the QoS manager grows the contract toward it as
@@ -583,41 +624,29 @@ class StreamBuilder {
   StreamResult Open();
 
  private:
-  enum class EndpointKind { kNone, kWorkstationDevice, kStorage };
   struct ViaStage {
     ComputeNode* node = nullptr;
     dev::TileProcessor::Config config;
+  };
+  // A sink end as collected; `control` marks To*() ends (see To()).
+  struct SinkEnd {
+    MulticastSink sink;
+    bool control = false;
   };
 
   PegasusSystem* system_;
   std::string name_;
   StreamSpec spec_;
 
-  EndpointKind source_kind_ = EndpointKind::kNone;
-  EndpointKind sink_kind_ = EndpointKind::kNone;
   Workstation* source_ws_ = nullptr;
-  Workstation* sink_ws_ = nullptr;
   atm::Endpoint* source_ep_ = nullptr;
-  atm::Endpoint* sink_ep_ = nullptr;
   dev::AtmCamera* source_camera_ = nullptr;
   dev::AudioCapture* source_audio_ = nullptr;
-  dev::AtmDisplay* sink_display_ = nullptr;
   StorageNode* source_storage_ = nullptr;
-  StorageNode* sink_storage_ = nullptr;
   pfs::FileId playback_file_ = -1;
-  uint32_t record_stream_id_ = 1;
   std::vector<ViaStage> vias_;
-  std::vector<MulticastSink> multicast_sinks_;
-
-  // The ToMany() open path: one shared tree, joint admission over its
-  // deduplicated edge set, per-leaf sink-CPU/window/recording binds.
-  StreamResult OpenMulticast();
-
-  bool window_requested_ = false;
-  int window_x_ = 0;
-  int window_y_ = 0;
-  int window_w_ = 0;
-  int window_h_ = 0;
+  std::vector<SinkEnd> sinks_;
+  std::optional<StreamSession::Window> window_;
 
   nemesis::QosManagerDomain* manager_ = nullptr;
   double manager_weight_ = 1.0;

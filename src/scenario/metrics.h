@@ -53,15 +53,15 @@ struct FleetMetrics {
   sim::DurationNs sim_duration_ns = 0;
   // Network-signalling admission refusals over the run, split by cause
   // (Network::admission_rejections_*). Deterministic, but EXCLUDED from
-  // Fingerprint: the fingerprint layout is frozen at the BENCH_06 baseline
-  // so fleet fingerprints stay byte-comparable across PRs.
+  // Fingerprint: its layout stays fixed so fleet fingerprints remain
+  // comparable with the ones scenario_test pins and the performance ledger
+  // records.
   int64_t net_rejections_bandwidth = 0;
   int64_t net_rejections_no_path = 0;
   // One-to-many (broadcast) plane over the run: delivery trees opened,
   // viewer joins grafted onto / leaves pruned from live trees, and the
   // largest leaf set any one tree reached. Deterministic, but EXCLUDED
-  // from Fingerprint like the net_rejections_* split — the fingerprint
-  // layout is frozen at the BENCH_06 baseline.
+  // from Fingerprint like the net_rejections_* split, for the same reason.
   int64_t mcast_trees_opened = 0;
   int64_t mcast_grafts = 0;
   int64_t mcast_prunes = 0;

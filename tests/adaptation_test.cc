@@ -39,7 +39,7 @@ class AdaptationFixture : public ::testing::Test {
   int64_t TotalReservedBps() {
     int64_t total = 0;
     for (const auto& link : system_.network().links()) {
-      total += system_.network().ReservedBandwidth(link.get());
+      total += system_.network().ReservedBps(link.get());
     }
     return total;
   }

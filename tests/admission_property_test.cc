@@ -56,7 +56,7 @@ class AdmissionChurnProperty : public ::testing::TestWithParam<uint64_t> {
 
   void CheckInvariants(const char* when) {
     for (const auto& link : system_.network().links()) {
-      const int64_t reserved = system_.network().ReservedBandwidth(link.get());
+      const int64_t reserved = system_.network().ReservedBps(link.get());
       ASSERT_GE(reserved, 0) << when;
       ASSERT_LE(reserved, link->bits_per_second()) << when;
     }
@@ -93,7 +93,7 @@ class AdmissionChurnProperty : public ::testing::TestWithParam<uint64_t> {
     for (const auto& link : system_.network().links()) {
       auto it = shadow.find(link.get());
       const int64_t expected = it == shadow.end() ? 0 : it->second;
-      ASSERT_EQ(system_.network().ReservedBandwidth(link.get()), expected)
+      ASSERT_EQ(system_.network().ReservedBps(link.get()), expected)
           << when << " on " << link->name();
     }
   }
@@ -275,7 +275,7 @@ TEST_P(AdmissionChurnProperty, GrantsNeverExceedCapacityAndCloseRestoresAll) {
     session->Close();
   }
   for (const auto& link : system_.network().links()) {
-    EXPECT_EQ(system_.network().ReservedBandwidth(link.get()), 0);
+    EXPECT_EQ(system_.network().ReservedBps(link.get()), 0);
   }
   for (const auto& kernel : kernels_) {
     EXPECT_EQ(kernel->scheduler()->AdmittedUtilization(), 0.0);
@@ -430,7 +430,7 @@ TEST_P(AdmissionChurnProperty, MulticastChurnChargesSharedEdgesOnce) {
     session->Close();
   }
   for (const auto& link : system_.network().links()) {
-    EXPECT_EQ(system_.network().ReservedBandwidth(link.get()), 0);
+    EXPECT_EQ(system_.network().ReservedBps(link.get()), 0);
   }
   for (const auto& kernel : kernels_) {
     EXPECT_EQ(kernel->scheduler()->AdmittedUtilization(), 0.0);

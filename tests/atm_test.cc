@@ -640,21 +640,20 @@ TEST_F(NetworkFixture, CongestionHandlerClosingSiblingVcSuppressesItsCallback) {
 }
 
 TEST_F(NetworkFixture, MulticastVcDeliversToEveryLeafOnce) {
-  auto vc = net_.OpenMulticastVc(a_, {b_, c_}, QosSpec{10'000'000});
+  auto vc = net_.OpenVc(a_, {b_, c_}, QosSpec{10'000'000});
   ASSERT_TRUE(vc.has_value());
-  EXPECT_TRUE(net_.IsMulticastVc(vc->id));
-  EXPECT_EQ(net_.McastLeafCount(vc->id), 2);
-  ASSERT_TRUE(net_.McastLeafVci(vc->id, b_).has_value());
-  ASSERT_TRUE(net_.McastLeafVci(vc->id, c_).has_value());
-  EXPECT_EQ(*net_.McastLeafVci(vc->id, b_), vc->destination_vci);
+  EXPECT_EQ(net_.LeafCount(vc->id), 2);
+  ASSERT_TRUE(net_.LeafVci(vc->id, b_).has_value());
+  ASSERT_TRUE(net_.LeafVci(vc->id, c_).has_value());
+  EXPECT_EQ(*net_.LeafVci(vc->id, b_), vc->destination_vci);
 
   int got_b = 0;
   int got_c = 0;
   MessageTransport bt(b_);
   MessageTransport ct(c_);
-  bt.SetHandler(*net_.McastLeafVci(vc->id, b_),
+  bt.SetHandler(*net_.LeafVci(vc->id, b_),
                 [&](Vci, std::vector<uint8_t>, sim::TimeNs) { ++got_b; });
-  ct.SetHandler(*net_.McastLeafVci(vc->id, c_),
+  ct.SetHandler(*net_.LeafVci(vc->id, c_),
                 [&](Vci, std::vector<uint8_t>, sim::TimeNs) { ++got_c; });
   MessageTransport at(a_);
   at.Send(vc->source_vci, {42});
@@ -668,7 +667,7 @@ TEST_F(NetworkFixture, MulticastChargesSharedEdgesOnce) {
   // and must carry ONE stream's reservation, not one per leaf.
   Endpoint* d = net_.AddEndpoint("d", sw2_, 1, 155'000'000);
   const QosSpec q{30'000'000};
-  auto vc = net_.OpenMulticastVc(a_, {c_, d}, q);
+  auto vc = net_.OpenVc(a_, {c_, d}, q);
   ASSERT_TRUE(vc.has_value());
   const Link* trunk = nullptr;
   for (const auto& l : net_.links()) {
@@ -682,7 +681,7 @@ TEST_F(NetworkFixture, MulticastChargesSharedEdgesOnce) {
   Endpoint* e = net_.AddEndpoint("e", sw2_, 2, 155'000'000);
   auto leaf_vci = net_.AddLeaf(vc->id, e);
   ASSERT_TRUE(leaf_vci.has_value());
-  EXPECT_EQ(net_.McastLeafCount(vc->id), 3);
+  EXPECT_EQ(net_.LeafCount(vc->id), 3);
   EXPECT_EQ(net_.ReservedBps(trunk), 30'000'000);
   // Pruning a leaf keeps shared edges; the trunk drops only when the last
   // downstream leaf goes (which is CloseVc's job for the final one).
@@ -700,7 +699,7 @@ TEST_F(NetworkFixture, MulticastChargesSharedEdgesOnce) {
 }
 
 TEST_F(NetworkFixture, MulticastPruneStopsDeliveryToThatLeafOnly) {
-  auto vc = net_.OpenMulticastVc(a_, {b_, c_});
+  auto vc = net_.OpenVc(a_, {b_, c_});
   ASSERT_TRUE(vc.has_value());
   int got_b = 0;
   int got_c = 0;
@@ -709,7 +708,7 @@ TEST_F(NetworkFixture, MulticastPruneStopsDeliveryToThatLeafOnly) {
   bt.SetDefaultHandler([&](Vci, std::vector<uint8_t>, sim::TimeNs) { ++got_b; });
   ct.SetDefaultHandler([&](Vci, std::vector<uint8_t>, sim::TimeNs) { ++got_c; });
   ASSERT_TRUE(net_.RemoveLeaf(vc->id, b_));
-  EXPECT_FALSE(net_.McastLeafVci(vc->id, b_).has_value());
+  EXPECT_FALSE(net_.LeafVci(vc->id, b_).has_value());
   MessageTransport at(a_);
   at.Send(vc->source_vci, {1});
   sim_.Run();
@@ -724,26 +723,103 @@ TEST_F(NetworkFixture, MulticastPruneStopsDeliveryToThatLeafOnly) {
 }
 
 TEST_F(NetworkFixture, MulticastRejectsBadSinkSets) {
-  EXPECT_FALSE(net_.OpenMulticastVc(a_, {}).has_value());
-  EXPECT_FALSE(net_.OpenMulticastVc(a_, {a_}).has_value());          // self
-  EXPECT_FALSE(net_.OpenMulticastVc(a_, {b_, b_}).has_value());      // dup
-  auto vc = net_.OpenMulticastVc(a_, {b_});
+  EXPECT_FALSE(net_.OpenVc(a_, std::vector<Endpoint*>{}).has_value());
+  EXPECT_FALSE(net_.OpenVc(a_, {b_, b_}).has_value());      // dup
+  auto vc = net_.OpenVc(a_, b_);
   ASSERT_TRUE(vc.has_value());
   EXPECT_FALSE(net_.AddLeaf(vc->id, b_).has_value());                // dup leaf
-  EXPECT_FALSE(net_.AddLeaf(vc->id, a_).has_value());                // source
   EXPECT_FALSE(net_.AddLeaf(vc->id + 999, c_).has_value());          // bad id
   EXPECT_FALSE(net_.RemoveLeaf(vc->id, c_));                         // not a leaf
-  // Unicast VCs refuse tree operations.
-  auto uni = net_.OpenVc(a_, b_);
-  ASSERT_TRUE(uni.has_value());
-  EXPECT_FALSE(net_.IsMulticastVc(uni->id));
-  EXPECT_FALSE(net_.AddLeaf(uni->id, c_).has_value());
-  EXPECT_FALSE(net_.RemoveLeaf(uni->id, b_));
+  EXPECT_FALSE(net_.RemoveLeaf(vc->id, b_));                         // the last leaf
+}
+
+// A point-to-point VC is the one-leaf tree: a graft onto OpenVc(a, b)
+// reserves only the edges it adds, and pruning it back leaves the VC as it
+// was, still delivering to b.
+TEST_F(NetworkFixture, GraftOntoPointToPointVcAndPruneBack) {
+  const QosSpec q{20'000'000};
+  auto vc = net_.OpenVc(a_, b_, q);
+  ASSERT_TRUE(vc.has_value());
+  const std::vector<Link*> original = *net_.VcLinks(vc->id);
+  auto expect_one_reservation_per_edge = [&]() {
+    const std::vector<Link*>& tree = *net_.VcLinks(vc->id);
+    for (const auto& l : net_.links()) {
+      const bool on_tree = std::count(tree.begin(), tree.end(), l.get()) > 0;
+      EXPECT_LE(std::count(tree.begin(), tree.end(), l.get()), 1) << l->name();
+      EXPECT_EQ(net_.ReservedBps(l.get()), on_tree ? q.peak_bps : 0) << l->name();
+    }
+  };
+
+  ASSERT_TRUE(net_.AddLeaf(vc->id, c_).has_value());
+  // a's uplink is shared; the trunk and c's downlink are new.
+  EXPECT_EQ(net_.VcLinks(vc->id)->size(), original.size() + 2);
+  EXPECT_EQ(net_.GetVc(vc->id)->hop_count, 2);
+  expect_one_reservation_per_edge();
+
+  int got_b = 0;
+  int got_c = 0;
+  MessageTransport bt(b_);
+  MessageTransport ct(c_);
+  bt.SetHandler(vc->destination_vci, [&](Vci, std::vector<uint8_t>, sim::TimeNs) { ++got_b; });
+  ct.SetDefaultHandler([&](Vci, std::vector<uint8_t>, sim::TimeNs) { ++got_c; });
+  MessageTransport at(a_);
+  at.Send(vc->source_vci, {1});
+  sim_.Run();
+  EXPECT_EQ(got_b, 1);
+  EXPECT_EQ(got_c, 1);
+
+  ASSERT_TRUE(net_.RemoveLeaf(vc->id, c_));
+  EXPECT_EQ(*net_.VcLinks(vc->id), original);
+  EXPECT_EQ(net_.GetVc(vc->id)->hop_count, 1);
+  EXPECT_EQ(net_.GetVc(vc->id)->destination_vci, vc->destination_vci);
+  expect_one_reservation_per_edge();
+  at.Send(vc->source_vci, {2});
+  sim_.Run();
+  EXPECT_EQ(got_b, 2);
+  EXPECT_EQ(got_c, 1);
+
+  ASSERT_TRUE(net_.CloseVc(vc->id));
+  for (const auto& l : net_.links()) {
+    EXPECT_EQ(net_.ReservedBps(l.get()), 0) << l->name();
+  }
+}
+
+// A leaf may be the source itself: the tree loops back through its switch
+// (the same-host control duplex of a stream relies on it).
+TEST_F(NetworkFixture, LoopbackLeafDelivers) {
+  auto vc = net_.OpenVc(a_, {b_, a_}, QosSpec{10'000'000});
+  ASSERT_TRUE(vc.has_value());
+  auto loop_vci = net_.LeafVci(vc->id, a_);
+  ASSERT_TRUE(loop_vci.has_value());
+  EXPECT_EQ(net_.GetVc(vc->id)->hop_count, 1);
+
+  int got_a = 0;
+  int got_b = 0;
+  MessageTransport at(a_);
+  MessageTransport bt(b_);
+  at.SetHandler(*loop_vci, [&](Vci, std::vector<uint8_t>, sim::TimeNs) { ++got_a; });
+  bt.SetDefaultHandler([&](Vci, std::vector<uint8_t>, sim::TimeNs) { ++got_b; });
+  at.Send(vc->source_vci, {7});
+  sim_.Run();
+  EXPECT_EQ(got_a, 1);
+  EXPECT_EQ(got_b, 1);
+
+  // a's uplink and downlink each carry the stream once.
+  for (const auto& l : net_.links()) {
+    const bool on_tree = l->name() == "a->sw1" || l->name() == "sw1->a" || l->name() == "sw1->b";
+    EXPECT_EQ(net_.ReservedBps(l.get()), on_tree ? 10'000'000 : 0) << l->name();
+  }
+  ASSERT_TRUE(net_.RemoveLeaf(vc->id, a_));
+  EXPECT_FALSE(net_.LeafVci(vc->id, a_).has_value());
+  ASSERT_TRUE(net_.CloseVc(vc->id));
+  for (const auto& l : net_.links()) {
+    EXPECT_EQ(net_.ReservedBps(l.get()), 0) << l->name();
+  }
 }
 
 TEST_F(NetworkFixture, MulticastQosUpdateScalesWholeTreeOnce) {
   Endpoint* d = net_.AddEndpoint("d", sw2_, 1, 155'000'000);
-  auto vc = net_.OpenMulticastVc(a_, {c_, d}, QosSpec{20'000'000});
+  auto vc = net_.OpenVc(a_, {c_, d}, QosSpec{20'000'000});
   ASSERT_TRUE(vc.has_value());
   const Link* trunk = nullptr;
   for (const auto& l : net_.links()) {

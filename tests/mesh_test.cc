@@ -2,10 +2,11 @@
 // and legs of ONE pipeline contract — share a directed link. The hub
 // topologies of PegasusSystem never produce shared links; a triangle mesh
 // and a pipeline that revisits a workstation uplink do, which is exactly
-// what Network::PathLinks + the joint per-link admission pass exist for.
+// what Network::ResolveRoute + the joint per-link admission pass exist for.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -24,6 +25,21 @@ namespace pegasus {
 namespace {
 
 using sim::Milliseconds;
+
+// The largest reservation the route from `src` to `dst` can still admit:
+// the smallest unreserved capacity over its links.
+std::optional<int64_t> MinAvailableBps(const atm::Network& network, const atm::Endpoint* src,
+                                       const atm::Endpoint* dst) {
+  auto route = network.ResolveRoute(src, dst);
+  if (!route.has_value()) {
+    return std::nullopt;
+  }
+  int64_t available = std::numeric_limits<int64_t>::max();
+  for (const atm::Link* l : route->links) {
+    available = std::min(available, network.AvailableBandwidth(l));
+  }
+  return std::max<int64_t>(available, 0);
+}
 
 // --- raw Network mesh: a triangle of switches, endpoints on each corner,
 // plus a dual-homed storage front-end (one NIC on sw2, one on sw3) ---
@@ -46,9 +62,9 @@ class MeshFixture : public ::testing::Test {
 
   // The directed inter-switch link sw1 -> sw2 (second hop of a -> c).
   atm::Link* Sw1ToSw2() {
-    auto links = network_.PathLinks(a_, c_);
-    EXPECT_TRUE(links.has_value());
-    return (*links)[1];
+    auto route = network_.ResolveRoute(a_, c_);
+    EXPECT_TRUE(route.has_value());
+    return route->links[1];
   }
 
   sim::Simulator sim_;
@@ -63,20 +79,20 @@ class MeshFixture : public ::testing::Test {
   atm::Endpoint* store_nic2_;
 };
 
-TEST_F(MeshFixture, PathLinksTakeTheDirectMeshEdge) {
+TEST_F(MeshFixture, RoutesTakeTheDirectMeshEdge) {
   // a(sw1) -> c(sw2): uplink, the direct sw1->sw2 edge, downlink — BFS does
   // not detour through sw3.
-  auto links = network_.PathLinks(a_, c_);
-  ASSERT_TRUE(links.has_value());
-  EXPECT_EQ(links->size(), 3u);
+  auto route = network_.ResolveRoute(a_, c_);
+  ASSERT_TRUE(route.has_value());
+  EXPECT_EQ(route->links.size(), 3u);
   // Both a and b reach c over the same directed middle link.
-  auto links_b = network_.PathLinks(b_, c_);
-  ASSERT_TRUE(links_b.has_value());
-  EXPECT_EQ((*links)[1], (*links_b)[1]);
+  auto route_b = network_.ResolveRoute(b_, c_);
+  ASSERT_TRUE(route_b.has_value());
+  EXPECT_EQ(route->links[1], route_b->links[1]);
   // The reverse direction is a different link (directed accounting).
-  auto reverse = network_.PathLinks(c_, a_);
+  auto reverse = network_.ResolveRoute(c_, a_);
   ASSERT_TRUE(reverse.has_value());
-  EXPECT_NE((*links)[1], (*reverse)[1]);
+  EXPECT_NE(route->links[1], reverse->links[1]);
 }
 
 TEST_F(MeshFixture, SharedDirectedLinkAdmitsAndRejectsJointly) {
@@ -85,7 +101,7 @@ TEST_F(MeshFixture, SharedDirectedLinkAdmitsAndRejectsJointly) {
 
   auto vc1 = network_.OpenVc(a_, c_, atm::QosSpec{100'000'000});
   ASSERT_TRUE(vc1.has_value());
-  EXPECT_EQ(network_.ReservedBandwidth(shared), 100'000'000);
+  EXPECT_EQ(network_.ReservedBps(shared), 100'000'000);
 
   // A second VC from a different endpoint crosses the same directed link:
   // joint accounting rejects what no longer fits...
@@ -93,7 +109,7 @@ TEST_F(MeshFixture, SharedDirectedLinkAdmitsAndRejectsJointly) {
   EXPECT_FALSE(vc2.has_value());
   EXPECT_EQ(network_.admission_rejections(), rejections_before + 1);
   // ...and admits exactly the remainder.
-  EXPECT_EQ(network_.PathAvailableBps(b_, c_), 55'000'000);
+  EXPECT_EQ(MinAvailableBps(network_, b_, c_), 55'000'000);
   auto vc3 = network_.OpenVc(b_, c_, atm::QosSpec{55'000'000});
   ASSERT_TRUE(vc3.has_value());
   EXPECT_EQ(network_.AvailableBandwidth(shared), 0);
@@ -111,22 +127,22 @@ TEST_F(MeshFixture, DualHomedPathsAccountPerLink) {
   // node's first NIC; a's path to that home now has nothing left.
   auto vc1 = network_.OpenVc(b_, store_nic1_, atm::QosSpec{155'000'000});
   ASSERT_TRUE(vc1.has_value());
-  EXPECT_EQ(network_.PathAvailableBps(a_, store_nic1_), 0);
+  EXPECT_EQ(MinAvailableBps(network_, a_, store_nic1_), 0);
 
   // The second home rides sw1->sw3: per-link (not per-node) accounting
   // leaves that path untouched, so the dual-homed node stays reachable at
   // full rate.
-  EXPECT_EQ(network_.PathAvailableBps(a_, store_nic2_), 155'000'000);
+  EXPECT_EQ(MinAvailableBps(network_, a_, store_nic2_), 155'000'000);
   auto vc2 = network_.OpenVc(a_, store_nic2_, atm::QosSpec{155'000'000});
   ASSERT_TRUE(vc2.has_value());
 
   // Releasing both reservations restores both homes in full (a's own
   // uplink was the remaining constraint once vc2 held it).
   ASSERT_TRUE(network_.CloseVc(vc1->id));
-  EXPECT_EQ(network_.PathAvailableBps(a_, store_nic1_), 0);  // vc2 holds a's uplink
+  EXPECT_EQ(MinAvailableBps(network_, a_, store_nic1_), 0);  // vc2 holds a's uplink
   ASSERT_TRUE(network_.CloseVc(vc2->id));
-  EXPECT_EQ(network_.PathAvailableBps(a_, store_nic1_), 155'000'000);
-  EXPECT_EQ(network_.PathAvailableBps(a_, store_nic2_), 155'000'000);
+  EXPECT_EQ(MinAvailableBps(network_, a_, store_nic1_), 155'000'000);
+  EXPECT_EQ(MinAvailableBps(network_, a_, store_nic2_), 155'000'000);
 }
 
 // --- system-level: two legs of ONE pipeline contract share a directed
@@ -187,11 +203,11 @@ TEST_F(SharedLegFixture, LegsSharingAnUplinkAreChargedJointly) {
   ASSERT_NE(leg2, nullptr);
   ASSERT_NE(std::find(leg2->begin(), leg2->end(), uplink), leg2->end())
       << "topology regression: legs 0 and 2 no longer share the desk uplink";
-  EXPECT_EQ(system_.network().ReservedBandwidth(uplink), 140'000'000);
+  EXPECT_EQ(system_.network().ReservedBps(uplink), 140'000'000);
 
   // Close releases both legs' shares of the shared link.
   r.session->Close();
-  EXPECT_EQ(system_.network().ReservedBandwidth(uplink), 0);
+  EXPECT_EQ(system_.network().ReservedBps(uplink), 0);
 }
 
 TEST_F(SharedLegFixture, OverSharedLinkCountersScaleBothLegsJointly) {
@@ -213,13 +229,13 @@ TEST_F(SharedLegFixture, OverSharedLinkCountersScaleBothLegsJointly) {
   EXPECT_EQ(counter.LegBandwidthBps(2), 77'500'000);
   // Nothing was left allocated by the refusal.
   for (const auto& link : system_.network().links()) {
-    EXPECT_EQ(system_.network().ReservedBandwidth(link.get()), 0);
+    EXPECT_EQ(system_.network().ReservedBps(link.get()), 0);
   }
 
   // The joint counter-offer is admissible verbatim.
   auto accepted = OpenChain(counter);
   ASSERT_TRUE(accepted.report.ok());
-  EXPECT_EQ(system_.network().ReservedBandwidth(DeskUplink(accepted.session)), 155'000'000);
+  EXPECT_EQ(system_.network().ReservedBps(DeskUplink(accepted.session)), 155'000'000);
 }
 
 TEST_F(SharedLegFixture, RenegotiationHonoursSharedLinkJointly) {
@@ -237,14 +253,14 @@ TEST_F(SharedLegFixture, RenegotiationHonoursSharedLinkJointly) {
   EXPECT_EQ(refused.failure, core::AdmitFailure::kNetworkBandwidth);
   EXPECT_EQ(r.session->legs()[0].granted_bps, 70'000'000);
   EXPECT_EQ(r.session->legs()[2].granted_bps, 70'000'000);
-  EXPECT_EQ(system_.network().ReservedBandwidth(DeskUplink(r.session)), 140'000'000);
+  EXPECT_EQ(system_.network().ReservedBps(DeskUplink(r.session)), 140'000'000);
 
   // 77/77 fits (154 <= 155) and rebinds in place.
   core::StreamSpec fits = r.session->contract().granted;
   fits.legs[0].bandwidth_bps = 77'000'000;
   fits.legs[2].bandwidth_bps = 77'000'000;
   EXPECT_TRUE(r.session->Renegotiate(fits).ok());
-  EXPECT_EQ(system_.network().ReservedBandwidth(DeskUplink(r.session)), 154'000'000);
+  EXPECT_EQ(system_.network().ReservedBps(DeskUplink(r.session)), 154'000'000);
 }
 
 // --- deterministic path selection: equal-length paths must tie-break by
@@ -269,8 +285,9 @@ TEST(DeterministicRouting, EqualCostDiamondPicksInsertionOrderGoldenRoute) {
   atm::Endpoint* a = net.AddEndpoint("a", hub, 2, 155'000'000);
   atm::Endpoint* d = net.AddEndpoint("d", sink, 2, 155'000'000);
 
-  auto links = net.PathLinks(a, d);
-  ASSERT_TRUE(links.has_value());
+  auto route = net.ResolveRoute(a, d);
+  ASSERT_TRUE(route.has_value());
+  const std::vector<atm::Link*>* links = &route->links;
   ASSERT_EQ(links->size(), 4u);
   // Golden route: through mid1 (lower switch id), regardless of the order
   // the mesh edges were wired or where the switches live on the heap.
@@ -279,9 +296,9 @@ TEST(DeterministicRouting, EqualCostDiamondPicksInsertionOrderGoldenRoute) {
 
   // A second resolve reads the same source's route tree again and returns
   // the same resolution: the tree holds exactly the deterministic BFS parents.
-  auto again = net.PathLinks(a, d);
+  auto again = net.ResolveRoute(a, d);
   ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(*again, *links);
+  EXPECT_EQ(again->links, *links);
 
   // And the installed VC rides the same golden links.
   auto vc = net.OpenVc(a, d, atm::QosSpec{1'000'000});
@@ -318,9 +335,8 @@ TEST(RouteCache, TopologyMutationInvalidatesWarmRoutes) {
   EXPECT_EQ(after->links[1]->name(), "sw1->sw3");
   EXPECT_LT(after->latency_ns, latency_before);
 
-  // A route resolved before the mutation carries a stale epoch; OpenVc must
-  // fall back to a fresh resolve and install over the NEW (shorter) path.
-  auto vc = net.OpenVc(a, d, atm::QosSpec{1'000'000}, *before);
+  // A VC opened after the mutation installs over the NEW (shorter) path.
+  auto vc = net.OpenVc(a, d, atm::QosSpec{1'000'000});
   ASSERT_TRUE(vc.has_value());
   const auto* vc_links = net.VcLinks(vc->id);
   ASSERT_NE(vc_links, nullptr);

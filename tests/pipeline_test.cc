@@ -43,7 +43,7 @@ class PipelineFixture : public ::testing::Test {
   int64_t TotalReservedBps() {
     int64_t total = 0;
     for (const auto& link : system_.network().links()) {
-      total += system_.network().ReservedBandwidth(link.get());
+      total += system_.network().ReservedBps(link.get());
     }
     return total;
   }
@@ -328,6 +328,118 @@ TEST_F(PipelineFixture, FailedRenegotiateKeepsDiskReservation) {
 
   r.session->Close();
   EXPECT_EQ(storage->server()->reserved_stream_bps(), 0);
+}
+
+
+// Via() composes with ToMany(): a pipeline whose last leg is a tree. The
+// whole chain is one contract, a counter-offer scales the tree leg alone,
+// every leaf receives the processed stream, and Close drains every layer.
+TEST_F(PipelineFixture, ViaThenToManyIsOnePipelineEndingInATree) {
+  const int64_t base_vcs = system_.network().open_vc_count();
+  Workstation* a = system_.AddWorkstation("viewer-a");
+  Workstation* b = system_.AddWorkstation("viewer-b");
+  MulticastSink sa;
+  sa.ws = a;
+  sa.display = a->AddDisplay(640, 480);
+  MulticastSink sb;
+  sb.ws = b;
+  sb.display = b->AddDisplay(640, 480);
+  dev::TileProcessor::Config stage;
+  stage.transform = dev::InvertTransform();
+  stage.per_tile_cost = sim::Microseconds(5);
+  auto open = [&](const StreamSpec& spec) {
+    return system_.BuildStream("fx-broadcast")
+        .From(ws_, camera_)
+        .Via(compute_, stage)
+        .ToMany({sa, sb})
+        .WithSpec(spec)
+        .WithWindow(0, 0)
+        .Open();
+  };
+
+  // The tree leg asks for more than any link carries: the joint offer clamps
+  // that leg only, leaving the first leg and the stage contract as asked.
+  StreamSpec spec = StreamSpec::Video(25, 10'000'000);
+  spec.legs.resize(2);
+  spec.legs[0].compute_cpu = QosParams::Guaranteed(Milliseconds(4), Milliseconds(40));
+  spec.legs[1].bandwidth_bps = 200'000'000;
+  auto over = open(spec);
+  EXPECT_FALSE(over.report.ok());
+  EXPECT_EQ(over.report.failure, AdmitFailure::kNetworkBandwidth);
+  ASSERT_EQ(over.report.verdict, AdmitVerdict::kCounterOffer);
+  const StreamSpec& offer = *over.report.counter_offer;
+  ASSERT_EQ(offer.legs.size(), 2u);
+  EXPECT_EQ(offer.LegBandwidthBps(0), 10'000'000);
+  EXPECT_EQ(offer.LegBandwidthBps(1), 155'000'000);
+  EXPECT_EQ(system_.network().open_vc_count(), base_vcs);
+
+  auto r = open(offer);
+  ASSERT_TRUE(r.report.ok()) << r.report.detail;
+  ASSERT_EQ(r.session->leg_count(), 2);
+  EXPECT_EQ(r.session->sink_count(), 2);
+  // One contract: the first leg reserved on its links, the tree leg once
+  // per tree edge though both viewers ride the compute node's uplink.
+  const std::vector<atm::Link*>& leg0 = *system_.network().VcLinks(r.session->legs()[0].vc);
+  const std::vector<atm::Link*>& tree = *system_.network().VcLinks(r.session->legs()[1].vc);
+  for (const atm::Link* l : tree) {
+    EXPECT_EQ(std::count(tree.begin(), tree.end(), l), 1) << l->name();
+    EXPECT_EQ(system_.network().ReservedBps(l), 155'000'000) << l->name();
+  }
+  EXPECT_EQ(TotalReservedBps(), static_cast<int64_t>(leg0.size()) * 10'000'000 +
+                                    static_cast<int64_t>(tree.size()) * 155'000'000);
+  EXPECT_NEAR(compute_kernel_->scheduler()->AdmittedUtilization(), 0.1, 1e-9);
+
+  // Both leaves receive tiles, and only the filter stage feeds the tree.
+  camera_->Start(r.session->source_vci());
+  sim_.RunUntil(Seconds(1));
+  camera_->Stop();
+  EXPECT_GT(r.session->legs()[0].processor->tiles_processed(), 0);
+  EXPECT_GT(sa.display->tiles_blitted(), 0);
+  EXPECT_GT(sb.display->tiles_blitted(), 0);
+
+  r.session->Close();
+  EXPECT_EQ(TotalReservedBps(), 0);
+  EXPECT_EQ(compute_kernel_->scheduler()->AdmittedUtilization(), 0.0);
+  EXPECT_EQ(compute_->active_stages(), 0);
+  EXPECT_EQ(system_.network().open_vc_count(), base_vcs);
+}
+
+// A graft onto a pipeline's tree meets the latency bound over the earlier
+// legs plus its own route from the last stage, not from the source.
+TEST_F(PipelineFixture, GraftLatencyCountsFromTheLastStage) {
+  Workstation* a = system_.AddWorkstation("viewer-a");
+  Workstation* b = system_.AddWorkstation("viewer-b");
+  Workstation* far = system_.AddWorkstation("far", a->local_switch(), a->ClaimPort(),
+                                            155'000'000);
+  auto sink_at = [](Workstation* ws) {
+    MulticastSink sink;
+    sink.ws = ws;
+    sink.endpoint = ws->host();
+    return sink;
+  };
+  atm::Network& net = system_.network();
+  // The bound admits exactly the chain to one viewer host.
+  StreamSpec spec = StreamSpec::Video(25, 1'000'000);
+  spec.latency_bound =
+      net.ResolveRoute(ws_->device_endpoint(camera_), compute_->endpoint())->latency_ns +
+      net.ResolveRoute(compute_->endpoint(), a->host())->latency_ns;
+  dev::TileProcessor::Config stage;
+  auto r = system_.BuildStream("bounded")
+               .From(ws_, camera_)
+               .Via(compute_, stage)
+               .ToMany({sink_at(a)})
+               .WithSpec(spec)
+               .Open();
+  ASSERT_TRUE(r.report.ok()) << r.report.detail;
+  // b sits as deep below the stage as a: the graft fits the bound.
+  EXPECT_TRUE(r.session->AddSink(sink_at(b)).ok());
+  // far hangs one switch further down: over the bound.
+  auto graft = r.session->AddSink(sink_at(far));
+  EXPECT_FALSE(graft.ok());
+  EXPECT_EQ(graft.failure, AdmitFailure::kLatency);
+  EXPECT_EQ(r.session->sink_count(), 2);
+  r.session->Close();
+  EXPECT_EQ(TotalReservedBps(), 0);
 }
 
 }  // namespace

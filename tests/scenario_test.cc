@@ -38,9 +38,9 @@ TEST(MetroTopologyTest, GeneratedFabricIsWellFormed) {
   // at least the host uplink, the edge trunk and the storage attachment.
   for (core::Workstation* host : topo.hosts) {
     for (core::StorageNode* storage : topo.storage) {
-      auto path = system.network().PathLinks(storage->endpoint(), host->host());
-      ASSERT_TRUE(path.has_value());
-      EXPECT_GE(path->size(), 4u);
+      auto route = system.network().ResolveRoute(storage->endpoint(), host->host());
+      ASSERT_TRUE(route.has_value());
+      EXPECT_GE(route->links.size(), 4u);
     }
   }
 

@@ -23,7 +23,7 @@ class StreamFixture : public ::testing::Test {
   int64_t TotalReservedBps() {
     int64_t total = 0;
     for (const auto& link : system_.network().links()) {
-      total += system_.network().ReservedBandwidth(link.get());
+      total += system_.network().ReservedBps(link.get());
     }
     return total;
   }
@@ -310,7 +310,6 @@ TEST_F(StreamFixture, ToManyChargesSharedEdgesOnce) {
                .Open();
   ASSERT_TRUE(r.report.ok()) << r.report.detail;
   ASSERT_NE(r.session, nullptr);
-  EXPECT_TRUE(r.session->is_multicast());
   EXPECT_EQ(r.session->sink_count(), 3);
   // The tree reserves each EDGE once: camera uplink and head->backbone are
   // shared by all three viewers (charged once), then backbone->edge plus
@@ -470,6 +469,221 @@ TEST_F(StreamFixture, MulticastRenegotiateScalesTreeAndEveryLeafTogether) {
   EXPECT_EQ(TotalReservedBps(), 0);
   EXPECT_NEAR(kernel_a.scheduler()->AdmittedUtilization(), 0.0, 1e-9);
   EXPECT_NEAR(kernel_b.scheduler()->AdmittedUtilization(), 0.0, 1e-9);
+}
+
+// --- one session shape: every sink end is a leaf of the final leg's tree ---
+
+// A play-out fanned out to two viewers still has one file to reserve: the
+// disk rate is reserved once, however many sinks watch, and Close returns it.
+TEST_F(StreamFixture, PlayOutToManyReservesTheDiskRateOnce) {
+  pfs::PfsConfig pfs_cfg;
+  pfs_cfg.segment_size = 64 << 10;
+  pfs_cfg.block_size = 8 << 10;
+  pfs_cfg.geometry.capacity_bytes = 64 << 20;
+  StorageNode* storage = system_.AddStorageServer(pfs_cfg);
+  const pfs::FileId title = storage->SeedContinuousFile(50, 1000, Milliseconds(40));
+  Workstation* a = system_.AddWorkstation("a");
+  Workstation* b = system_.AddWorkstation("b");
+  MulticastSink sa;
+  sa.ws = a;
+  sa.endpoint = a->host();
+  MulticastSink sb;
+  sb.ws = b;
+  sb.endpoint = b->host();
+
+  StreamSpec spec = StreamSpec::Video(25, 4'000'000);
+  spec.disk_bps = 500'000;
+  auto r = system_.BuildStream("vod-party")
+               .FromStorage(storage, title)
+               .ToMany({sa, sb})
+               .WithSpec(spec)
+               .Open();
+  ASSERT_TRUE(r.report.ok()) << r.report.detail;
+  EXPECT_EQ(r.session->file(), title);
+  EXPECT_EQ(storage->server()->reserved_stream_bps(), 500'000);
+  // Play-out is paced to the tighter of network and disk (500 kB/s = 4 Mb/s).
+  EXPECT_EQ(storage->PlayoutPaceBps(title), 4'000'000);
+
+  r.session->Close();
+  EXPECT_EQ(storage->server()->reserved_stream_bps(), 0);
+  EXPECT_EQ(storage->PlayoutPaceBps(title), 0);
+  EXPECT_EQ(TotalReservedBps(), 0);
+
+  // Two recording sinks are two files: a disk rate has nothing single to
+  // reserve and is refused.
+  Workstation* src = system_.AddWorkstation("src");
+  dev::AtmCamera::Config cfg;
+  dev::AtmCamera* camera = src->AddCamera(cfg);
+  StorageNode* second = system_.AddStorageServer(pfs_cfg, "storage-2");
+  MulticastSink rec1;
+  rec1.storage = storage;
+  MulticastSink rec2;
+  rec2.storage = second;
+  auto twice = system_.BuildStream("two-recorders")
+                   .From(src, camera)
+                   .ToMany({rec1, rec2})
+                   .WithSpec(spec)
+                   .Open();
+  EXPECT_FALSE(twice.report.ok());
+  EXPECT_EQ(twice.report.failure, AdmitFailure::kDiskBandwidth);
+  EXPECT_EQ(storage->server()->reserved_stream_bps(), 0);
+
+  // One recording sink beside a viewer is one file: its disk rate is
+  // reserved, and goes when that sink leaves the tree.
+  MulticastSink viewer;
+  viewer.ws = a;
+  viewer.endpoint = a->host();
+  auto tap = system_.BuildStream("tap")
+                 .From(src, camera)
+                 .ToMany({viewer, rec1})
+                 .WithSpec(spec)
+                 .Open();
+  ASSERT_TRUE(tap.report.ok()) << tap.report.detail;
+  EXPECT_GE(tap.session->file(), 0);
+  EXPECT_EQ(storage->server()->reserved_stream_bps(), 500'000);
+  ASSERT_TRUE(tap.session->RemoveSink(storage->endpoint()));
+  EXPECT_EQ(storage->server()->reserved_stream_bps(), 0);
+  EXPECT_EQ(tap.session->file(), -1);
+  EXPECT_EQ(tap.session->contract().granted.disk_bps, 0);
+  EXPECT_TRUE(tap.session->Renegotiate(tap.session->contract().granted).ok());
+  tap.session->Close();
+  EXPECT_EQ(TotalReservedBps(), 0);
+}
+
+// A To() session is a one-sink tree: sinks graft onto it and prune off it
+// like any other, and its own To() end takes its control duplex along when
+// it leaves.
+TEST_F(StreamFixture, ToSessionGraftsAndPrunesSinks) {
+  Workstation* src = system_.AddWorkstation("src");
+  Workstation* a = system_.AddWorkstation("a");
+  Workstation* b = system_.AddWorkstation("b");
+  dev::AtmCamera::Config cfg;
+  dev::AtmCamera* camera = src->AddCamera(cfg);
+  dev::AtmDisplay* disp_a = a->AddDisplay(640, 480);
+  dev::AtmDisplay* disp_b = b->AddDisplay(640, 480);
+
+  const int64_t base_vcs = system_.network().open_vc_count();
+  auto r = system_.BuildStream("p2p")
+               .From(src, camera)
+               .To(a, disp_a)
+               .WithSpec(StreamSpec::Video(25, 10'000'000))
+               .Open();
+  ASSERT_TRUE(r.report.ok()) << r.report.detail;
+  // The data tree plus the To() end's control duplex.
+  EXPECT_EQ(system_.network().open_vc_count(), base_vcs + 3);
+  EXPECT_EQ(TotalReservedBps(), 4 * 10'000'000);
+
+  MulticastSink late;
+  late.ws = b;
+  late.display = disp_b;
+  auto graft = r.session->AddSink(late);
+  ASSERT_TRUE(graft.ok()) << graft.detail;
+  EXPECT_EQ(r.session->sink_count(), 2);
+  // The camera uplink and head->backbone are shared: +2 links, no new VC.
+  EXPECT_EQ(TotalReservedBps(), 6 * 10'000'000);
+  EXPECT_EQ(system_.network().open_vc_count(), base_vcs + 3);
+  const atm::Endpoint* b_ep = b->device_endpoint(disp_b);
+  ASSERT_TRUE(r.session->SinkVci(b_ep).has_value());
+
+  // The original To() end leaves: its branch and control duplex go, and
+  // the session's first sink is now the late joiner.
+  EXPECT_TRUE(r.session->RemoveSink(a->device_endpoint(disp_a)));
+  EXPECT_EQ(r.session->sink_count(), 1);
+  EXPECT_EQ(TotalReservedBps(), 4 * 10'000'000);
+  EXPECT_EQ(system_.network().open_vc_count(), base_vcs + 1);
+  EXPECT_EQ(r.session->sink_vci(), *r.session->SinkVci(b_ep));
+  EXPECT_FALSE(r.session->RemoveSink(b_ep));  // the last sink stays
+
+  r.session->Close();
+  EXPECT_EQ(TotalReservedBps(), 0);
+  EXPECT_EQ(system_.network().open_vc_count(), base_vcs);
+}
+
+// The only shape refused outright: a QoS-managed session with more than one
+// sink end (a manager registration per sink end is undefined).
+TEST_F(StreamFixture, ManagedSessionKeepsOneSinkEnd) {
+  Workstation* src = system_.AddWorkstation("src");
+  Workstation* a = system_.AddWorkstation("a");
+  Workstation* b = system_.AddWorkstation("b");
+  nemesis::Kernel kernel(&sim_, std::make_unique<nemesis::AtroposScheduler>(1.0));
+  a->AttachKernel(&kernel);
+  nemesis::QosManagerDomain manager(&sim_, "mgr",
+                                    QosParams::Guaranteed(Milliseconds(1), Milliseconds(100)),
+                                    nemesis::QosManagerDomain::Options{});
+  ASSERT_TRUE(kernel.AddDomain(&manager));
+  dev::AtmCamera::Config cfg;
+  dev::AtmCamera* camera = src->AddCamera(cfg);
+  MulticastSink sa;
+  sa.ws = a;
+  sa.display = a->AddDisplay(640, 480);
+  MulticastSink sb;
+  sb.ws = b;
+  sb.display = b->AddDisplay(640, 480);
+  const int64_t base_vcs = system_.network().open_vc_count();
+
+  auto both = system_.BuildStream("managed-many")
+                  .From(src, camera)
+                  .ToMany({sa, sb})
+                  .WithSpec(StreamSpec::Video(25, 1'000'000))
+                  .ManagedBy(&manager)
+                  .Open();
+  EXPECT_FALSE(both.report.ok());
+  EXPECT_EQ(both.report.failure, AdmitFailure::kEndpoint);
+  EXPECT_EQ(both.report.verdict, AdmitVerdict::kRejected);
+  EXPECT_EQ(system_.network().open_vc_count(), base_vcs);
+
+  auto one = system_.BuildStream("managed-one")
+                 .From(src, camera)
+                 .To(a, sa.display)
+                 .WithSpec(StreamSpec::Video(25, 1'000'000))
+                 .ManagedBy(&manager)
+                 .Open();
+  ASSERT_TRUE(one.report.ok()) << one.report.detail;
+  auto graft = one.session->AddSink(sb);
+  EXPECT_FALSE(graft.ok());
+  EXPECT_EQ(graft.failure, AdmitFailure::kEndpoint);
+  EXPECT_EQ(one.session->sink_count(), 1);
+  one.session->Close();
+  EXPECT_EQ(TotalReservedBps(), 0);
+}
+
+// The storage-sink CPU rule: sink_cpu is demanded at every sink end, and a
+// storage recorder has no host kernel, so the demand is refused whether the
+// recorder is a ToStorage() end or a ToMany() leaf beside a display.
+TEST_F(StreamFixture, StorageSinkRefusesSinkCpu) {
+  Workstation* src = system_.AddWorkstation("src");
+  Workstation* a = system_.AddWorkstation("a");
+  nemesis::Kernel kernel(&sim_, std::make_unique<nemesis::AtroposScheduler>(1.0));
+  a->AttachKernel(&kernel);
+  dev::AtmCamera::Config cfg;
+  dev::AtmCamera* camera = src->AddCamera(cfg);
+  pfs::PfsConfig pfs_cfg;
+  pfs_cfg.segment_size = 64 << 10;
+  pfs_cfg.block_size = 8 << 10;
+  pfs_cfg.geometry.capacity_bytes = 64 << 20;
+  StorageNode* storage = system_.AddStorageServer(pfs_cfg);
+
+  StreamSpec spec = StreamSpec::Video(25, 1'000'000);
+  spec.sink_cpu = QosParams::Guaranteed(Milliseconds(1), Milliseconds(100));
+  auto solo = system_.BuildStream("rec").From(src, camera).ToStorage(storage).WithSpec(spec).Open();
+  EXPECT_FALSE(solo.report.ok());
+  EXPECT_EQ(solo.report.failure, AdmitFailure::kSinkCpu);
+  EXPECT_EQ(solo.report.verdict, AdmitVerdict::kRejected);
+
+  MulticastSink live;
+  live.ws = a;
+  live.display = a->AddDisplay(640, 480);
+  MulticastSink record;
+  record.storage = storage;
+  auto tap = system_.BuildStream("tap")
+                 .From(src, camera)
+                 .ToMany({live, record})
+                 .WithSpec(spec)
+                 .Open();
+  EXPECT_FALSE(tap.report.ok());
+  EXPECT_EQ(tap.report.failure, AdmitFailure::kSinkCpu);
+  EXPECT_EQ(kernel.scheduler()->AdmittedUtilization(), 0.0);
+  EXPECT_EQ(TotalReservedBps(), 0);
 }
 
 }  // namespace
