@@ -27,7 +27,7 @@ struct Rig {
     cfg.geometry.capacity_bytes = 64 << 20;
     cfg.write_back_delay = Seconds(30);
     server = std::make_unique<pfs::PegasusFileServer>(&sim, cfg);
-    agent = std::make_unique<pfs::ClientAgent>(&sim, server.get(), pfs::ClientAgent::Options{});
+    agent = std::make_unique<pfs::ClientAgent>(&sim, server.get());
     file = server->CreateFile(pfs::FileType::kNormal);
     bool ck = false;
     server->Checkpoint([&]() { ck = true; });

@@ -26,9 +26,11 @@ namespace {
 // Swallows delivered cells; only counts them so delivery cannot be elided.
 class CountingSink : public atm::CellSink {
  public:
-  void DeliverCell(const atm::Cell& cell) override {
-    ++count_;
-    benchmark::DoNotOptimize(cell.seq);
+  void DeliverBurst(const atm::Cell* cells, size_t count) override {
+    for (size_t i = 0; i < count; ++i) {
+      ++count_;
+      benchmark::DoNotOptimize(cells[i].seq);
+    }
   }
   uint64_t count() const { return count_; }
 

@@ -8,23 +8,10 @@ namespace pegasus::atm {
 
 Endpoint::Endpoint(sim::Simulator* sim, std::string name) : sim_(sim), name_(std::move(name)) {}
 
-void Endpoint::DeliverCell(const Cell& cell) {
-  ++cells_received_;
-  if (handler_) {
-    handler_(cell);
-  }
-}
-
 void Endpoint::DeliverBurst(const Cell* cells, size_t count) {
   cells_received_ += count;
-  if (burst_handler_) {
-    burst_handler_(cells, count);
-    return;
-  }
   if (handler_) {
-    for (size_t i = 0; i < count; ++i) {
-      handler_(cells[i]);
-    }
+    handler_(cells, count);
   }
 }
 

@@ -2,9 +2,9 @@
 //
 // Cameras, displays, audio nodes, file servers and workstation NICs all
 // attach to a switch port through an Endpoint. An endpoint owns nothing of
-// the network; it hands cells to its uplink and receives cells from its
-// downlink, dispatching them to a registered handler (a device, a protocol
-// stack, an RPC transport...).
+// the network; it hands cells to its uplink and receives trains of cells
+// from its downlink, handing each whole train to its one registered handler
+// (a device, a protocol stack, an RPC transport...).
 #ifndef PEGASUS_SRC_ATM_ENDPOINT_H_
 #define PEGASUS_SRC_ATM_ENDPOINT_H_
 
@@ -26,9 +26,9 @@ class Switch;
 
 class Endpoint : public CellSink {
  public:
-  using CellHandler = std::function<void(const Cell&)>;
-  // Receives a whole delivered train in one call (see set_burst_handler).
-  using BurstHandler = std::function<void(const Cell* cells, size_t count)>;
+  // Receives each delivered train, one or more cells in arrival order, in
+  // one call.
+  using CellHandler = std::function<void(const Cell* cells, size_t count)>;
 
   Endpoint(sim::Simulator* sim, std::string name);
 
@@ -47,22 +47,13 @@ class Endpoint : public CellSink {
   int attached_port() const { return port_; }
   Link* uplink() const { return uplink_; }
 
-  // Receives a cell (or a whole train) from the downlink and forwards it to
-  // the handler.
-  void DeliverCell(const Cell& cell) override;
+  // Receives a train from the downlink and hands it to the handler.
   void DeliverBurst(const Cell* cells, size_t count) override;
 
-  // Installing a cell handler reverts burst delivery to the per-cell loop:
-  // a consumer that takes over the cell path (HostRelay, a raw tap) must
-  // never race a stale span consumer left behind by a previous owner.
-  void set_cell_handler(CellHandler handler) {
-    handler_ = std::move(handler);
-    burst_handler_ = nullptr;
-  }
-  // Span-aware consumers (the AAL5 message transport) take whole delivered
-  // trains in one call instead of a per-cell fan-out. DeliverCell still goes
-  // through the cell handler, so both must be kept coherent by the owner.
-  void set_burst_handler(BurstHandler handler) { burst_handler_ = std::move(handler); }
+  // Installs the endpoint's one consumer, replacing the previous owner: a
+  // consumer that takes over the cell path (HostRelay, a raw tap) is the
+  // only one that sees later trains.
+  void set_cell_handler(CellHandler handler) { handler_ = std::move(handler); }
 
   // Sends one cell on the uplink. Returns false if the endpoint is detached
   // or the uplink queue is full.
@@ -101,7 +92,6 @@ class Endpoint : public CellSink {
   Switch* switch_ = nullptr;
   int port_ = -1;
   CellHandler handler_;
-  BurstHandler burst_handler_;
   std::set<Vci> incoming_vcis_;
   uint64_t cells_received_ = 0;
   uint64_t cells_sent_ = 0;

@@ -79,14 +79,8 @@ void Link::ArmDelivery() {
 void Link::DeliverBoundaryTrain(void* ctx, const void* data, size_t size) {
   static_assert(std::is_trivially_copyable<Cell>::value,
                 "boundary trains cross the shard mailbox as raw bytes");
-  auto* sink = static_cast<CellSink*>(ctx);
-  const Cell* cells = static_cast<const Cell*>(data);
-  const size_t count = size / sizeof(Cell);
-  if (count == 1) {
-    sink->DeliverCell(cells[0]);
-  } else {
-    sink->DeliverBurst(cells, count);
-  }
+  static_cast<CellSink*>(ctx)->DeliverBurst(static_cast<const Cell*>(data),
+                                            size / sizeof(Cell));
 }
 
 void Link::DeliverReady() {
@@ -123,31 +117,17 @@ void Link::DeliverReady() {
       boundary_->PostSpan(now + prop_delay_, burst_buf_.data(), count * sizeof(Cell),
                           &Link::DeliverBoundaryTrain, sink_);
     } else if (sink_ != nullptr) {
-      if (prop_delay_ == 0) {
-        if (count == 1) {
-          sink_->DeliverCell(burst_buf_[0]);
-        } else {
-          sink_->DeliverBurst(burst_buf_.data(), count);
-        }
-      } else {
-        // The cut is made at serialisation completion; the wire adds pure
-        // delay. The train is moved into the event so later cuts (which
-        // rebuild burst_buf_) cannot clobber an in-flight delivery.
-        sim_->ScheduleAt(now + prop_delay_,
-                         [sink = sink_, flight = std::move(burst_buf_)]() {
-                           if (flight.size() == 1) {
-                             sink->DeliverCell(flight[0]);
-                           } else {
-                             sink->DeliverBurst(flight.data(), flight.size());
-                           }
-                         });
-      }
+      // The cut is made at serialisation completion; the wire adds pure
+      // delay. The train is moved into the event so later cuts (which
+      // rebuild burst_buf_) cannot clobber an in-flight delivery.
+      sim_->ScheduleAt(now + prop_delay_, [sink = sink_, flight = std::move(burst_buf_)]() {
+        sink->DeliverBurst(flight.data(), flight.size());
+      });
     }
   }
-  // Whatever is still undelivered (queued after the event was armed, or
-  // enqueued re-entrantly by the sink — which then armed its own event)
-  // gets the next event.
-  if (train_head_ < train_.size() && !delivery_pending_) {
+  // Whatever is still undelivered (queued after the event was armed) gets
+  // the next event. The sink runs in its own event, never in this one.
+  if (train_head_ < train_.size()) {
     ArmDelivery();
   }
 }

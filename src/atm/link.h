@@ -11,7 +11,10 @@
 //
 // Cell trains: back-to-back cells queued while the transmitter is busy are
 // coalesced into a train and handed to the sink as ONE DeliverBurst — one
-// scheduled event per train instead of two per cell. A train is CUT at
+// scheduled event per train instead of two per cell. Every train, a lone
+// cell included, reaches the sink through that one call, and delivery is
+// always a scheduled event: a zero propagation delay is scheduled at the
+// cut instant like any other delay. A train is CUT at
 // serialisation completion: the event fires when the next end-of-frame cell
 // (or the kMaxTrainCells-th cell of a raw stream) clears the transmitter,
 // groups whatever has serialised by then, and the wire then adds pure
@@ -39,19 +42,13 @@
 
 namespace pegasus::atm {
 
-// Anything that can accept a cell: a switch input port, a device, a NIC.
+// Anything that can accept cells: a switch input port, a device, a NIC.
 class CellSink {
  public:
   virtual ~CellSink() = default;
-  virtual void DeliverCell(const Cell& cell) = 0;
-  // A train of back-to-back cells that completed the link together, in send
-  // order. Sinks that can exploit batching (a switch fabric, a NIC ring)
-  // override this; the default preserves per-cell semantics.
-  virtual void DeliverBurst(const Cell* cells, size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      DeliverCell(cells[i]);
-    }
-  }
+  // A train of `count` >= 1 back-to-back cells that completed the link
+  // together, in send order. A lone cell is a train of one.
+  virtual void DeliverBurst(const Cell* cells, size_t count) = 0;
 };
 
 class Link {
@@ -180,10 +177,9 @@ class Link {
   std::vector<PendingCell> train_;
   size_t train_head_ = 0;
   bool delivery_pending_ = false;
-  // Scratch the cut train is copied into, so a re-entrant SendCell from the
-  // sink can grow train_ without invalidating the span being delivered. For
-  // a local link with nonzero propagation it is moved into the delayed
-  // delivery event instead (and rebuilt empty on the next cut).
+  // Scratch the cut train is copied into: a boundary link copies it into
+  // the channel's batch; a local link moves it into the delivery event
+  // (and rebuilds it empty on the next cut).
   std::vector<Cell> burst_buf_;
 };
 

@@ -124,9 +124,8 @@ Vci Switch::AllocateVci(int in_port) const {
 }
 
 void Switch::ForwardRun(Link* out, std::vector<Cell>& run) {
-  if (fabric_delay_ == 0) {
-    out->SendBurst(run.data(), run.size());
-  } else if (run.size() == 1) {
+  // A zero fabric delay is scheduled at now like any other delay.
+  if (run.size() == 1) {
     // Single cell: capture it in the closure (inline in the engine's
     // handler storage) instead of heap-allocating a one-element train.
     const Cell relabelled = run[0];
@@ -180,9 +179,9 @@ void Switch::OnBurst(int in_port, const Cell* cells, size_t count) {
     }
     // Gather the maximal run of cells bound for the same output link and
     // relabel them in one pass; the run crosses the fabric as one event.
-    // The scratch buffer is a member so the zero-delay path allocates
-    // nothing; downstream delivery is always via a scheduled event, so
-    // nothing re-enters OnBurst while the scratch is live.
+    // The scratch buffer is a member; every run crosses the fabric in a
+    // scheduled event, so nothing re-enters OnBurst while the scratch is
+    // live.
     relabel_buf_.clear();
     do {
       relabel_buf_.push_back(cells[i]);

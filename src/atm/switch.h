@@ -106,7 +106,6 @@ class Switch {
   class InputPort : public CellSink {
    public:
     InputPort(Switch* parent, int port) : parent_(parent), port_(port) {}
-    void DeliverCell(const Cell& cell) override { parent_->OnBurst(port_, &cell, 1); }
     void DeliverBurst(const Cell* cells, size_t count) override {
       parent_->OnBurst(port_, cells, count);
     }

@@ -3,10 +3,7 @@
 namespace pegasus::atm {
 
 MessageTransport::MessageTransport(Endpoint* endpoint) : endpoint_(endpoint) {
-  // set_cell_handler clears any previous owner's burst handler, so install
-  // the cell path first and the span path on top of it.
-  endpoint_->set_cell_handler([this](const Cell& cell) { OnCell(cell); });
-  endpoint_->set_burst_handler([this](const Cell* cells, size_t count) { OnBurst(cells, count); });
+  endpoint_->set_cell_handler([this](const Cell* cells, size_t count) { OnBurst(cells, count); });
 }
 
 void MessageTransport::SetHandler(Vci vci, MessageHandler handler) {
@@ -41,22 +38,6 @@ void MessageTransport::Dispatch(Vci vci, std::vector<uint8_t> sdu, sim::TimeNs f
   } else if (default_handler_) {
     default_handler_(vci, std::move(sdu), first_cell_at);
   }
-}
-
-void MessageTransport::OnCell(const Cell& cell) {
-  VcRx& rx = rx_[cell.vci];
-  if (!rx.in_frame) {
-    rx.in_frame = true;
-    rx.frame_first_cell_at = cell.created_at;
-  }
-  auto sdu = rx.reassembler.Push(cell);
-  if (cell.end_of_frame) {
-    rx.in_frame = false;
-  }
-  if (!sdu.has_value()) {
-    return;
-  }
-  Dispatch(cell.vci, std::move(*sdu), rx.frame_first_cell_at);
 }
 
 void MessageTransport::OnBurst(const Cell* cells, size_t count) {

@@ -25,7 +25,8 @@ class MessageTransport {
   using MessageHandler =
       std::function<void(Vci vci, std::vector<uint8_t> message, sim::TimeNs first_cell_at)>;
 
-  // Takes over the endpoint's cell handler. The endpoint must outlive this.
+  // Takes over the endpoint's cell handler: every delivered train goes
+  // through OnBurst. The endpoint must outlive this.
   explicit MessageTransport(Endpoint* endpoint);
 
   MessageTransport(const MessageTransport&) = delete;
@@ -46,10 +47,10 @@ class MessageTransport {
   uint64_t reassembly_errors() const;
 
  private:
-  void OnCell(const Cell& cell);
-  // Span-ingest fast path for delivered trains: maximal same-VC runs with no
-  // frame boundary are bulk-appended by the reassembler in one go; cell-for-
-  // cell equivalent to OnCell over the same sequence.
+  // Ingests a delivered train: maximal same-VC runs with no frame boundary
+  // are bulk-appended by the reassembler in one go, and each end-of-frame
+  // cell closes its CS-PDU through Aal5Reassembler::Push — cell-for-cell
+  // equivalent to pushing every cell on its own.
   void OnBurst(const Cell* cells, size_t count);
   void Dispatch(Vci vci, std::vector<uint8_t> sdu, sim::TimeNs first_cell_at);
 

@@ -29,61 +29,17 @@ namespace pegasus::core {
 
 class QosMonitor {
  public:
-  struct Config {
-    // Sampling cadence of the monitor task.
-    sim::DurationNs period = sim::Milliseconds(10);
-    // EWMA weight of the newest per-tick score, in (0, 1].
-    double smoothing = 0.3;
+  // Severity is clamped here so a degraded stream never loses its whole
+  // reservation to a transient measurement spike.
+  static constexpr double max_severity = 0.9;
+  // Severity ceiling of the queue-occupancy term alone: a standing queue
+  // delays cells but, unlike drops, does not yet destroy deliverable
+  // capacity.
+  static constexpr double occupancy_cap = 0.3;
 
-    // --- link congestion mapping ---
-    // Weight of a dropped cell by its loss-priority class: losing reserved
-    // (high-priority) cells is worse than shedding best-effort ones.
-    double high_drop_weight = 1.0;
-    double low_drop_weight = 0.5;
-    // Queue occupancy below this fraction of the queue limit contributes
-    // nothing; above it, the excess ramps linearly up to occupancy_cap.
-    double occupancy_floor = 0.5;
-    // Severity ceiling of the occupancy term alone: a standing queue delays
-    // cells but, unlike drops, does not yet destroy deliverable capacity.
-    double occupancy_cap = 0.3;
-    // The occupancy term counts only when the interval utilisation
-    // (busy-time delta over the tick) shows a saturated transmitter — a
-    // standing queue behind an idle transmitter is a sampling artifact.
-    double utilization_floor = 0.9;
-    // Smoothed score that raises a congestion signal / clears it. The gap
-    // between the two is the hysteresis band that prevents signal churn.
-    double on_threshold = 0.12;
-    double off_threshold = 0.04;
-    // While signalling, re-signal only when the smoothed score has moved at
-    // least this far from the last severity announced...
-    double severity_step = 0.15;
-    // ...and no sooner than this many ticks after the previous change, so
-    // an oscillating load cannot flap the announced severity every tick.
-    // Recovery needs the same dwell: the all-clear is announced only after
-    // the score has stayed below off_threshold this many consecutive ticks
-    // (restoring a stream just to re-degrade it next tick is churn too).
-    // The dwell must outlast the quiet phase of any oscillation the
-    // monitor should ride out.
-    int64_t min_hold_ticks = 8;
-    // Severity is clamped here so a degraded stream never loses its whole
-    // reservation to a transient measurement spike.
-    double max_severity = 0.9;
-
-    // --- disk budget-pressure mapping ---
-    // Deadline misses later than this tolerance count toward the score
-    // (sub-tolerance lateness is jitter, not pressure).
-    sim::DurationNs lateness_tolerance = sim::Milliseconds(1);
-    // Smoothed miss-ratio thresholds (raise / clear), same hysteresis idea.
-    double disk_on_threshold = 0.10;
-    double disk_off_threshold = 0.04;
-    // Re-signal only when the deliverable fraction moved at least this far
-    // (and min_hold_ticks apply here too).
-    double disk_fraction_step = 0.15;
-    // Floor of the deliverable fraction announced under pressure.
-    double min_disk_fraction = 0.1;
-  };
-
-  QosMonitor(sim::Simulator* sim, atm::Network* network, Config config);
+  // The monitor's other settings (cadence, smoothing, thresholds, dwell)
+  // are constants of qos_monitor.cc; disk lateness below
+  // pfs::StreamQualityRecorder::kMissTolerance is jitter, not pressure.
   QosMonitor(sim::Simulator* sim, atm::Network* network);
 
   QosMonitor(const QosMonitor&) = delete;
@@ -95,7 +51,6 @@ class QosMonitor {
   void Start();
   void Stop();
   bool running() const { return task_.running(); }
-  const Config& config() const { return config_; }
 
   // --- introspection (tests, benches, dashboards) ---
   int64_t ticks() const { return task_.ticks(); }
@@ -119,7 +74,7 @@ class QosMonitor {
     double score = 0.0;
     double signalled = 0.0;  // last announced severity; 0 = not signalling
     int64_t ticks_since_change = 0;
-    int64_t below_off_ticks = 0;  // consecutive ticks spent under off_threshold
+    int64_t below_off_ticks = 0;  // consecutive ticks spent under the off threshold
   };
   struct DiskState {
     bool primed = false;  // first tick only discards the stale window
@@ -133,13 +88,9 @@ class QosMonitor {
   // Discards whatever accumulated while the monitor was not watching: link
   // snapshot deltas and disk windows re-prime on the next tick.
   void Reprime();
-  // One link's per-tick raw congestion score from the snapshot delta.
-  double LinkRawScore(const atm::Link::StatsSnapshot& prev,
-                      const atm::Link::StatsSnapshot& cur) const;
 
   sim::Simulator* sim_;
   atm::Network* network_;
-  Config config_;
   sim::PeriodicTask task_;
   // Indexed by dense link id (= index in network->links()); grown lazily on
   // tick so links added after construction are picked up.

@@ -2,24 +2,29 @@
 
 namespace pegasus::core {
 
-PegasusSystem::PegasusSystem(sim::Simulator* sim) : PegasusSystem(sim, Config()) {}
+namespace {
 
-PegasusSystem::PegasusSystem(sim::Simulator* sim, Config config)
-    : sim_(sim), config_(config), network_(sim) {
-  backbone_ = network_.AddSwitch("backbone", config_.backbone_ports);
+constexpr int kBackbonePorts = 16;
+constexpr int64_t kBackboneLinkBps = 155'000'000;
+constexpr int kWorkstationPorts = 8;
+constexpr int64_t kDeviceLinkBps = 155'000'000;
+
+}  // namespace
+
+PegasusSystem::PegasusSystem(sim::Simulator* sim) : sim_(sim), network_(sim) {
+  backbone_ = network_.AddSwitch("backbone", kBackbonePorts);
 }
 
 void PegasusSystem::Uplink(Workstation* ws) {
   const int local_port = ws->ClaimPort();
   const int backbone_port = next_backbone_port_++;
   network_.ConnectSwitches(ws->local_switch(), local_port, backbone_, backbone_port,
-                           config_.backbone_link_bps);
+                           kBackboneLinkBps);
 }
 
 Workstation* PegasusSystem::AddWorkstation(const std::string& name) {
-  workstations_.push_back(std::make_unique<Workstation>(&network_, name,
-                                                        config_.workstation_ports,
-                                                        config_.device_link_bps));
+  workstations_.push_back(
+      std::make_unique<Workstation>(&network_, name, kWorkstationPorts, kDeviceLinkBps));
   Workstation* ws = workstations_.back().get();
   Uplink(ws);
   return ws;
@@ -27,9 +32,8 @@ Workstation* PegasusSystem::AddWorkstation(const std::string& name) {
 
 Workstation* PegasusSystem::AddWorkstation(const std::string& name, atm::Switch* attach,
                                            int attach_port, int64_t uplink_bps) {
-  workstations_.push_back(std::make_unique<Workstation>(&network_, name,
-                                                        config_.workstation_ports,
-                                                        config_.device_link_bps));
+  workstations_.push_back(
+      std::make_unique<Workstation>(&network_, name, kWorkstationPorts, kDeviceLinkBps));
   Workstation* ws = workstations_.back().get();
   network_.ConnectSwitches(ws->local_switch(), ws->ClaimPort(), attach, attach_port, uplink_bps);
   return ws;
@@ -59,9 +63,9 @@ StorageNode* PegasusSystem::AddStorageServer(const pfs::PfsConfig& config,
   return node;
 }
 
-QosMonitor* PegasusSystem::EnableQosMonitor(QosMonitor::Config config) {
+QosMonitor* PegasusSystem::EnableQosMonitor() {
   if (qos_monitor_ == nullptr) {
-    qos_monitor_ = std::make_unique<QosMonitor>(sim_, &network_, config);
+    qos_monitor_ = std::make_unique<QosMonitor>(sim_, &network_);
     for (const auto& node : storage_nodes_) {
       qos_monitor_->AddFileServer(node->server());
     }

@@ -28,15 +28,9 @@ namespace pegasus::core {
 
 class PegasusSystem {
  public:
-  struct Config {
-    int backbone_ports = 16;
-    int64_t backbone_link_bps = 155'000'000;
-    int workstation_ports = 8;
-    int64_t device_link_bps = 155'000'000;
-  };
-
+  // The backbone switch, each workstation's local switch and the links the
+  // system wires itself have fixed sizes and rates (constants of system.cc).
   explicit PegasusSystem(sim::Simulator* sim);
-  PegasusSystem(sim::Simulator* sim, Config config);
 
   sim::Simulator* simulator() const { return sim_; }
   atm::Network& network() { return network_; }
@@ -82,7 +76,7 @@ class PegasusSystem {
   // signals are thereafter derived from observed queues, drops and play-out
   // lateness instead of explicit SignalCongestion / SignalBudgetPressure
   // calls. Idempotent; returns the (already-)running monitor.
-  QosMonitor* EnableQosMonitor(QosMonitor::Config config = QosMonitor::Config());
+  QosMonitor* EnableQosMonitor();
   // The running monitor, or nullptr when not enabled.
   QosMonitor* qos_monitor() const { return qos_monitor_.get(); }
 
@@ -95,7 +89,6 @@ class PegasusSystem {
   void Uplink(Workstation* ws);
 
   sim::Simulator* sim_;
-  Config config_;
   atm::Network network_;
   atm::Switch* backbone_;
   int next_backbone_port_ = 0;

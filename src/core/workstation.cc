@@ -6,26 +6,29 @@ namespace pegasus::core {
 
 HostRelay::HostRelay(sim::Simulator* sim, atm::Endpoint* host, sim::DurationNs per_cell_cost)
     : sim_(sim), host_(host), per_cell_cost_(per_cell_cost) {
-  host_->set_cell_handler([this](const atm::Cell& cell) { OnCell(cell); });
+  host_->set_cell_handler(
+      [this](const atm::Cell* cells, size_t count) { OnBurst(cells, count); });
 }
 
 void HostRelay::AddRoute(atm::Vci in_vci, atm::Vci out_vci) { routes_[in_vci] = out_vci; }
 
-void HostRelay::OnCell(const atm::Cell& cell) {
-  auto it = routes_.find(cell.vci);
-  if (it == routes_.end()) {
-    return;
+void HostRelay::OnBurst(const atm::Cell* cells, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    auto it = routes_.find(cells[i].vci);
+    if (it == routes_.end()) {
+      continue;
+    }
+    // The host CPU copies the cell across the bus and back: one serialised
+    // unit of per-cell work.
+    const sim::TimeNs start = std::max(sim_->now(), cpu_free_at_);
+    const sim::TimeNs done = start + per_cell_cost_;
+    cpu_free_at_ = done;
+    cpu_time_ += per_cell_cost_;
+    ++cells_relayed_;
+    atm::Cell out = cells[i];
+    out.vci = it->second;
+    sim_->ScheduleAt(done, [this, out]() { host_->SendCell(out); });
   }
-  // The host CPU copies the cell across the bus and back: one serialised
-  // unit of per-cell work.
-  const sim::TimeNs start = std::max(sim_->now(), cpu_free_at_);
-  const sim::TimeNs done = start + per_cell_cost_;
-  cpu_free_at_ = done;
-  cpu_time_ += per_cell_cost_;
-  ++cells_relayed_;
-  atm::Cell out = cell;
-  out.vci = it->second;
-  sim_->ScheduleAt(done, [this, out]() { host_->SendCell(out); });
 }
 
 Workstation::Workstation(atm::Network* network, const std::string& name, int ports,

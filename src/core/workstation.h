@@ -40,7 +40,7 @@ class HostRelay {
   sim::DurationNs cpu_time_spent() const { return cpu_time_; }
 
  private:
-  void OnCell(const atm::Cell& cell);
+  void OnBurst(const atm::Cell* cells, size_t count);
 
   sim::Simulator* sim_;
   atm::Endpoint* host_;

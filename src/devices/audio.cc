@@ -72,20 +72,23 @@ AudioPlayback::AudioPlayback(sim::Simulator* sim, atm::Endpoint* endpoint, int s
       sample_rate_(sample_rate),
       buffer_depth_(buffer_depth),
       cell_period_(sim::Seconds(1) * kSamplesPerAudioCell / sample_rate) {
-  endpoint_->set_cell_handler([this](const atm::Cell& cell) { OnCell(cell); });
+  endpoint_->set_cell_handler(
+      [this](const atm::Cell* cells, size_t count) { OnBurst(cells, count); });
 }
 
-void AudioPlayback::OnCell(const atm::Cell& cell) {
-  ++cells_received_;
-  sim::TimeNs ts = 0;
-  std::memcpy(&ts, cell.payload.data(), 8);
-  buffer_.push_back(ts);
-  if (!playing_) {
-    const auto needed = static_cast<size_t>(buffer_depth_ / cell_period_);
-    if (buffer_.size() > needed) {
-      playing_ = true;
-      next_tick_ = sim_->now();
-      Tick();
+void AudioPlayback::OnBurst(const atm::Cell* cells, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    ++cells_received_;
+    sim::TimeNs ts = 0;
+    std::memcpy(&ts, cells[i].payload.data(), 8);
+    buffer_.push_back(ts);
+    if (!playing_) {
+      const auto needed = static_cast<size_t>(buffer_depth_ / cell_period_);
+      if (buffer_.size() > needed) {
+        playing_ = true;
+        next_tick_ = sim_->now();
+        Tick();
+      }
     }
   }
 }

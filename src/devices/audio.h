@@ -92,7 +92,7 @@ class AudioPlayback {
   const sim::Summary& playout_jitter() const { return jitter_; }
 
  private:
-  void OnCell(const atm::Cell& cell);
+  void OnBurst(const atm::Cell* cells, size_t count);
   void Tick();
 
   sim::Simulator* sim_;

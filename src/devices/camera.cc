@@ -95,9 +95,11 @@ void AtmCamera::EmitTiles(std::vector<Tile> tiles, uint32_t frame_no, sim::TimeN
       endpoint_->SendFrame(extra, payload, config_.pace_bps);
     }
   };
+  // Tiles per AAL5 frame (a band of w/8 tiles is split as needed).
+  constexpr size_t kTilesPerPacket = 10;
   for (Tile& tile : tiles) {
     packet.tiles.push_back(std::move(tile));
-    if (static_cast<int>(packet.tiles.size()) >= config_.tiles_per_packet) {
+    if (packet.tiles.size() >= kTilesPerPacket) {
       ship(packet);
       packet.tiles.clear();
     }

@@ -36,8 +36,6 @@ class AtmCamera {
     CompressionMode compression = CompressionMode::kRaw;
     int jpeg_quality = 60;
     Emission emission = Emission::kTiles;
-    // Tiles per AAL5 frame (a band of w/8 tiles is split as needed).
-    int tiles_per_packet = 10;
     // Cell pacing rate; 0 = line rate of the uplink.
     int64_t pace_bps = 0;
     double content_noise = 0.1;

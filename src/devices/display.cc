@@ -12,7 +12,8 @@ AtmDisplay::AtmDisplay(sim::Simulator* sim, atm::Endpoint* endpoint, int width, 
       height_(height),
       framebuffer_(static_cast<size_t>(width) * height, 0),
       owner_(static_cast<size_t>(width) * height, atm::kVciUnassigned) {
-  endpoint_->set_cell_handler([this](const atm::Cell& cell) { OnCell(cell); });
+  endpoint_->set_cell_handler(
+      [this](const atm::Cell* cells, size_t count) { OnBurst(cells, count); });
 }
 
 void AtmDisplay::SetDescriptor(atm::Vci vci, const WindowDescriptor& desc) {
@@ -62,17 +63,20 @@ void AtmDisplay::RecomputeOwnership() {
   }
 }
 
-void AtmDisplay::OnCell(const atm::Cell& cell) {
-  auto sdu = reassemblers_[cell.vci].Push(cell);
-  if (!sdu.has_value()) {
-    return;
+void AtmDisplay::OnBurst(const atm::Cell* cells, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    const atm::Cell& cell = cells[i];
+    auto sdu = reassemblers_[cell.vci].Push(cell);
+    if (!sdu.has_value()) {
+      continue;
+    }
+    auto packet = TilePacket::Parse(*sdu);
+    if (!packet.has_value()) {
+      ++decode_errors_;
+      continue;
+    }
+    OnPacket(cell.vci, *packet);
   }
-  auto packet = TilePacket::Parse(*sdu);
-  if (!packet.has_value()) {
-    ++decode_errors_;
-    return;
-  }
-  OnPacket(cell.vci, *packet);
 }
 
 void AtmDisplay::OnPacket(atm::Vci vci, const TilePacket& packet) {

@@ -82,7 +82,7 @@ class AtmDisplay {
   uint32_t frames_completed() const { return frames_completed_; }
 
  private:
-  void OnCell(const atm::Cell& cell);
+  void OnBurst(const atm::Cell* cells, size_t count);
   void OnPacket(atm::Vci vci, const TilePacket& packet);
   void RecomputeOwnership();
 

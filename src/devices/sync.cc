@@ -58,12 +58,14 @@ void PlaybackController::Playout(int stream, sim::TimeNs media_ts) {
   }
   // Skew against the nearest-in-media-time sample of every other stream:
   // skew = (playout - media_ts) difference between the streams.
+  // How far apart two streams' samples may be and still be compared.
+  constexpr sim::DurationNs kSkewMatchWindow = sim::Milliseconds(100);
   for (size_t other = 0; other < streams_.size(); ++other) {
     if (other == static_cast<size_t>(stream)) {
       continue;
     }
     const Stream& o = streams_[other];
-    sim::TimeNs best_gap = options_.skew_match_window + 1;
+    sim::TimeNs best_gap = kSkewMatchWindow + 1;
     sim::TimeNs best_skew = 0;
     for (const auto& [ots, oplay] : o.history) {
       const sim::TimeNs gap = std::llabs(ots - media_ts);
@@ -72,7 +74,7 @@ void PlaybackController::Playout(int stream, sim::TimeNs media_ts) {
         best_skew = (now - media_ts) - (oplay - ots);
       }
     }
-    if (best_gap <= options_.skew_match_window) {
+    if (best_gap <= kSkewMatchWindow) {
       skew_.Add(static_cast<double>(std::llabs(best_skew)));
     }
   }

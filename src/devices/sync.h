@@ -39,9 +39,6 @@ class PlaybackController {
     // Buffering margin added to the first arrival; absorbs jitter and
     // inter-stream latency differences.
     sim::DurationNs margin = sim::Milliseconds(40);
-    // How far apart two streams' samples may be and still be compared for
-    // skew measurement.
-    sim::DurationNs skew_match_window = sim::Milliseconds(100);
   };
 
   using PlayoutCallback =

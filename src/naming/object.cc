@@ -4,22 +4,6 @@
 
 namespace pegasus::naming {
 
-const char* InvokeStatusName(InvokeStatus s) {
-  switch (s) {
-    case InvokeStatus::kOk:
-      return "ok";
-    case InvokeStatus::kNoSuchObject:
-      return "no-such-object";
-    case InvokeStatus::kNoSuchMethod:
-      return "no-such-method";
-    case InvokeStatus::kBadArguments:
-      return "bad-arguments";
-    case InvokeStatus::kTransportError:
-      return "transport-error";
-  }
-  return "unknown";
-}
-
 LocalPath::LocalPath(sim::Simulator* sim, Invocable* target, sim::DurationNs call_cost)
     : sim_(sim), target_(target), call_cost_(call_cost) {}
 

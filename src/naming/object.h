@@ -35,8 +35,6 @@ enum class InvokeStatus : uint8_t {
   kTransportError = 4,
 };
 
-const char* InvokeStatusName(InvokeStatus s);
-
 // An object's interface: named operations over byte strings. Applications
 // would normally see typed stubs; the byte-level interface is what the stub
 // compiler would be generated against.

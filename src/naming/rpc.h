@@ -38,7 +38,6 @@ class RpcServer {
   // Exports `object` under `name`. The object must outlive the server.
   void ExportObject(const std::string& name, Invocable* object);
   bool UnexportObject(const std::string& name);
-  bool HasObject(const std::string& name) const { return objects_.count(name) > 0; }
 
   int64_t calls_served() const { return calls_served_; }
   int64_t lookup_calls() const { return lookup_calls_; }

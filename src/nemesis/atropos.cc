@@ -228,14 +228,4 @@ void AtroposScheduler::Charge(Domain* domain, const SchedDecision& decision, sim
   sd.remain = std::max<sim::DurationNs>(0, sd.remain - debit);
 }
 
-sim::DurationNs AtroposScheduler::CreditOf(Domain* domain) const {
-  auto it = sdoms_.find(domain);
-  return it == sdoms_.end() ? 0 : it->second.remain;
-}
-
-sim::TimeNs AtroposScheduler::DeadlineOf(Domain* domain) const {
-  auto it = sdoms_.find(domain);
-  return it == sdoms_.end() ? 0 : it->second.deadline;
-}
-
 }  // namespace pegasus::nemesis

@@ -51,10 +51,6 @@ class AtroposScheduler : public Scheduler {
   double AdmittedUtilization() const override;
   double Capacity() const override { return capacity_; }
 
-  // Introspection for tests: remaining credit / current deadline of a domain.
-  sim::DurationNs CreditOf(Domain* domain) const;
-  sim::TimeNs DeadlineOf(Domain* domain) const;
-
  private:
   struct SDom {
     sim::TimeNs deadline = 0;

@@ -7,6 +7,13 @@
 
 namespace pegasus::nemesis {
 
+namespace {
+
+// CPU the review itself costs per epoch.
+constexpr sim::DurationNs kReviewCost = sim::Microseconds(200);
+
+}  // namespace
+
 const char* GrantReasonName(GrantReason reason) {
   switch (reason) {
     case GrantReason::kContention:
@@ -44,7 +51,7 @@ double QosManagerDomain::GrantedUtilization(Domain* client) const {
 void QosManagerDomain::OnAttached() {
   last_review_at_ = sim_->now();
   sim_->ScheduleAfter(options_.epoch, [this]() {
-    pending_work_ = options_.review_cost;
+    pending_work_ = kReviewCost;
     kernel()->NotifyWork(this);
   });
 }
@@ -66,7 +73,7 @@ void QosManagerDomain::OnRunEnd(sim::TimeNs start, sim::DurationNs ran, bool com
   }
   Review();
   sim_->ScheduleAfter(options_.epoch, [this]() {
-    pending_work_ = options_.review_cost;
+    pending_work_ = kReviewCost;
     kernel()->NotifyWork(this);
   });
 }
@@ -89,11 +96,13 @@ void QosManagerDomain::Review() {
   // towards what it has actually been using.
   std::map<Domain*, double> demand;
   std::map<Domain*, bool> trimmed;
+  // Headroom multiplier over observed usage when reclaiming.
+  constexpr double kReclaimHeadroom = 1.25;
   for (auto& [client, st] : clients_) {
     const double requested = st.requested.Utilization();
     double want = requested;
     if (options_.reclaim_unused && st.observed_util > 0.0) {
-      want = std::min(want, std::max(st.observed_util * options_.reclaim_headroom, 0.01));
+      want = std::min(want, std::max(st.observed_util * kReclaimHeadroom, 0.01));
     }
     demand[client] = want;
     trimmed[client] = want < requested - 1e-9;

@@ -59,18 +59,15 @@ class QosManagerDomain : public Domain {
  public:
   struct Options {
     // Review interval — deliberately much longer than scheduler periods.
+    // Each review costs the manager a fixed slice of CPU (kReviewCost).
     sim::DurationNs epoch = sim::Milliseconds(250);
-    // CPU the review itself costs per epoch.
-    sim::DurationNs review_cost = sim::Microseconds(200);
     // Total guaranteed utilisation the manager is willing to hand out.
     double target_utilization = 0.9;
     // EWMA smoothing factor for slice changes, in (0, 1]; 1 = no smoothing.
     double smoothing = 0.4;
     // When true, chronically idle clients are trimmed towards their observed
-    // usage (plus headroom) so the surplus can serve others.
+    // usage (plus a fixed 25% headroom) so the surplus can serve others.
     bool reclaim_unused = true;
-    // Headroom multiplier over observed usage when reclaiming.
-    double reclaim_headroom = 1.25;
   };
 
   QosManagerDomain(sim::Simulator* sim, std::string name, QosParams own_qos, Options options);

@@ -63,8 +63,17 @@ void BlockCache::InvalidateFile(FileId file) {
 
 // --- ClientAgent ---
 
-ClientAgent::ClientAgent(sim::Simulator* sim, PegasusFileServer* server, Options options)
-    : sim_(sim), server_(server), options_(options), cache_(options.cache_bytes) {
+namespace {
+
+// One-way client<->server message latency (the core module replaces this
+// with a real ATM path in integration scenarios).
+constexpr sim::DurationNs kNetworkDelay = sim::Microseconds(200);
+constexpr int64_t kCacheBytes = 4 << 20;
+
+}  // namespace
+
+ClientAgent::ClientAgent(sim::Simulator* sim, PegasusFileServer* server)
+    : sim_(sim), server_(server), cache_(kCacheBytes) {
   server_->SetDurableCallback([this](FileId file, int64_t offset, int64_t length) {
     OnDurable(file, offset, length);
   });
@@ -99,13 +108,13 @@ void ClientAgent::Write(FileId file, int64_t offset, std::vector<uint8_t> data,
     }
   }
 
-  sim_->ScheduleAfter(options_.network_delay, [this, id, file, offset, data = std::move(data),
-                                               callback = std::move(callback)]() mutable {
+  sim_->ScheduleAfter(kNetworkDelay, [this, id, file, offset, data = std::move(data),
+                                      callback = std::move(callback)]() mutable {
     server_->Write(file, offset, std::move(data),
                    [this, id, callback = std::move(callback)](bool accepted) {
                      // The ack travels back over the network, then the
                      // application unblocks.
-                     sim_->ScheduleAfter(options_.network_delay,
+                     sim_->ScheduleAfter(kNetworkDelay,
                                          [this, id, accepted, callback]() {
                                            auto it = retained_.find(id);
                                            if (it != retained_.end()) {
@@ -171,8 +180,8 @@ void ClientAgent::Read(FileId file, int64_t offset, int64_t len, ReadCallback ca
     }
   }
   // Miss (or uncacheable): fetch from the server, then populate the cache.
-  sim_->ScheduleAfter(options_.network_delay, [this, file, offset, len, cacheable,
-                                               callback = std::move(callback)]() {
+  sim_->ScheduleAfter(kNetworkDelay, [this, file, offset, len, cacheable,
+                                      callback = std::move(callback)]() {
     server_->Read(file, offset, len,
                   [this, file, offset, len, cacheable, callback](bool ok,
                                                                  std::vector<uint8_t> data) {
@@ -186,7 +195,7 @@ void ClientAgent::Read(FileId file, int64_t offset, int64_t len, ReadCallback ca
                         }
                       }
                     }
-                    sim_->ScheduleAfter(options_.network_delay,
+                    sim_->ScheduleAfter(kNetworkDelay,
                                         [ok, data = std::move(data), callback]() mutable {
                                           callback(ok, std::move(data));
                                         });
@@ -216,7 +225,7 @@ void ClientAgent::ResendUnacknowledged(std::function<void()> done) {
     }
     ++resends_;
     const Retained& r = it->second;
-    sim_->ScheduleAfter(options_.network_delay,
+    sim_->ScheduleAfter(kNetworkDelay,
                         [this, file = r.file, offset = r.offset, data = r.data, pending,
                          finish]() mutable {
                           server_->Write(file, offset, std::move(data), [pending, finish](bool) {

@@ -74,14 +74,9 @@ class ClientAgent {
   using WriteCallback = std::function<void(bool ok)>;
   using ReadCallback = std::function<void(bool ok, std::vector<uint8_t> data)>;
 
-  struct Options {
-    // One-way client<->server message latency (the core module replaces this
-    // with a real ATM path in integration scenarios).
-    sim::DurationNs network_delay = sim::Microseconds(200);
-    int64_t cache_bytes = 4 << 20;
-  };
-
-  ClientAgent(sim::Simulator* sim, PegasusFileServer* server, Options options);
+  // Messages to and from the server take a fixed one-way latency and the
+  // block cache has a fixed size (constants of client.cc).
+  ClientAgent(sim::Simulator* sim, PegasusFileServer* server);
 
   // Blocks the application until the server acknowledges receipt — NOT until
   // the data is on disk; the retained copy makes that safe.
@@ -114,11 +109,9 @@ class ClientAgent {
   };
 
   void OnDurable(FileId file, int64_t offset, int64_t length);
-  void SendWrite(uint64_t id);
 
   sim::Simulator* sim_;
   PegasusFileServer* server_;
-  Options options_;
   BlockCache cache_;
   std::map<uint64_t, Retained> retained_;
   uint64_t next_write_id_ = 1;

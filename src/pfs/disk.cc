@@ -51,6 +51,9 @@ void SimDisk::Enqueue(Request req, bool realtime) {
 }
 
 sim::DurationNs SimDisk::PositioningTime(int64_t offset) const {
+  constexpr sim::DurationNs kMinSeek = sim::Milliseconds(1);    // track-to-track
+  constexpr sim::DurationNs kMaxSeek = sim::Milliseconds(17);   // full stroke
+  constexpr sim::DurationNs kRotation = sim::Milliseconds(11);  // ~5400 rpm
   const int64_t distance = std::abs(offset - head_pos_);
   if (distance == 0) {
     // Sequential access: no seek, no rotational delay (the head is there).
@@ -59,9 +62,8 @@ sim::DurationNs SimDisk::PositioningTime(int64_t offset) const {
   const double frac =
       static_cast<double>(distance) / static_cast<double>(geometry_.capacity_bytes);
   const auto seek = static_cast<sim::DurationNs>(
-      static_cast<double>(geometry_.min_seek) +
-      frac * static_cast<double>(geometry_.max_seek - geometry_.min_seek));
-  return seek + geometry_.rotation / 2;
+      static_cast<double>(kMinSeek) + frac * static_cast<double>(kMaxSeek - kMinSeek));
+  return seek + kRotation / 2;
 }
 
 void SimDisk::StartNext() {
@@ -80,7 +82,7 @@ void SimDisk::StartNext() {
 
   const sim::DurationNs position = PositioningTime(req.offset);
   const sim::DurationNs transfer =
-      req.len * sim::Seconds(1) / geometry_.transfer_bytes_per_sec;
+      req.len * sim::Seconds(1) / DiskGeometry::transfer_bytes_per_sec;
   seek_time_ += position;
   transfer_time_ += transfer;
   busy_time_ += position + transfer;

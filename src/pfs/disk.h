@@ -23,13 +23,11 @@
 
 namespace pegasus::pfs {
 
+// Seek and rotation times are constants of SimDisk::PositioningTime.
 struct DiskGeometry {
   int64_t capacity_bytes = 2LL << 30;  // 2 GB, generous for 1994
   // Sustained media rate; the paper's disks do ≥ 5 MB/s.
-  int64_t transfer_bytes_per_sec = 5 * 1024 * 1024;
-  sim::DurationNs min_seek = sim::Milliseconds(1);   // track-to-track
-  sim::DurationNs max_seek = sim::Milliseconds(17);  // full stroke
-  sim::DurationNs rotation = sim::Milliseconds(11);  // ~5400 rpm
+  static constexpr int64_t transfer_bytes_per_sec = 5 * 1024 * 1024;
 };
 
 class SimDisk {

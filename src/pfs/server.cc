@@ -15,7 +15,7 @@ namespace pegasus::pfs {
 PegasusFileServer::PegasusFileServer(sim::Simulator* sim, PfsConfig config)
     : sim_(sim),
       config_(config),
-      store_(std::make_unique<StripeStore>(sim, config.num_data_disks, config.segment_size,
+      store_(std::make_unique<StripeStore>(sim, PfsConfig::num_data_disks, config.segment_size,
                                            config.geometry)),
       meta_(store_->capacity_segments()) {
   durable_meta_image_ = meta_.Serialize();
@@ -489,9 +489,11 @@ bool PegasusFileServer::Delete(FileId file) {
 // --- continuous-media support ---
 
 int64_t PegasusFileServer::StreamBudgetBps() const {
-  return static_cast<int64_t>(static_cast<double>(config_.num_data_disks) *
-                              static_cast<double>(config_.geometry.transfer_bytes_per_sec) *
-                              config_.stream_admission_fraction);
+  // Fraction of aggregate disk bandwidth admitted to stream reservations.
+  constexpr double kStreamAdmissionFraction = 0.8;
+  return static_cast<int64_t>(static_cast<double>(PfsConfig::num_data_disks) *
+                              static_cast<double>(DiskGeometry::transfer_bytes_per_sec) *
+                              kStreamAdmissionFraction);
 }
 
 bool PegasusFileServer::ReserveStream(FileId file, int64_t bytes_per_second) {
@@ -518,10 +520,6 @@ void PegasusFileServer::SetStreamPressureCallback(FileId file, PressureCallback 
     return;
   }
   stream_pressure_callbacks_[file] = std::move(callback);
-}
-
-void PegasusFileServer::ClearStreamPressureCallback(FileId file) {
-  stream_pressure_callbacks_.erase(file);
 }
 
 int PegasusFileServer::SignalBudgetPressure(double fraction) {

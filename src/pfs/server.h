@@ -36,7 +36,8 @@
 namespace pegasus::pfs {
 
 struct PfsConfig {
-  int num_data_disks = 4;
+  // Data disks in the stripe; one parity disk rides along.
+  static constexpr int num_data_disks = 4;
   int64_t segment_size = 1 << 20;  // the paper's megabyte segments
   int64_t block_size = 8192;
   DiskGeometry geometry;
@@ -46,8 +47,6 @@ struct PfsConfig {
   // Server write-buffer memory per data class; exceeding it flushes the
   // oldest segment's worth of blocks early.
   int64_t max_buffered_bytes = 4 << 20;
-  // Fraction of aggregate disk bandwidth admitted to stream reservations.
-  double stream_admission_fraction = 0.8;
 };
 
 // Aggregates the delivery quality of a volume's continuous-media reads:
@@ -65,11 +64,10 @@ class StreamQualityRecorder {
     double mean_lateness = 0.0;        // over late chunks only, ns
   };
 
-  // Window misses below this lateness are jitter, not pressure: they are
+  // Window misses up to this lateness are jitter, not pressure: they are
   // excluded from the windowed miss count (the cumulative counters keep the
-  // strict > 0 definition). The QoS monitor sets this from its config.
-  void set_miss_tolerance(sim::DurationNs tolerance) { miss_tolerance_ = tolerance; }
-  sim::DurationNs miss_tolerance() const { return miss_tolerance_; }
+  // strict > 0 definition).
+  static constexpr sim::DurationNs kMissTolerance = sim::Milliseconds(1);
 
   // `lateness` is delivery time minus due time; <= 0 is on time.
   void Record(sim::DurationNs lateness) {
@@ -78,7 +76,7 @@ class StreamQualityRecorder {
     if (lateness > 0) {
       ++deadline_misses_;
     }
-    if (lateness > miss_tolerance_) {
+    if (lateness > kMissTolerance) {
       ++window_.deadline_misses;
       window_late_sum_ += static_cast<double>(lateness);
       window_.max_lateness = std::max(window_.max_lateness, lateness);
@@ -113,7 +111,6 @@ class StreamQualityRecorder {
  private:
   int64_t chunks_ = 0;
   int64_t deadline_misses_ = 0;
-  sim::DurationNs miss_tolerance_ = 0;
   double lateness_sum_ = 0.0;
   sim::DurationNs max_lateness_ = 0;
   Window window_;
@@ -173,7 +170,7 @@ class PegasusFileServer {
   void ReleaseStream(FileId file);
   int64_t reserved_stream_bps() const { return reserved_bps_; }
   // Aggregate disk bandwidth the admission controller hands out to stream
-  // reservations (stream_admission_fraction of the raw disk rate).
+  // reservations (a fixed 80% of the raw disk rate).
   int64_t StreamBudgetBps() const;
   // Unreserved stream bandwidth remaining — the largest reservation the
   // store can still admit.
@@ -184,7 +181,6 @@ class PegasusFileServer {
   using PressureCallback = std::function<void(double fraction)>;
   // At most one callback per reserved file; dropped on ReleaseStream.
   void SetStreamPressureCallback(FileId file, PressureCallback callback);
-  void ClearStreamPressureCallback(FileId file);
   // Announces budget pressure (a failing disk, a rebuild eating bandwidth):
   // every reserved stream with a callback hears that only `fraction` of its
   // reservation is deliverable. Returns the number of streams notified.

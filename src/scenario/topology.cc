@@ -2,7 +2,33 @@
 
 #include <string>
 
+#include "src/pfs/server.h"
+#include "src/sim/time.h"
+
 namespace pegasus::scenario {
+
+namespace {
+
+// Link capacity tapers toward the edge: OC-48-class core trunks down to
+// OC-3 subscriber uplinks.
+constexpr int64_t kCoreMeshBps = 2'400'000'000;
+constexpr int64_t kCoreAggBps = 1'200'000'000;
+constexpr int64_t kAggEdgeBps = 622'000'000;
+constexpr int64_t kHostUplinkBps = 155'000'000;
+constexpr int64_t kStorageLinkBps = 622'000'000;
+
+// Trunk propagation delays follow metro geography: light in fibre covers
+// ~200 m/µs and carrier fibre routes run ~2x the geographic distance, so an
+// ~80 km inter-office core span is ~800 µs of route and a ~50 km
+// core-to-aggregation run ~500 µs; intra-building tiers keep the library
+// default. These are also what the sharded runtime (src/sim/shard.h) feeds
+// on — every cross-region wire is a core-mesh or core-agg trunk, and its
+// propagation delay is that channel's conservative lookahead, so realistic
+// trunk lengths directly widen the windows.
+constexpr sim::DurationNs kCoreMeshProp = sim::Microseconds(800);
+constexpr sim::DurationNs kCoreAggProp = sim::Microseconds(500);
+
+}  // namespace
 
 MetroTopology BuildMetroTopology(core::PegasusSystem& system, const TopologyParams& params) {
   return BuildMetroTopology(system, params, nullptr);
@@ -30,7 +56,7 @@ MetroTopology BuildMetroTopology(core::PegasusSystem& system, const TopologyPara
   for (int a = 0; a < params.core_switches; ++a) {
     for (int b = a + 1; b < params.core_switches; ++b) {
       net.ConnectSwitches(topo.cores[a], core_next_port[a]++, topo.cores[b], core_next_port[b]++,
-                          params.core_mesh_bps, params.core_mesh_prop);
+                          kCoreMeshBps, kCoreMeshProp);
     }
   }
 
@@ -42,8 +68,8 @@ MetroTopology BuildMetroTopology(core::PegasusSystem& system, const TopologyPara
       atm::Switch* agg =
           net.AddSwitch("agg" + std::to_string(a), 1 + params.edge_per_agg);
       topo.aggs.push_back(agg);
-      net.ConnectSwitches(agg, 0, topo.cores[c], core_next_port[c]++, params.core_agg_bps,
-                          params.core_agg_prop);
+      net.ConnectSwitches(agg, 0, topo.cores[c], core_next_port[c]++, kCoreAggBps,
+                          kCoreAggProp);
     }
   }
 
@@ -56,7 +82,7 @@ MetroTopology BuildMetroTopology(core::PegasusSystem& system, const TopologyPara
       atm::Switch* edge =
           net.AddSwitch("edge" + std::to_string(e), 1 + params.hosts_per_edge);
       topo.edges.push_back(edge);
-      net.ConnectSwitches(edge, 0, topo.aggs[a], 1 + i, params.agg_edge_bps);
+      net.ConnectSwitches(edge, 0, topo.aggs[a], 1 + i, kAggEdgeBps);
     }
   }
 
@@ -67,8 +93,8 @@ MetroTopology BuildMetroTopology(core::PegasusSystem& system, const TopologyPara
     for (int i = 0; i < params.hosts_per_edge; ++i) {
       const int h = e * params.hosts_per_edge + i;
       part.EnterRegion(topo.region_of_edge(e));
-      topo.hosts.push_back(system.AddWorkstation("ws" + std::to_string(h), topo.edges[e], 1 + i,
-                                                 params.host_uplink_bps));
+      topo.hosts.push_back(
+          system.AddWorkstation("ws" + std::to_string(h), topo.edges[e], 1 + i, kHostUplinkBps));
     }
   }
 
@@ -77,10 +103,9 @@ MetroTopology BuildMetroTopology(core::PegasusSystem& system, const TopologyPara
   for (int c = 0; c < params.core_switches; ++c) {
     for (int i = 0; i < params.storage_per_core; ++i) {
       const int s = c * params.storage_per_core + i;
-      topo.storage.push_back(system.AddStorageServer(params.storage_config,
+      topo.storage.push_back(system.AddStorageServer(pfs::PfsConfig(),
                                                      "store" + std::to_string(s), topo.cores[c],
-                                                     core_next_port[c]++,
-                                                     params.storage_link_bps));
+                                                     core_next_port[c]++, kStorageLinkBps));
     }
   }
   return topo;

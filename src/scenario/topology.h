@@ -22,9 +22,7 @@
 #include <vector>
 
 #include "src/core/system.h"
-#include "src/pfs/server.h"
 #include "src/sim/shard.h"
-#include "src/sim/time.h"
 
 namespace pegasus::scenario {
 
@@ -37,26 +35,8 @@ struct TopologyParams {
   int hosts_per_edge = 4;
   int storage_per_core = 1;
 
-  // Link capacity tapers toward the edge: OC-48-class core trunks down to
-  // OC-3 subscriber uplinks.
-  int64_t core_mesh_bps = 2'400'000'000;
-  int64_t core_agg_bps = 1'200'000'000;
-  int64_t agg_edge_bps = 622'000'000;
-  int64_t host_uplink_bps = 155'000'000;
-  int64_t storage_link_bps = 622'000'000;
-
-  // Trunk propagation delays follow metro geography: light in fibre covers
-  // ~200 m/µs and carrier fibre routes run ~2x the geographic distance, so
-  // an ~80 km inter-office core span is ~800 µs of route and a ~50 km
-  // core-to-aggregation run ~500 µs; intra-building tiers keep the library
-  // default. These are also what the sharded runtime (src/sim/shard.h)
-  // feeds on — every cross-region wire is a core-mesh or core-agg trunk,
-  // and its propagation delay is that channel's conservative lookahead, so
-  // realistic trunk lengths directly widen the windows.
-  sim::DurationNs core_mesh_prop = sim::Microseconds(800);
-  sim::DurationNs core_agg_prop = sim::Microseconds(500);
-
-  pfs::PfsConfig storage_config;
+  // Tier link rates, trunk propagation delays and the storage servers'
+  // PfsConfig are fixed (constants of topology.cc).
 
   int num_cores() const { return core_switches; }
   int num_aggs() const { return core_switches * agg_per_core; }
@@ -144,8 +124,6 @@ class RegionPartitioner {
       network_->SetBuildShard(shard_of(region));
     }
   }
-  // Subsequent switches are built on the control simulator.
-  void EnterControl() { network_->SetBuildShard(nullptr); }
 
  private:
   atm::Network* network_;

@@ -12,6 +12,19 @@ namespace {
 // the granted rate.
 constexpr sim::DurationNs kFrameInterval = sim::Milliseconds(40);
 
+// Nominal contract rate of each session type.
+constexpr int64_t kPhoneBps = 2'000'000;
+constexpr int64_t kVodBps = 4'000'000;
+constexpr int64_t kRecordBps = 3'000'000;
+constexpr int64_t kBroadcastBps = 3'000'000;
+// Zipf skew of title and channel popularity.
+constexpr double kZipfTheta = 0.8;
+constexpr double kBroadcastZipfTheta = 0.8;
+// Live broadcast channels, ranked by popularity.
+constexpr size_t kBroadcastChannels = 8;
+// Cadence at which session adaptation counters are polled.
+constexpr sim::DurationNs kMetricsPeriod = sim::Milliseconds(100);
+
 double WallNsSince(std::chrono::steady_clock::time_point t0) {
   return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                  std::chrono::steady_clock::now() - t0)
@@ -39,7 +52,18 @@ ScenarioEngine::ScenarioEngine(core::PegasusSystem* system, const MetroTopology*
       holding_rng_(params.seed ^ kHoldingStream),
       fate_rng_(params.seed ^ kFateStream) {
   SeedCatalog();
-  channels_.resize(static_cast<size_t>(std::max(0, params_.broadcast_channels)));
+  channels_.resize(kBroadcastChannels);
+}
+
+template <typename Admit>
+auto ScenarioEngine::TimeAdmission(Admit admit) {
+  const auto wall0 = std::chrono::steady_clock::now();
+  auto result = admit();
+  const double admit_ns = WallNsSince(wall0);
+  ++metrics_.admit_calls;
+  metrics_.admit_wall_ns_total += admit_ns;
+  metrics_.admit_wall_ns_max = std::max(metrics_.admit_wall_ns_max, admit_ns);
+  return result;
 }
 
 void ScenarioEngine::SeedCatalog() {
@@ -50,10 +74,10 @@ void ScenarioEngine::SeedCatalog() {
   // i / files_per_storage, so the head of the Zipf ranking — most of the
   // offered VOD load — lands on the first storage node and makes it hot.
   for (int s = 0; s < static_cast<int>(topo_->storage.size()); ++s) {
-    for (int f = 0; f < params_.catalog_files_per_storage; ++f) {
+    for (int f = 0; f < WorkloadParams::catalog_files_per_storage; ++f) {
       catalog_files_.push_back(topo_->storage[static_cast<size_t>(s)]->SeedContinuousFile(
-          params_.catalog_records_per_file, params_.catalog_record_bytes,
-          params_.catalog_record_cadence));
+          WorkloadParams::catalog_records_per_file, WorkloadParams::catalog_record_bytes,
+          WorkloadParams::catalog_record_cadence));
       catalog_storage_.push_back(s);
       catalog_busy_.push_back(false);
     }
@@ -146,8 +170,8 @@ void ScenarioEngine::OnArrival() {
     // host is drawn uniformly. Both draws come from the mix stream in the
     // same fixed order as the other branches. Viewers never renegotiate —
     // the channel, degraded as one unit, owns its contract.
-    const int rank = static_cast<int>(mix_rng_.Zipf(
-        static_cast<int64_t>(channels_.size()), params_.broadcast_zipf_theta));
+    const int rank = static_cast<int>(
+        mix_rng_.Zipf(static_cast<int64_t>(channels_.size()), kBroadcastZipfTheta));
     const int viewer_draw = static_cast<int>(mix_rng_.UniformInt(0, num_hosts - 1));
     OnBroadcastArrival(id, rank, viewer_draw, holding, drives_data);
     return;
@@ -155,7 +179,6 @@ void ScenarioEngine::OnArrival() {
 
   ActiveSession entry;
   entry.type = type;
-  entry.drives_data = drives_data;
   core::StreamSpec spec;
   core::StorageNode* storage = nullptr;
 
@@ -169,7 +192,7 @@ void ScenarioEngine::OnArrival() {
       }
       core::Workstation* src = topo_->hosts[static_cast<size_t>(a)];
       core::Workstation* dst = topo_->hosts[static_cast<size_t>(b)];
-      spec = core::StreamSpec::Video(25.0, params_.phone_bps);
+      spec = core::StreamSpec::Video(25.0, kPhoneBps);
       builder.FromEndpoint(src, src->host()).ToEndpoint(dst, dst->host());
       entry.source_ws = src;
       break;
@@ -177,7 +200,7 @@ void ScenarioEngine::OnArrival() {
     case SessionType::kVod: {
       const int viewer = static_cast<int>(mix_rng_.UniformInt(0, num_hosts - 1));
       const int rank = static_cast<int>(
-          mix_rng_.Zipf(static_cast<int64_t>(catalog_files_.size()), params_.zipf_theta));
+          mix_rng_.Zipf(static_cast<int64_t>(catalog_files_.size()), kZipfTheta));
       const int idx = ProbeCatalog(rank);
       if (idx < 0) {
         // Whole catalog on the air: the title (and every fallback) is busy.
@@ -187,8 +210,8 @@ void ScenarioEngine::OnArrival() {
       }
       storage = topo_->storage[static_cast<size_t>(catalog_storage_[static_cast<size_t>(idx)])];
       core::Workstation* dst = topo_->hosts[static_cast<size_t>(viewer)];
-      spec = core::StreamSpec::Video(25.0, params_.vod_bps);
-      spec.disk_bps = params_.vod_bps / 8;
+      spec = core::StreamSpec::Video(25.0, kVodBps);
+      spec.disk_bps = kVodBps / 8;
       builder.FromStorage(storage, catalog_files_[static_cast<size_t>(idx)])
           .ToEndpoint(dst, dst->host());
       entry.catalog_index = idx;
@@ -199,8 +222,8 @@ void ScenarioEngine::OnArrival() {
       const int st = static_cast<int>(mix_rng_.UniformInt(0, num_storage - 1));
       storage = topo_->storage[static_cast<size_t>(st)];
       core::Workstation* src = topo_->hosts[static_cast<size_t>(src_idx)];
-      spec = core::StreamSpec::Video(25.0, params_.record_bps);
-      spec.disk_bps = params_.record_bps / 8;
+      spec = core::StreamSpec::Video(25.0, kRecordBps);
+      spec.disk_bps = kRecordBps / 8;
       builder.FromEndpoint(src, src->host()).ToStorage(storage, static_cast<uint32_t>(id));
       entry.source_ws = src;
       break;
@@ -209,14 +232,8 @@ void ScenarioEngine::OnArrival() {
       return;  // dispatched above; never reaches the unicast builder path
   }
 
-  builder.WithSpec(spec).WithAdaptation(params_.adaptation);
-  const auto wall0 = std::chrono::steady_clock::now();
-  core::StreamResult result = builder.Open();
-  const double admit_ns = WallNsSince(wall0);
-  ++metrics_.admit_calls;
-  metrics_.admit_wall_ns_total += admit_ns;
-  metrics_.admit_wall_ns_max = std::max(metrics_.admit_wall_ns_max, admit_ns);
-
+  builder.WithSpec(spec).WithAdaptation(WorkloadParams::adaptation);
+  core::StreamResult result = TimeAdmission([&builder] { return builder.Open(); });
   if (!result.report.ok()) {
     RecordBlock(result.report);
     return;
@@ -287,14 +304,9 @@ void ScenarioEngine::OnBroadcastArrival(int64_t id, int channel, int viewer_draw
     core::StreamBuilder builder = system_->BuildStream();
     builder.FromEndpoint(head, head->host())
         .ToMany({sink})
-        .WithSpec(core::StreamSpec::Video(25.0, params_.broadcast_bps))
-        .WithAdaptation(params_.adaptation);
-    const auto wall0 = std::chrono::steady_clock::now();
-    core::StreamResult result = builder.Open();
-    const double admit_ns = WallNsSince(wall0);
-    ++metrics_.admit_calls;
-    metrics_.admit_wall_ns_total += admit_ns;
-    metrics_.admit_wall_ns_max = std::max(metrics_.admit_wall_ns_max, admit_ns);
+        .WithSpec(core::StreamSpec::Video(25.0, kBroadcastBps))
+        .WithAdaptation(WorkloadParams::adaptation);
+    core::StreamResult result = TimeAdmission([&builder] { return builder.Open(); });
     if (!result.report.ok()) {
       RecordBlock(result.report);
       return;
@@ -304,9 +316,6 @@ void ScenarioEngine::OnBroadcastArrival(int64_t id, int channel, int viewer_draw
     ch.session = result.session;
     ch.head = head;
     ch.viewers = 0;
-    ch.applied_seen = 0;
-    ch.first_applied_at = -1;
-    ch.last_applied_at = -1;
     ++ch.generation;
     if (drives_data) {
       DriveChannelFrames(channel, ch.generation);
@@ -314,12 +323,8 @@ void ScenarioEngine::OnBroadcastArrival(int64_t id, int channel, int viewer_draw
   } else {
     // Channel already on the air: the graft admits and reserves only the
     // branch from the existing tree to this viewer.
-    const auto wall0 = std::chrono::steady_clock::now();
-    const core::AdmissionReport report = ch.session->AddSink(sink);
-    const double admit_ns = WallNsSince(wall0);
-    ++metrics_.admit_calls;
-    metrics_.admit_wall_ns_total += admit_ns;
-    metrics_.admit_wall_ns_max = std::max(metrics_.admit_wall_ns_max, admit_ns);
+    const core::AdmissionReport report =
+        TimeAdmission([&ch, &sink] { return ch.session->AddSink(sink); });
     if (!report.ok()) {
       RecordBlock(report);
       return;
@@ -332,7 +337,6 @@ void ScenarioEngine::OnBroadcastArrival(int64_t id, int channel, int viewer_draw
       std::max(metrics_.mcast_peak_leaves, static_cast<int64_t>(ch.session->sink_count()));
 
   ActiveSession entry;
-  entry.session = ch.session;
   entry.type = SessionType::kBroadcast;
   entry.channel = channel;
   entry.viewer_ep = viewer->host();
@@ -349,11 +353,7 @@ void ScenarioEngine::DriveChannelFrames(int channel, int64_t generation) {
   }
   // One chain per channel, not per viewer: the head-end sends each frame
   // exactly once regardless of how many leaves the tree carries.
-  const int64_t bps = ch.session->legs().front().granted_bps;
-  const size_t bytes = static_cast<size_t>(std::clamp<int64_t>(
-      bps / 8 / 25, 64, static_cast<int64_t>(atm::kAal5MaxSduSize) - 64));
-  std::vector<uint8_t> payload(bytes, static_cast<uint8_t>(channel + 1));
-  ch.head->host_transport()->Send(ch.session->source_vci(), payload, bps);
+  SendFrame(ch.head, ch.session, static_cast<uint8_t>(channel + 1));
   sim_->ScheduleAfter(kFrameInterval,
                       [this, channel, generation]() { DriveChannelFrames(channel, generation); });
 }
@@ -363,15 +363,16 @@ void ScenarioEngine::DriveFrames(int64_t id) {
   if (it == active_.end() || !running_) {
     return;
   }
-  ActiveSession& s = it->second;
-  const int64_t bps = s.session->legs().front().granted_bps;
-  // One frame interval's worth of the granted rate, paced onto the wire
-  // through the token-bucket shaper.
+  SendFrame(it->second.source_ws, it->second.session, static_cast<uint8_t>(id));
+  sim_->ScheduleAfter(kFrameInterval, [this, id]() { DriveFrames(id); });
+}
+
+void ScenarioEngine::SendFrame(core::Workstation* ws, core::StreamSession* session,
+                               uint8_t fill) {
+  const int64_t bps = session->legs().front().granted_bps;
   const size_t bytes = static_cast<size_t>(std::clamp<int64_t>(
       bps / 8 / 25, 64, static_cast<int64_t>(atm::kAal5MaxSduSize) - 64));
-  std::vector<uint8_t> payload(bytes, static_cast<uint8_t>(id));
-  s.source_ws->host_transport()->Send(s.session->source_vci(), payload, bps);
-  sim_->ScheduleAfter(kFrameInterval, [this, id]() { DriveFrames(id); });
+  ws->host_transport()->Send(session->source_vci(), std::vector<uint8_t>(bytes, fill), bps);
 }
 
 void ScenarioEngine::OnRenegotiate(int64_t id) {
@@ -379,18 +380,19 @@ void ScenarioEngine::OnRenegotiate(int64_t id) {
   if (it == active_.end() || !running_) {
     return;
   }
+  // Renegotiating sessions cut every rate of their contract to this share.
+  constexpr double kRenegotiateScale = 0.6;
   core::StreamSession* session = it->second.session;
   core::StreamSpec spec = session->contract().granted;
   spec.bandwidth_bps =
-      static_cast<int64_t>(static_cast<double>(spec.bandwidth_bps) * params_.renegotiate_scale);
+      static_cast<int64_t>(static_cast<double>(spec.bandwidth_bps) * kRenegotiateScale);
   for (auto& leg : spec.legs) {
     if (leg.bandwidth_bps > 0) {
-      leg.bandwidth_bps = static_cast<int64_t>(static_cast<double>(leg.bandwidth_bps) *
-                                               params_.renegotiate_scale);
+      leg.bandwidth_bps =
+          static_cast<int64_t>(static_cast<double>(leg.bandwidth_bps) * kRenegotiateScale);
     }
   }
-  spec.disk_bps =
-      static_cast<int64_t>(static_cast<double>(spec.disk_bps) * params_.renegotiate_scale);
+  spec.disk_bps = static_cast<int64_t>(static_cast<double>(spec.disk_bps) * kRenegotiateScale);
   const core::AdmissionReport report = session->Renegotiate(spec);
   if (report.ok()) {
     ++metrics_.renegotiations;
@@ -399,59 +401,29 @@ void ScenarioEngine::OnRenegotiate(int64_t id) {
   }
 }
 
-void ScenarioEngine::PollAdaptation(ActiveSession* s) {
-  // Broadcast viewers share one session; its adaptation history is polled
-  // once at channel level (PollChannel), never per viewer.
-  if (s->type == SessionType::kBroadcast || !s->session->has_adaptation()) {
+void ScenarioEngine::Poll(const core::StreamSession* session, AdaptationWatch* watch) {
+  if (session == nullptr || !session->has_adaptation()) {
     return;
   }
-  const int64_t applied = s->session->adaptations_applied();
-  if (applied > s->applied_seen) {
-    if (s->first_applied_at < 0) {
-      s->first_applied_at = sim_->now();
+  const int64_t applied = session->adaptations_applied();
+  if (applied > watch->applied_seen) {
+    if (watch->first_applied_at < 0) {
+      watch->first_applied_at = sim_->now();
     }
-    s->last_applied_at = sim_->now();
-    metrics_.adaptation_events += applied - s->applied_seen;
-    s->applied_seen = applied;
+    watch->last_applied_at = sim_->now();
+    metrics_.adaptation_events += applied - watch->applied_seen;
+    watch->applied_seen = applied;
   }
 }
 
-void ScenarioEngine::FinishSession(ActiveSession* s) {
-  if (s->first_applied_at < 0) {
-    return;
+void ScenarioEngine::Finish(AdaptationWatch* watch) {
+  if (watch->first_applied_at >= 0) {
+    ++metrics_.adapting_sessions;
+    const sim::DurationNs convergence = watch->last_applied_at - watch->first_applied_at;
+    metrics_.convergence_total_ns += convergence;
+    metrics_.convergence_max_ns = std::max(metrics_.convergence_max_ns, convergence);
   }
-  ++metrics_.adapting_sessions;
-  const sim::DurationNs convergence = s->last_applied_at - s->first_applied_at;
-  metrics_.convergence_total_ns += convergence;
-  metrics_.convergence_max_ns = std::max(metrics_.convergence_max_ns, convergence);
-}
-
-void ScenarioEngine::PollChannel(BroadcastChannel* ch) {
-  if (ch->session == nullptr || !ch->session->has_adaptation()) {
-    return;
-  }
-  const int64_t applied = ch->session->adaptations_applied();
-  if (applied > ch->applied_seen) {
-    if (ch->first_applied_at < 0) {
-      ch->first_applied_at = sim_->now();
-    }
-    ch->last_applied_at = sim_->now();
-    metrics_.adaptation_events += applied - ch->applied_seen;
-    ch->applied_seen = applied;
-  }
-}
-
-void ScenarioEngine::FinishChannel(BroadcastChannel* ch) {
-  if (ch->first_applied_at < 0) {
-    return;
-  }
-  ++metrics_.adapting_sessions;
-  const sim::DurationNs convergence = ch->last_applied_at - ch->first_applied_at;
-  metrics_.convergence_total_ns += convergence;
-  metrics_.convergence_max_ns = std::max(metrics_.convergence_max_ns, convergence);
-  ch->first_applied_at = -1;
-  ch->last_applied_at = -1;
-  ch->applied_seen = 0;
+  *watch = AdaptationWatch{};
 }
 
 void ScenarioEngine::OnDeparture(int64_t id) {
@@ -470,8 +442,8 @@ void ScenarioEngine::OnDeparture(int64_t id) {
         --ch.viewers;
       } else {
         // Last viewer out: the whole tree comes down with it.
-        PollChannel(&ch);
-        FinishChannel(&ch);
+        Poll(ch.session, &ch.watch);
+        Finish(&ch.watch);
         ch.session->Close();
         ch.session = nullptr;
         ch.head = nullptr;
@@ -482,8 +454,8 @@ void ScenarioEngine::OnDeparture(int64_t id) {
     active_.erase(it);
     return;
   }
-  PollAdaptation(&s);
-  FinishSession(&s);
+  Poll(s.session, &s.watch);
+  Finish(&s.watch);
   if (s.catalog_index >= 0) {
     catalog_busy_[static_cast<size_t>(s.catalog_index)] = false;
   }
@@ -498,12 +470,12 @@ void ScenarioEngine::OnMetricsTick() {
   }
   for (auto& [id, s] : active_) {
     (void)id;
-    PollAdaptation(&s);
+    Poll(s.session, &s.watch);
   }
   for (BroadcastChannel& ch : channels_) {
-    PollChannel(&ch);
+    Poll(ch.session, &ch.watch);
   }
-  sim_->ScheduleAfter(params_.metrics_period, [this]() { OnMetricsTick(); });
+  sim_->ScheduleAfter(kMetricsPeriod, [this]() { OnMetricsTick(); });
 }
 
 const FleetMetrics& ScenarioEngine::Run(sim::DurationNs duration) {
@@ -524,12 +496,12 @@ const FleetMetrics& ScenarioEngine::Run(sim::DurationNs duration) {
   const int64_t rej_np0 = system_->network().admission_rejections_no_path();
 
   if (params_.enable_qos_monitor) {
-    system_->EnableQosMonitor(params_.monitor_config);
+    system_->EnableQosMonitor();
   }
   running_ = true;
   end_time_ = sim_->now() + duration;
   ScheduleNextArrival();
-  sim_->ScheduleAfter(params_.metrics_period, [this]() { OnMetricsTick(); });
+  sim_->ScheduleAfter(kMetricsPeriod, [this]() { OnMetricsTick(); });
   // A sharded network is driven through its shard group: every control
   // event (arrival, departure, tick...) becomes a global sync point with
   // all shards quiesced at that instant, so this code may touch any shard's
@@ -545,12 +517,12 @@ const FleetMetrics& ScenarioEngine::Run(sim::DurationNs duration) {
   // history even though they never departed.
   for (auto& [id, s] : active_) {
     (void)id;
-    PollAdaptation(&s);
-    FinishSession(&s);
+    Poll(s.session, &s.watch);
+    Finish(&s.watch);
   }
   for (BroadcastChannel& ch : channels_) {
-    PollChannel(&ch);
-    FinishChannel(&ch);
+    Poll(ch.session, &ch.watch);
+    Finish(&ch.watch);
   }
   metrics_.concurrent_at_end = static_cast<int64_t>(active_.size());
   metrics_.sim_duration_ns = duration;

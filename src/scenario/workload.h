@@ -29,7 +29,6 @@
 #include <map>
 #include <vector>
 
-#include "src/core/qos_monitor.h"
 #include "src/core/stream.h"
 #include "src/core/system.h"
 #include "src/pfs/server.h"
@@ -39,6 +38,10 @@
 
 namespace pegasus::scenario {
 
+// The choices a fleet run makes. Everything else about the offered load —
+// per-type session rates, Zipf skews, the broadcast tier's channel count
+// and rate, the renegotiation cut and the metrics cadence — is a constant of
+// workload.cc.
 struct WorkloadParams {
   uint64_t seed = 1;
 
@@ -50,20 +53,18 @@ struct WorkloadParams {
   double phone_weight = 0.55;
   double vod_weight = 0.35;
   double record_weight = 0.10;
-  int64_t phone_bps = 2'000'000;
-  int64_t vod_bps = 4'000'000;
-  int64_t record_bps = 3'000'000;
 
   // Content popularity: Zipf rank over the whole catalog, laid out
   // storage-major so the hottest titles pile onto the first storage node.
   // The PFS reservation ledger and the play-out engine are per-file, so a
   // title can be on the air once; a viewer finding it busy probes down the
-  // popularity ranking and blocks only when every title is playing.
-  double zipf_theta = 0.8;
-  int catalog_files_per_storage = 32;
-  int catalog_records_per_file = 64;
-  int catalog_record_bytes = 4096;
-  sim::DurationNs catalog_record_cadence = sim::Milliseconds(40);
+  // popularity ranking and blocks only when every title is playing. The
+  // catalog geometry is fixed; it stays readable here for code that seeds
+  // the same catalog.
+  static constexpr int catalog_files_per_storage = 32;
+  static constexpr int catalog_records_per_file = 64;
+  static constexpr int catalog_record_bytes = 4096;
+  static constexpr sim::DurationNs catalog_record_cadence = sim::Milliseconds(40);
 
   // Broadcast head-end tier: Zipf-popular live channels viewers join and
   // leave. Each channel is ONE multicast tree sourced at a deterministic
@@ -72,9 +73,6 @@ struct WorkloadParams {
   // Weight 0.0 (the default) draws nothing from any RNG stream, keeping
   // legacy mixes bit-identical.
   double broadcast_weight = 0.0;
-  int64_t broadcast_bps = 3'000'000;
-  int broadcast_channels = 8;
-  double broadcast_zipf_theta = 0.8;
 
   // Fraction of admitted sessions that actually move cells (live frame
   // sources / real play-outs) rather than holding reservations only; keeps
@@ -82,17 +80,18 @@ struct WorkloadParams {
   double data_session_fraction = 0.05;
   // Fraction of sessions that renegotiate their contract down mid-life.
   double renegotiate_fraction = 0.10;
-  double renegotiate_scale = 0.6;
 
-  core::AdaptationPolicy adaptation;
-  sim::DurationNs metrics_period = sim::Milliseconds(100);
+  // The adaptation policy every fleet session carries: the default policy
+  // with a floor of a quarter of the nominal contract.
+  static constexpr core::AdaptationPolicy adaptation = [] {
+    core::AdaptationPolicy policy;
+    policy.floor = 0.25;
+    return policy;
+  }();
 
   // Closed-loop monitoring over the whole fabric; adaptation convergence
   // metrics need it (nothing else degrades fleet sessions).
   bool enable_qos_monitor = false;
-  core::QosMonitor::Config monitor_config;
-
-  WorkloadParams() { adaptation.floor = 0.25; }
 };
 
 class ScenarioEngine {
@@ -114,34 +113,38 @@ class ScenarioEngine {
  private:
   enum class SessionType { kPhone, kVod, kRecord, kBroadcast };
 
-  struct ActiveSession {
-    core::StreamSession* session = nullptr;
-    SessionType type = SessionType::kPhone;
-    core::Workstation* source_ws = nullptr;  // frame-driving end (phone/record)
-    int catalog_index = -1;                  // busy flag to drop on departure
-    int channel = -1;                        // broadcast: channel this viewer watches
-    atm::Endpoint* viewer_ep = nullptr;      // broadcast: this viewer's leaf endpoint
-    bool drives_data = false;
-    // Adaptation polling state: applied-counter watermark and the sim times
-    // the first/last applied change was observed at.
+  // Adaptation history of one session, polled off its applied counter: the
+  // counter's watermark and the sim times the first/last applied change was
+  // observed at.
+  struct AdaptationWatch {
     int64_t applied_seen = 0;
     sim::TimeNs first_applied_at = -1;
     sim::TimeNs last_applied_at = -1;
   };
 
+  // A unicast session, or one broadcast viewer. A viewer holds no session
+  // of its own: its channel owns the tree, frame driving and adaptation
+  // history.
+  struct ActiveSession {
+    core::StreamSession* session = nullptr;  // null for broadcast viewers
+    SessionType type = SessionType::kPhone;
+    core::Workstation* source_ws = nullptr;  // frame-driving end (phone/record)
+    int catalog_index = -1;                  // busy flag to drop on departure
+    int channel = -1;                        // broadcast: channel this viewer watches
+    atm::Endpoint* viewer_ep = nullptr;      // broadcast: this viewer's leaf endpoint
+    AdaptationWatch watch;
+  };
+
   // One live broadcast channel: a single multicast tree every viewer of the
   // channel shares. The first viewer's arrival opens the tree with itself
   // as the only leaf; later viewers graft (AddSink) and prune (RemoveSink)
-  // leaves at runtime; the last viewer's departure closes the tree. The
-  // channel — not any viewer — owns frame driving and adaptation history.
+  // leaves at runtime; the last viewer's departure closes the tree.
   struct BroadcastChannel {
     core::StreamSession* session = nullptr;
     core::Workstation* head = nullptr;
     int viewers = 0;
     int64_t generation = 0;  // guards stale frame-driving chains across reopen
-    int64_t applied_seen = 0;
-    sim::TimeNs first_applied_at = -1;
-    sim::TimeNs last_applied_at = -1;
+    AdaptationWatch watch;
   };
 
   void SeedCatalog();
@@ -153,11 +156,20 @@ class ScenarioEngine {
   void OnRenegotiate(int64_t id);
   void DriveFrames(int64_t id);
   void DriveChannelFrames(int channel, int64_t generation);
+  // Sends one frame interval's worth of `session`'s granted rate from `ws`,
+  // paced onto the wire through the token-bucket shaper; every payload
+  // byte is `fill`.
+  void SendFrame(core::Workstation* ws, core::StreamSession* session, uint8_t fill);
   void OnMetricsTick();
-  void PollAdaptation(ActiveSession* s);
-  void FinishSession(ActiveSession* s);
-  void PollChannel(BroadcastChannel* ch);
-  void FinishChannel(BroadcastChannel* ch);
+  // Advances `watch` to `session`'s applied-adaptation counter (a null or
+  // non-adapting session has nothing to poll).
+  void Poll(const core::StreamSession* session, AdaptationWatch* watch);
+  // Folds a finished watch into the convergence metrics and resets it.
+  void Finish(AdaptationWatch* watch);
+  // Runs one admission call (Open or AddSink), timing exactly that call on
+  // the host clock into the admission metrics, and returns its result.
+  template <typename Admit>
+  auto TimeAdmission(Admit admit);
   void RecordBlock(const core::AdmissionReport& report);
   // First non-busy catalog index at or below rank `rank` in popularity
   // order (wrapping), or -1 when the whole catalog is on the air.

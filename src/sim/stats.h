@@ -67,17 +67,6 @@ class Histogram {
   int64_t count_ = 0;
 };
 
-// Monotonic named counter. Cheap enough to sprinkle through hot paths.
-class Counter {
- public:
-  void Increment(int64_t by = 1) { value_ += by; }
-  int64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
-
- private:
-  int64_t value_ = 0;
-};
-
 }  // namespace pegasus::sim
 
 #endif  // PEGASUS_SRC_SIM_STATS_H_

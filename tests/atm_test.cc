@@ -143,9 +143,11 @@ TEST(Aal5Test, SequenceNumbersAdvance) {
 
 class CollectorSink : public CellSink {
  public:
-  void DeliverCell(const Cell& cell) override {
-    cells.push_back(cell);
-    times.push_back(sim_ != nullptr ? sim_->now() : 0);
+  void DeliverBurst(const Cell* burst, size_t count) override {
+    for (size_t i = 0; i < count; ++i) {
+      cells.push_back(burst[i]);
+      times.push_back(sim_ != nullptr ? sim_->now() : 0);
+    }
   }
   void set_sim(sim::Simulator* s) { sim_ = s; }
   std::vector<Cell> cells;
@@ -279,7 +281,7 @@ TEST(SwitchTest, RoutesAndRelabels) {
   EXPECT_TRUE(sw.AddRoute(0, 40, 2, 77));
   Cell c;
   c.vci = 40;
-  sw.input(0)->DeliverCell(c);
+  sw.input(0)->DeliverBurst(&c, 1);
   sim.Run();
   ASSERT_EQ(sink.cells.size(), 1u);
   EXPECT_EQ(sink.cells[0].vci, 77u);
@@ -291,7 +293,7 @@ TEST(SwitchTest, UnroutedCellsDropped) {
   Switch sw(&sim, "sw", 4);
   Cell c;
   c.vci = 99;
-  sw.input(1)->DeliverCell(c);
+  sw.input(1)->DeliverBurst(&c, 1);
   sim.Run();
   EXPECT_EQ(sw.cells_unroutable(), 1u);
   EXPECT_EQ(sw.cells_switched(), 0u);
@@ -363,6 +365,35 @@ TEST(EndpointTest, IncomingVciReuseOrder) {
   EXPECT_EQ(ep.AllocateIncomingVci(), kVciFirstData);
   EXPECT_EQ(ep.AllocateIncomingVci(), kVciFirstData + 7);
   EXPECT_EQ(ep.AllocateIncomingVci(), kVciFirstData + kHeld + 1);
+}
+
+// An endpoint hands each delivered train to its one handler in one call, a
+// lone cell and a multi-cell train alike. Installing a handler replaces the
+// previous owner outright: once a tap takes over an endpoint that carried a
+// MessageTransport, later trains reach the tap only.
+TEST(EndpointTest, HandsEachTrainToItsHandlerInOneCall) {
+  sim::Simulator sim;
+  Endpoint ep(&sim, "nic");
+  std::vector<size_t> calls;
+  auto tap = [&calls](const Cell*, size_t count) { calls.push_back(count); };
+  ep.set_cell_handler(tap);
+  const std::vector<Cell> frame = Aal5Segment(kVciFirstData, std::vector<uint8_t>(200, 7));
+  ASSERT_GT(frame.size(), 1u);
+  ep.DeliverBurst(frame.data(), 1);
+  ep.DeliverBurst(frame.data(), frame.size());
+  EXPECT_EQ(calls, (std::vector<size_t>{1, frame.size()}));
+  EXPECT_EQ(ep.cells_received(), 1 + frame.size());
+
+  MessageTransport transport(&ep);
+  ep.DeliverBurst(frame.data(), frame.size());
+  EXPECT_EQ(transport.messages_received(), 1u);
+
+  calls.clear();
+  ep.set_cell_handler(tap);
+  ep.DeliverBurst(frame.data(), frame.size());
+  ep.DeliverBurst(&frame.back(), 1);
+  EXPECT_EQ(calls, (std::vector<size_t>{frame.size(), 1}));
+  EXPECT_EQ(transport.messages_received(), 1u);
 }
 
 // A multi-target entry replicates a burst once per BRANCH, relabelling per

@@ -398,7 +398,7 @@ TEST_F(ServerFixture, StreamSeekViaIndex) {
 
 class ClientFixture : public ServerFixture {
  protected:
-  ClientFixture() : agent_(&sim_, &server_, ClientAgent::Options{}) {}
+  ClientFixture() : agent_(&sim_, &server_) {}
 
   bool AgentWrite(FileId f, int64_t off, std::vector<uint8_t> data) {
     bool result = false;

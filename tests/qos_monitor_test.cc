@@ -44,7 +44,7 @@ void Blast(sim::Simulator* sim, atm::Endpoint* ep, atm::Vci vci, int cells_per_m
 }
 
 // A slow two-endpoint network whose uplink is easy to overload, plus a
-// monitor with the default mapping at a 10 ms tick.
+// monitor with its fixed mapping at a 10 ms tick.
 class MonitorNetFixture : public ::testing::Test {
  protected:
   MonitorNetFixture() : net_(&sim_) {
@@ -52,7 +52,7 @@ class MonitorNetFixture : public ::testing::Test {
     // 10 Mb/s: one cell every 42.4 us, ~23.6 cells per millisecond.
     a_ = net_.AddEndpoint("a", sw_, 0, 10'000'000);
     b_ = net_.AddEndpoint("b", sw_, 1, 10'000'000);
-    monitor_ = std::make_unique<QosMonitor>(&sim_, &net_, QosMonitor::Config());
+    monitor_ = std::make_unique<QosMonitor>(&sim_, &net_);
   }
 
   // The link the blast overloads: a's uplink into the switch.
@@ -104,7 +104,7 @@ TEST_F(MonitorNetFixture, SeverityTracksDropTrajectoryAndRecovers) {
   // every non-zero announcement was a real move (no per-tick chatter).
   for (size_t i = 0; i + 1 < signals.size(); ++i) {
     EXPECT_GT(signals[i].severity, 0.0);
-    EXPECT_LE(signals[i].severity, monitor_->config().max_severity);
+    EXPECT_LE(signals[i].severity, QosMonitor::max_severity);
   }
 }
 
@@ -136,12 +136,11 @@ TEST_F(MonitorNetFixture, HysteresisPreventsSignalChurnOnOscillatingOccupancy) {
   EXPECT_LE(callbacks, 4);
   // Occupancy alone is capped well below what real loss can announce.
   for (const auto& link : net_.links()) {
-    EXPECT_LE(monitor_->link_severity(link.get()),
-              monitor_->config().occupancy_cap + 0.05);
+    EXPECT_LE(monitor_->link_severity(link.get()), QosMonitor::occupancy_cap + 0.05);
   }
 }
 
-// Low-priority (best-effort) drops are discounted by the configured weight:
+// Low-priority (best-effort) drops are discounted by a fixed weight:
 // the same drop trajectory announces a milder severity when the lost cells
 // were best-effort than when they were reserved-class.
 TEST_F(MonitorNetFixture, DropSeverityWeighsCellPriority) {
@@ -324,11 +323,11 @@ TEST(StreamQualityRecorderTest, WindowedExportDrainsAndAccumulates) {
   EXPECT_EQ(recorder.max_lateness(), Milliseconds(8));
   EXPECT_NEAR(recorder.mean_lateness(), static_cast<double>(Milliseconds(11)) / 3, 1.0);
 
-  // Sub-tolerance lateness is jitter, not a windowed miss: with the
-  // monitor's tolerance set, a windowful of hair-late chunks plus one real
+  // Sub-tolerance lateness is jitter, not a windowed miss: against the
+  // fixed 1 ms tolerance, a windowful of hair-late chunks plus one real
   // miss counts exactly one miss (the cumulative strict counter still sees
   // them all).
-  recorder.set_miss_tolerance(Milliseconds(1));
+  static_assert(pfs::StreamQualityRecorder::kMissTolerance == Milliseconds(1));
   for (int i = 0; i < 49; ++i) {
     recorder.Record(Milliseconds(1) / 10);  // 0.1 ms late: jitter
   }

@@ -118,10 +118,12 @@ TortureResult RunTorture(int shards) {
 
   std::vector<std::pair<int, sim::TimeNs>> log_a;
   std::vector<std::pair<int, sim::TimeNs>> log_b;
-  ea->set_cell_handler(
-      [&](const atm::Cell&) { log_a.emplace_back(0, ea->simulator()->now()); });
-  eb->set_cell_handler(
-      [&](const atm::Cell&) { log_b.emplace_back(1, eb->simulator()->now()); });
+  ea->set_cell_handler([&](const atm::Cell*, size_t count) {
+    log_a.insert(log_a.end(), count, {0, ea->simulator()->now()});
+  });
+  eb->set_cell_handler([&](const atm::Cell*, size_t count) {
+    log_b.insert(log_b.end(), count, {1, eb->simulator()->now()});
+  });
 
   // Self-rescheduling floods on each endpoint's own shard clock: bursts big
   // enough to overrun the 20 Mb/s trunk, cadences coprime to each other and
@@ -223,12 +225,16 @@ TortureResult RunAsymmetricTorture(int shards) {
   std::vector<std::pair<int, sim::TimeNs>> log_a;
   std::vector<std::pair<int, sim::TimeNs>> log_b;
   std::vector<std::pair<int, sim::TimeNs>> log_c;
-  ea->set_cell_handler(
-      [&](const atm::Cell& cell) { log_a.emplace_back(cell.vci, ea->simulator()->now()); });
-  eb->set_cell_handler(
-      [&](const atm::Cell& cell) { log_b.emplace_back(cell.vci, eb->simulator()->now()); });
-  ec->set_cell_handler(
-      [&](const atm::Cell& cell) { log_c.emplace_back(cell.vci, ec->simulator()->now()); });
+  auto logger = [](std::vector<std::pair<int, sim::TimeNs>>* log, atm::Endpoint* ep) {
+    return [log, ep](const atm::Cell* cells, size_t count) {
+      for (size_t i = 0; i < count; ++i) {
+        log->emplace_back(cells[i].vci, ep->simulator()->now());
+      }
+    };
+  };
+  ea->set_cell_handler(logger(&log_a, ea));
+  eb->set_cell_handler(logger(&log_b, eb));
+  ec->set_cell_handler(logger(&log_c, ec));
 
   struct Flood {
     atm::Endpoint* ep;

@@ -106,9 +106,9 @@ TEST(SimulatorTest, CancelBookkeepingDoesNotLeakOrDoubleCount) {
   EventId first = sim.ScheduleAt(1, []() {});
   sim.Run();
   bool second_ran = false;
-  EventId second = sim.ScheduleAt(2, [&]() { second_ran = true; });
+  sim.ScheduleAt(2, [&]() { second_ran = true; });
   // `first` is stale; whatever slot it occupied, cancelling it must not
-  // kill `second`.
+  // kill the second event.
   EXPECT_FALSE(sim.Cancel(first));
   EXPECT_EQ(sim.pending(), 1u);
   sim.Run();

@@ -88,7 +88,11 @@ class PerCellReference {
 class RecordingSink : public CellSink {
  public:
   explicit RecordingSink(sim::Simulator* sim) : sim_(sim) {}
-  void DeliverCell(const Cell& cell) override { cells_.push_back({cell, sim_->now()}); }
+  void DeliverBurst(const Cell* cells, size_t count) override {
+    for (size_t i = 0; i < count; ++i) {
+      cells_.push_back({cells[i], sim_->now()});
+    }
+  }
   struct Arrival {
     Cell cell;
     sim::TimeNs at;
