@@ -202,17 +202,6 @@ class Network {
 
   const std::vector<std::unique_ptr<Link>>& links() const { return links_; }
 
-  // A link's raw counters together with the admission-control view of it —
-  // what a monitor deriving congestion severity needs in one read.
-  struct LinkStats {
-    Link::StatsSnapshot snapshot;
-    int64_t capacity_bps = 0;
-    int64_t reserved_bps = 0;
-  };
-  LinkStats GetLinkStats(const Link* link) const {
-    return LinkStats{link->Stats(), link->bits_per_second(), ReservedBps(link)};
-  }
-
   // The ids of open VCs traversing `link`, ascending (open order). Congestion
   // fan-out and monitors iterate this instead of scanning every VC's hops.
   const std::vector<VcId>& VcsOnLink(const Link* link) const;

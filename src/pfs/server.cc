@@ -835,56 +835,4 @@ void PegasusFileServer::PowerFailure(bool has_ups, std::function<void()> halted)
   });
 }
 
-// --- StreamReader ---
-
-StreamReader::StreamReader(sim::Simulator* sim, PegasusFileServer* server, FileId file,
-                           int64_t chunk_bytes, sim::DurationNs interval, ChunkCallback on_chunk)
-    : sim_(sim),
-      server_(server),
-      file_(file),
-      chunk_bytes_(chunk_bytes),
-      interval_(interval),
-      on_chunk_(std::move(on_chunk)) {}
-
-void StreamReader::Start(int64_t byte_offset) {
-  position_ = byte_offset;
-  running_ = true;
-  next_due_ = sim_->now() + interval_;
-  Tick();
-}
-
-void StreamReader::Stop() { running_ = false; }
-
-void StreamReader::Tick() {
-  if (!running_) {
-    return;
-  }
-  const int64_t size = server_->FileSize(file_);
-  if (position_ >= size) {
-    running_ = false;
-    return;
-  }
-  const int64_t len = std::min(chunk_bytes_, size - position_);
-  const sim::TimeNs due = next_due_;
-  server_->ReadRealtime(file_, position_, len,
-                        [this, due](bool ok, std::vector<uint8_t> data) {
-                          if (!running_) {
-                            return;
-                          }
-                          const sim::TimeNs now = sim_->now();
-                          lateness_.Add(static_cast<double>(now - due));
-                          server_->stream_quality().Record(now - due);
-                          if (now > due) {
-                            ++deadline_misses_;
-                          }
-                          ++chunks_delivered_;
-                          if (on_chunk_) {
-                            on_chunk_(ok, std::move(data), due);
-                          }
-                        });
-  position_ += len;
-  next_due_ += interval_;
-  sim_->ScheduleAt(due, [this]() { Tick(); });
-}
-
 }  // namespace pegasus::pfs

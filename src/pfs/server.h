@@ -31,7 +31,6 @@
 #include "src/pfs/log.h"
 #include "src/pfs/stripe.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/stats.h"
 
 namespace pegasus::pfs {
 
@@ -50,11 +49,11 @@ struct PfsConfig {
 };
 
 // Aggregates the delivery quality of a volume's continuous-media reads:
-// every play-out path (StreamReader ticks, StorageNode record play-out)
-// records how late each chunk left relative to its due time. Cumulative
-// counters serve dashboards; TakeWindow() drains the samples recorded since
-// the previous call — the per-tick export the QoS monitor derives disk
-// budget pressure from, without the server asserting anything itself.
+// StorageNode's record play-out records how late each chunk left relative
+// to its due time. Cumulative counters serve dashboards; TakeWindow() drains
+// the samples recorded since the previous call — the per-tick export the QoS
+// monitor derives disk budget pressure from, without the server asserting
+// anything itself.
 class StreamQualityRecorder {
  public:
   struct Window {
@@ -304,44 +303,6 @@ class PegasusFileServer {
   int64_t blocks_flushed_ = 0;
   int64_t blocks_died_in_buffer_ = 0;
   int64_t checkpoints_ = 0;
-};
-
-// Server-side play-out of a continuous file: every `interval` it reads the
-// next `chunk_bytes` with realtime priority and hands them to `on_chunk`.
-// Records delivery jitter and deadline misses — the stream-quality metrics.
-class StreamReader {
- public:
-  using ChunkCallback =
-      std::function<void(bool ok, std::vector<uint8_t> data, sim::TimeNs due)>;
-
-  StreamReader(sim::Simulator* sim, PegasusFileServer* server, FileId file, int64_t chunk_bytes,
-               sim::DurationNs interval, ChunkCallback on_chunk);
-
-  // Starts play-out at `byte_offset` (use LookupIndex for time seeks).
-  void Start(int64_t byte_offset = 0);
-  void Stop();
-  bool running() const { return running_; }
-
-  int64_t chunks_delivered() const { return chunks_delivered_; }
-  int64_t deadline_misses() const { return deadline_misses_; }
-  // Lateness of each chunk relative to its due time, ns (<= 0 is on time).
-  const sim::Summary& lateness() const { return lateness_; }
-
- private:
-  void Tick();
-
-  sim::Simulator* sim_;
-  PegasusFileServer* server_;
-  FileId file_;
-  int64_t chunk_bytes_;
-  sim::DurationNs interval_;
-  ChunkCallback on_chunk_;
-  bool running_ = false;
-  int64_t position_ = 0;
-  sim::TimeNs next_due_ = 0;
-  int64_t chunks_delivered_ = 0;
-  int64_t deadline_misses_ = 0;
-  sim::Summary lateness_;
 };
 
 }  // namespace pegasus::pfs

@@ -1,7 +1,5 @@
 #include "src/sim/event_queue.h"
 
-#include <utility>
-
 namespace pegasus::sim {
 
 namespace {
@@ -27,13 +25,11 @@ uint32_t Simulator::AcquireSlot() {
   return static_cast<uint32_t>(slot_count_++);
 }
 
-EventId Simulator::ScheduleAt(TimeNs t, Handler fn) {
+EventId Simulator::Enqueue(TimeNs t, uint32_t index) {
   if (t < now_) {
     t = now_;
   }
-  const uint32_t index = AcquireSlot();
   Slot& slot = SlotAt(index);
-  slot.fn = std::move(fn);
   slot.seq = next_seq_;
   queue_.push(HeapEntry{t, next_seq_, index});
   ++next_seq_;
@@ -43,7 +39,8 @@ EventId Simulator::ScheduleAt(TimeNs t, Handler fn) {
 
 void Simulator::ReleaseSlot(uint32_t index) {
   Slot& slot = SlotAt(index);
-  slot.fn = Handler();
+  slot.ops->destroy(slot.storage);
+  slot.ops = nullptr;
   slot.seq = 0;
   ++slot.gen;
   free_slots_.push_back(index);
@@ -84,13 +81,15 @@ bool Simulator::Step() {
   const HeapEntry entry = queue_.top();
   queue_.pop();
   now_ = entry.time;
-  // Move the handler out and release the slot before invoking, so the
-  // handler is free to schedule (and land in this very slot).
-  Handler fn = std::move(SlotAt(entry.slot).fn);
-  ReleaseSlot(entry.slot);
+  // Mark the slot as run before invoking, so a closure cancelling its own id
+  // gets false. The closure runs in place and its slot is freed only once it
+  // returns, so whatever it schedules lands in other slots.
+  Slot& slot = SlotAt(entry.slot);
+  slot.seq = 0;
   --live_;
   ++executed_;
-  fn();
+  slot.ops->invoke(slot.storage);
+  ReleaseSlot(entry.slot);
   return true;
 }
 

@@ -8,11 +8,12 @@
 //
 // Engine internals are built for cell-rate churn (the data plane schedules
 // an event per cell train):
-//   - Handlers are stored in an inline small-buffer callable (Handler), so
-//     closures up to kInlineSize bytes never touch the heap. Larger ones
-//     fall back to a single allocation.
-//   - Handlers live in a slab of reusable slots; the priority queue holds
-//     only small POD entries {time, seq, slot}.
+//   - Each event's closure is built in its slot, run there and destroyed
+//     there: it is never wrapped or moved after scheduling. Closures up to
+//     kInlineSize bytes never touch the heap; larger ones take one
+//     allocation.
+//   - Slots live in a slab and are reused; the priority queue holds only
+//     small POD entries {time, seq, slot}.
 //   - EventIds carry the slot's generation, so Cancel is O(1), an id that
 //     already ran (or was already cancelled) is rejected without any
 //     bookkeeping growth, and a cancelled slot is reusable immediately.
@@ -43,103 +44,12 @@ struct EventId {
 
 class Simulator {
  public:
-  // Move-only type-erased callable with inline storage: the replacement for
-  // std::function<void()> on the event hot path. Any callable whose size is
-  // at most kInlineSize (and that is nothrow-move-constructible) is stored
-  // in place; anything bigger goes through one heap allocation.
-  class Handler {
-   public:
-    // Big enough for the data plane's worst closure (a Cell captured by
-    // value plus a couple of pointers) without making slots cache-hostile.
-    static constexpr size_t kInlineSize = 96;
-
-    Handler() = default;
-    template <typename F,
-              typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, Handler> &&
-                                          std::is_invocable_r_v<void, std::decay_t<F>&>>>
-    Handler(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
-      using Fn = std::decay_t<F>;
-      if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t) &&
-                    std::is_nothrow_move_constructible_v<Fn>) {
-        new (storage_) Fn(std::forward<F>(f));
-        ops_ = &kInlineOps<Fn>;
-      } else {
-        *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
-        ops_ = &kHeapOps<Fn>;
-      }
-    }
-    Handler(Handler&& other) noexcept { MoveFrom(other); }
-    Handler& operator=(Handler&& other) noexcept {
-      if (this != &other) {
-        Reset();
-        MoveFrom(other);
-      }
-      return *this;
-    }
-    Handler(const Handler&) = delete;
-    Handler& operator=(const Handler&) = delete;
-    ~Handler() { Reset(); }
-
-    explicit operator bool() const { return ops_ != nullptr; }
-    void operator()() { ops_->invoke(storage_); }
-
-   private:
-    struct Ops {
-      void (*invoke)(void* self);
-      // Move-constructs `dst` from `src` and destroys `src`.
-      void (*relocate)(void* dst, void* src);
-      void (*destroy)(void* self);
-    };
-
-    template <typename Fn>
-    static void InlineInvoke(void* self) {
-      (*std::launder(reinterpret_cast<Fn*>(self)))();
-    }
-    template <typename Fn>
-    static void InlineRelocate(void* dst, void* src) {
-      Fn* s = std::launder(reinterpret_cast<Fn*>(src));
-      new (dst) Fn(std::move(*s));
-      s->~Fn();
-    }
-    template <typename Fn>
-    static void InlineDestroy(void* self) {
-      std::launder(reinterpret_cast<Fn*>(self))->~Fn();
-    }
-    template <typename Fn>
-    static void HeapInvoke(void* self) {
-      (**std::launder(reinterpret_cast<Fn**>(self)))();
-    }
-    template <typename Fn>
-    static void HeapRelocate(void* dst, void* src) {
-      *reinterpret_cast<Fn**>(dst) = *std::launder(reinterpret_cast<Fn**>(src));
-    }
-    template <typename Fn>
-    static void HeapDestroy(void* self) {
-      delete *std::launder(reinterpret_cast<Fn**>(self));
-    }
-
-    template <typename Fn>
-    static constexpr Ops kInlineOps{&InlineInvoke<Fn>, &InlineRelocate<Fn>, &InlineDestroy<Fn>};
-    template <typename Fn>
-    static constexpr Ops kHeapOps{&HeapInvoke<Fn>, &HeapRelocate<Fn>, &HeapDestroy<Fn>};
-
-    void Reset() {
-      if (ops_ != nullptr) {
-        ops_->destroy(storage_);
-        ops_ = nullptr;
-      }
-    }
-    void MoveFrom(Handler& other) {
-      ops_ = other.ops_;
-      if (ops_ != nullptr) {
-        ops_->relocate(storage_, other.storage_);
-        other.ops_ = nullptr;
-      }
-    }
-
-    alignas(std::max_align_t) unsigned char storage_[kInlineSize];
-    const Ops* ops_ = nullptr;
-  };
+  // A default-aligned closure of at most this many bytes is built, run and
+  // destroyed inside its event slot; a bigger one goes through one heap
+  // allocation. Big enough for the data plane's worst closure (a Cell
+  // captured by value plus a couple of pointers) without making slots
+  // cache-hostile.
+  static constexpr size_t kInlineSize = 96;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -150,10 +60,26 @@ class Simulator {
 
   // Schedules `fn` to run at absolute time `t`. Times in the past are clamped
   // to `now` (the event still runs, immediately after current-time events).
-  EventId ScheduleAt(TimeNs t, Handler fn);
+  template <typename F>
+  EventId ScheduleAt(TimeNs t, F&& fn) {
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<void, Fn&>, "an event is a void() callable");
+    const uint32_t index = AcquireSlot();
+    Slot& slot = SlotAt(index);
+    if constexpr (kFitsInline<Fn>) {
+      new (slot.storage) Fn(std::forward<F>(fn));
+    } else {
+      new (slot.storage) Fn*(new Fn(std::forward<F>(fn)));
+    }
+    slot.ops = &kOps<Fn>;
+    return Enqueue(t, index);
+  }
 
   // Schedules `fn` to run `d` after the current time (d < 0 clamps to now).
-  EventId ScheduleAfter(DurationNs d, Handler fn) { return ScheduleAt(now_ + d, std::move(fn)); }
+  template <typename F>
+  EventId ScheduleAfter(DurationNs d, F&& fn) {
+    return ScheduleAt(now_ + d, std::forward<F>(fn));
+  }
 
   // Cancels a pending event. Returns true if the event had not yet run;
   // cancelling an id that already ran (or was already cancelled) returns
@@ -191,16 +117,62 @@ class Simulator {
   uint64_t executed() const { return executed_; }
 
  private:
-  // A pending event's handler plus the identity needed to validate heap
-  // entries and EventIds against slot reuse. seq/gen lead the layout so the
-  // pop path's liveness check and the head of the handler's inline storage
-  // share a cache line.
-  struct Slot {
-    uint64_t seq = 0;  // seq of the current occupant; 0 when the slot is free
-    uint32_t gen = 1;  // bumped on every release; pins EventId validity
-    Handler fn;
+  // One table per closure type: how to run the closure in a slot's storage
+  // and how to destroy it there.
+  struct Ops {
+    void (*invoke)(void* storage);
+    void (*destroy)(void* storage);
   };
-  // What the priority queue actually sorts: 24 PODs bytes, no handler.
+
+  template <typename Fn>
+  static constexpr bool kFitsInline =
+      sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t);
+
+  // The closure held in `storage`: in place, or behind a heap pointer.
+  template <typename Fn>
+  static Fn& ClosureIn(void* storage) {
+    if constexpr (kFitsInline<Fn>) {
+      return *std::launder(reinterpret_cast<Fn*>(storage));
+    } else {
+      return **std::launder(reinterpret_cast<Fn**>(storage));
+    }
+  }
+  template <typename Fn>
+  static void Invoke(void* storage) {
+    ClosureIn<Fn>(storage)();
+  }
+  template <typename Fn>
+  static void Destroy(void* storage) {
+    if constexpr (kFitsInline<Fn>) {
+      ClosureIn<Fn>(storage).~Fn();
+    } else {
+      delete &ClosureIn<Fn>(storage);
+    }
+  }
+  template <typename Fn>
+  static constexpr Ops kOps{&Invoke<Fn>, &Destroy<Fn>};
+
+  // A pending event's closure plus the identity needed to validate heap
+  // entries and EventIds against slot reuse. seq/gen lead the layout so the
+  // pop path's liveness check and the head of the closure's storage share a
+  // cache line. A slot never moves: its closure lives in it.
+  struct Slot {
+    Slot() = default;
+    Slot(const Slot&) = delete;
+    Slot& operator=(const Slot&) = delete;
+    // Destroys a closure still pending when the Simulator dies.
+    ~Slot() {
+      if (ops != nullptr) {
+        ops->destroy(storage);
+      }
+    }
+
+    uint64_t seq = 0;  // seq of the pending occupant; 0 when free or running
+    uint32_t gen = 1;  // bumped on every release; pins EventId validity
+    const Ops* ops = nullptr;  // null when the slot holds no closure
+    alignas(std::max_align_t) unsigned char storage[kInlineSize];
+  };
+  // What the priority queue actually sorts: 24 bytes of POD, no closure.
   struct HeapEntry {
     TimeNs time;
     uint64_t seq;  // tie-breaker: FIFO among same-time events; also the
@@ -216,9 +188,9 @@ class Simulator {
     }
   };
 
-  // The slab is chunked so slots have stable addresses: growing it never
-  // relocates live handlers (std::vector growth would move-construct every
-  // slot through the Handler vtable).
+  // The slab is chunked so slots have stable addresses: a closure runs in
+  // its slot, and the events it schedules may grow the slab meanwhile
+  // (std::vector growth would move the running closure out from under it).
   static constexpr size_t kChunkShift = 9;  // 512 slots per chunk
   static constexpr size_t kChunkSize = size_t{1} << kChunkShift;
   static constexpr size_t kChunkMask = kChunkSize - 1;
@@ -234,6 +206,9 @@ class Simulator {
   // head. Returns false when the queue is empty afterwards.
   bool SkimStaleHead();
   uint32_t AcquireSlot();
+  // Queues the closure just built in slot `index` to run at `t`.
+  EventId Enqueue(TimeNs t, uint32_t index);
+  // Destroys the slot's closure and frees the slot.
   void ReleaseSlot(uint32_t index);
 
   TimeNs now_ = 0;

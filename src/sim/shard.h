@@ -58,6 +58,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -84,7 +85,7 @@ class BoundaryChannel {
   // honour the channel's registered lookahead (emission time + at least the
   // link propagation delay); the conservative window invariant depends on
   // it.
-  void Post(TimeNs deliver_at, Simulator::Handler fn) {
+  void Post(TimeNs deliver_at, std::function<void()> fn) {
     assert(deliver_at >= src_sim_->now() + lookahead_);
     Batch& b = Staging();
     staging_min_ = std::min(staging_min_, deliver_at);
@@ -93,7 +94,7 @@ class BoundaryChannel {
 
   // Batched variant for POD payloads (the data plane's cell trains): the
   // bytes are copied into the channel's window arena — no per-train
-  // allocation, no Handler construction — and `fn(ctx, bytes, size)` runs
+  // allocation, no closure — and `fn(ctx, bytes, size)` runs
   // on the destination shard at `deliver_at`. Same lookahead contract as
   // Post.
   void PostSpan(TimeNs deliver_at, const void* data, size_t size, SpanDeliverFn fn, void* ctx) {
@@ -125,7 +126,7 @@ class BoundaryChannel {
   struct PostRecord {
     TimeNs deliver_at;
     uint64_t order;
-    Simulator::Handler fn;
+    std::function<void()> fn;
   };
   // One window's postings on one channel: the unit that crosses the
   // mailbox. Span payload bytes live in `arena`; the records index into it.

@@ -1,7 +1,6 @@
 #include "src/sim/stats.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace pegasus::sim {
 
@@ -67,54 +66,6 @@ double Summary::Quantile(double q) const {
     rank = n - 1;
   }
   return sorted_samples_[rank];
-}
-
-Histogram::Histogram(double lo, double hi, int buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / buckets), counts_(static_cast<size_t>(buckets), 0) {}
-
-void Histogram::Add(double v) {
-  ++count_;
-  if (v < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (v >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<size_t>((v - lo_) / width_);
-  if (idx >= counts_.size()) {
-    idx = counts_.size() - 1;
-  }
-  ++counts_[idx];
-}
-
-double Histogram::bucket_lo(int i) const { return lo_ + width_ * i; }
-double Histogram::bucket_hi(int i) const { return lo_ + width_ * (i + 1); }
-
-std::string Histogram::ToString(const std::string& unit) const {
-  std::string out;
-  char line[160];
-  const int64_t peak = counts_.empty() ? 0 : *std::max_element(counts_.begin(), counts_.end());
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) {
-      continue;
-    }
-    int bars = peak > 0 ? static_cast<int>(counts_[i] * 40 / peak) : 0;
-    std::snprintf(line, sizeof(line), "  [%10.1f, %10.1f) %-8s %8lld %s\n",
-                  bucket_lo(static_cast<int>(i)), bucket_hi(static_cast<int>(i)), unit.c_str(),
-                  static_cast<long long>(counts_[i]), std::string(static_cast<size_t>(bars), '#').c_str());
-    out += line;
-  }
-  if (underflow_ > 0) {
-    std::snprintf(line, sizeof(line), "  underflow %lld\n", static_cast<long long>(underflow_));
-    out += line;
-  }
-  if (overflow_ > 0) {
-    std::snprintf(line, sizeof(line), "  overflow  %lld\n", static_cast<long long>(overflow_));
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace pegasus::sim

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace pegasus::sim {
@@ -36,35 +35,6 @@ class Summary {
   mutable std::vector<double> sorted_samples_;
 
   void EnsureSorted() const;
-};
-
-// Fixed-bucket histogram over [lo, hi) with `buckets` equal-width bins plus
-// underflow/overflow bins. Used for latency and jitter distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int buckets);
-
-  void Add(double v);
-
-  int64_t count() const { return count_; }
-  int64_t bucket_count(int i) const { return counts_[static_cast<size_t>(i)]; }
-  int buckets() const { return static_cast<int>(counts_.size()); }
-  int64_t underflow() const { return underflow_; }
-  int64_t overflow() const { return overflow_; }
-  double bucket_lo(int i) const;
-  double bucket_hi(int i) const;
-
-  // Renders a compact ASCII sketch, one line per non-empty bucket.
-  std::string ToString(const std::string& unit) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<int64_t> counts_;
-  int64_t underflow_ = 0;
-  int64_t overflow_ = 0;
-  int64_t count_ = 0;
 };
 
 }  // namespace pegasus::sim

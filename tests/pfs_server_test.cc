@@ -2,7 +2,9 @@
 // client agent and continuous-media streams (§5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "src/pfs/client.h"
 #include "src/pfs/server.h"
@@ -353,47 +355,36 @@ TEST_F(ServerFixture, IndexLookupFindsNearestEntry) {
   EXPECT_FALSE(server_.LookupIndex(9999, 0).has_value());
 }
 
-TEST_F(ServerFixture, StreamReaderDeliversAtRate) {
+TEST_F(ServerFixture, RealtimeReadsFromAnIndexedOffsetArriveByTheirDueTime) {
   FileId f = server_.CreateFile(FileType::kContinuous);
-  // Half a megabyte of "video".
-  EXPECT_TRUE(WriteSync(f, 0, Pattern(512 << 10, 1)));
+  const std::vector<uint8_t> video = Pattern(512 << 10, 1);
+  EXPECT_TRUE(WriteSync(f, 0, video));
   SyncAll();
-  int64_t bytes = 0;
-  StreamReader reader(&sim_, &server_, f, 64 << 10, Milliseconds(40),
-                      [&](bool ok, std::vector<uint8_t> data, sim::TimeNs) {
-                        EXPECT_TRUE(ok);
-                        bytes += static_cast<int64_t>(data.size());
-                      });
-  reader.Start();
-  sim_.RunUntil(sim_.now() + Seconds(2));
-  EXPECT_EQ(reader.chunks_delivered(), 8);  // 512K / 64K
-  EXPECT_EQ(bytes, 512 << 10);
-  EXPECT_EQ(reader.deadline_misses(), 0);
-}
-
-TEST_F(ServerFixture, StreamSeekViaIndex) {
-  FileId f = server_.CreateFile(FileType::kContinuous);
-  EXPECT_TRUE(WriteSync(f, 0, Pattern(256 << 10, 1)));
-  SyncAll();
-  // "Frame" index: 25 fps, 10 KiB per frame.
-  for (int i = 0; i < 25; ++i) {
-    server_.AppendIndexEntry(f, i * Milliseconds(40), i * 10240);
+  // "Frame" index: 25 fps, 16 KiB per frame; seek to the frame at 400 ms.
+  constexpr int64_t kFrameBytes = 16 << 10;
+  for (int i = 0; i < 32; ++i) {
+    EXPECT_TRUE(server_.AppendIndexEntry(f, i * Milliseconds(40), i * kFrameBytes));
   }
-  auto offset = server_.LookupIndex(f, Milliseconds(400));
+  const std::optional<int64_t> offset = server_.LookupIndex(f, Milliseconds(400));
   ASSERT_TRUE(offset.has_value());
-  EXPECT_EQ(*offset, 10 * 10240);
-  std::vector<uint8_t> first_chunk;
-  StreamReader reader(&sim_, &server_, f, 10240, Milliseconds(40),
-                      [&](bool, std::vector<uint8_t> data, sim::TimeNs) {
-                        if (first_chunk.empty()) {
-                          first_chunk = std::move(data);
-                        }
-                      });
-  reader.Start(*offset);
-  sim_.RunUntil(sim_.now() + Milliseconds(200));
-  reader.Stop();
-  ASSERT_EQ(first_chunk.size(), 10240u);
-  EXPECT_EQ(first_chunk[0], Pattern(256 << 10, 1)[10 * 10240]);
+  ASSERT_EQ(*offset, 10 * kFrameBytes);
+  // Play the rest out one 64 KiB chunk per 40 ms, each due one period after
+  // it is asked for.
+  constexpr int64_t kChunkBytes = 64 << 10;
+  const int64_t size = static_cast<int64_t>(video.size());
+  int chunks = 0;
+  for (int64_t pos = *offset; pos < size; pos += kChunkBytes) {
+    const int64_t len = std::min(kChunkBytes, size - pos);
+    const sim::TimeNs due = sim_.now() + Milliseconds(40);
+    server_.ReadRealtime(f, pos, len, [&, pos, len, due](bool ok, std::vector<uint8_t> data) {
+      EXPECT_TRUE(ok);
+      EXPECT_LE(sim_.now(), due) << "chunk at " << pos;
+      EXPECT_EQ(data, std::vector<uint8_t>(video.begin() + pos, video.begin() + pos + len));
+      ++chunks;
+    });
+    sim_.RunUntil(due);
+  }
+  EXPECT_EQ(chunks, 6);  // (512 - 160) KiB in 64 KiB chunks
 }
 
 class ClientFixture : public ServerFixture {

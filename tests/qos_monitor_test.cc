@@ -155,10 +155,9 @@ TEST_F(MonitorNetFixture, DropSeverityWeighsCellPriority) {
   // Weighted loss: (0.5 * 26.4) / (23.6 + 0.5 * 26.4) ~= 0.36 instead of
   // the unweighted ~0.53 of the high-priority trajectory.
   EXPECT_NEAR(monitor_->link_score(Uplink()), 0.36, 0.08);
-  const auto stats = net_.GetLinkStats(Uplink());
-  EXPECT_GT(stats.snapshot.cells_dropped_low, 0u);
-  EXPECT_EQ(stats.snapshot.cells_dropped_high, 0u);
-  EXPECT_EQ(stats.reserved_bps, 5'000'000);
+  EXPECT_GT(Uplink()->cells_dropped_low(), 0u);
+  EXPECT_EQ(Uplink()->cells_dropped_high(), 0u);
+  EXPECT_EQ(net_.ReservedBps(Uplink()), 5'000'000);
 }
 
 // --- system level: the full closed loop through PegasusSystem ---

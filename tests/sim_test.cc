@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -211,6 +213,90 @@ TEST(SimulatorTest, PendingCountExcludesCancelled) {
   EXPECT_EQ(sim.pending(), 1u);
 }
 
+// Counts every copy and move made of it after construction.
+struct MoveCounter {
+  explicit MoveCounter(int* count) : count(count) {}
+  MoveCounter(const MoveCounter& other) noexcept : count(other.count) { ++*count; }
+  MoveCounter(MoveCounter&& other) noexcept : count(other.count) { ++*count; }
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  int* count;
+};
+
+TEST(SimulatorTest, ClosureIsMovedOnlyIntoItsSlot) {
+  Simulator sim;
+  int at_moves = 0;
+  int after_moves = 0;
+  sim.ScheduleAt(5, [c = MoveCounter(&at_moves)]() { static_cast<void>(c); });
+  sim.ScheduleAfter(5, [c = MoveCounter(&after_moves)]() { static_cast<void>(c); });
+  EXPECT_EQ(at_moves, 1);
+  EXPECT_EQ(after_moves, 1);
+  sim.Run();
+  EXPECT_EQ(sim.executed(), 2u);
+  EXPECT_EQ(at_moves, 1);
+  EXPECT_EQ(after_moves, 1);
+}
+
+TEST(SimulatorTest, ClosureCancellingItsOwnEventGetsFalse) {
+  Simulator sim;
+  EventId self;
+  bool cancelled = true;
+  self = sim.ScheduleAt(10, [&]() { cancelled = sim.Cancel(self); });
+  sim.Run();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(sim.executed(), 1u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(SimulatorTest, ClosureRunsInPlaceWhileTheSlabGrows) {
+  Simulator sim;
+  std::array<uint64_t, 8> pattern;  // a 64-byte capture
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = 0x0123456789abcdefull * (i + 1);
+  }
+  const std::array<uint64_t, 8> expected = pattern;
+  int ran = 0;
+  bool intact = false;
+  // 2,000 events from inside one closure take at least three new 512-slot
+  // chunks while that closure is running in its own slot.
+  sim.ScheduleAt(0, [&sim, &ran, &intact, &expected, pattern]() {
+    for (int i = 0; i < 2000; ++i) {
+      sim.ScheduleAfter(1 + i, [&ran]() { ++ran; });
+    }
+    intact = pattern == expected;
+  });
+  sim.Run();
+  EXPECT_TRUE(intact);
+  EXPECT_EQ(ran, 2000);
+  EXPECT_EQ(sim.executed(), 2001u);
+}
+
+TEST(SimulatorTest, ClosuresAreDestroyedExactlyOnce) {
+  auto token = std::make_shared<int>(0);
+  std::array<char, 128> big{};
+  static_assert(sizeof(big) > Simulator::kInlineSize, "the big closures must go to the heap");
+  {
+    Simulator sim;
+    // Inline closures and heap-held ones, each run, cancelled and left
+    // pending at destruction.
+    sim.ScheduleAt(1, [token]() { ++*token; });
+    sim.ScheduleAt(1, [token, big]() { *token += 1 + big[0]; });
+    const EventId small_cancelled = sim.ScheduleAt(2, [token]() { ++*token; });
+    const EventId big_cancelled = sim.ScheduleAt(2, [token, big]() { *token += 1 + big[0]; });
+    sim.ScheduleAt(100, [token]() { ++*token; });
+    sim.ScheduleAt(100, [token, big]() { *token += 1 + big[0]; });
+    EXPECT_EQ(token.use_count(), 7);
+    EXPECT_TRUE(sim.Cancel(small_cancelled));
+    EXPECT_TRUE(sim.Cancel(big_cancelled));
+    EXPECT_EQ(token.use_count(), 5);
+    sim.RunUntil(50);
+    EXPECT_EQ(*token, 2);
+    EXPECT_EQ(token.use_count(), 3);
+    EXPECT_EQ(sim.pending(), 2u);
+  }
+  EXPECT_EQ(*token, 2);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
 TEST(RngTest, DeterministicAcrossInstances) {
   Rng a(42);
   Rng b(42);
@@ -384,30 +470,6 @@ TEST(SummaryTest, QuantileAfterIncrementalAdds) {
   s.Add(20.0);
   s.Add(0.0);
   EXPECT_DOUBLE_EQ(s.Quantile(0.5), 10.0);  // re-sorts after new samples
-}
-
-TEST(HistogramTest, BucketsAndOverflow) {
-  Histogram h(0.0, 100.0, 10);
-  h.Add(5.0);    // bucket 0
-  h.Add(15.0);   // bucket 1
-  h.Add(95.0);   // bucket 9
-  h.Add(-1.0);   // underflow
-  h.Add(100.0);  // overflow (hi is exclusive)
-  EXPECT_EQ(h.count(), 5);
-  EXPECT_EQ(h.bucket_count(0), 1);
-  EXPECT_EQ(h.bucket_count(1), 1);
-  EXPECT_EQ(h.bucket_count(9), 1);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 1);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 10.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 20.0);
-}
-
-TEST(HistogramTest, ToStringMentionsNonEmptyBuckets) {
-  Histogram h(0.0, 10.0, 2);
-  h.Add(1.0);
-  std::string s = h.ToString("ms");
-  EXPECT_NE(s.find("ms"), std::string::npos);
 }
 
 TEST(TableTest, RendersAlignedColumns) {
