@@ -36,9 +36,10 @@ bool Link::SendCell(const Cell& cell) {
   tx_free_at_ = done;
   busy_time_ += cell_time_;
   ++cells_sent_;
-  train_.push_back(PendingCell{cell, done});
-  // Cells appended while a delivery event is pending ride that train; the
-  // event re-arms itself for whatever it finds undelivered.
+  cells_.push_back(cell);
+  done_.push_back(done);
+  // Cells appended while a cut event is pending ride that train; the event
+  // re-arms itself for whatever it finds uncut.
   if (!delivery_pending_) {
     ArmDelivery();
   }
@@ -57,10 +58,10 @@ void Link::ArmDelivery() {
   // The train is cut at the first end-of-frame cell so frame completion
   // instants match the per-cell path exactly; frameless streams batch up to
   // kMaxTrainCells per event.
-  const size_t last = std::min(train_.size(), train_head_ + kMaxTrainCells) - 1;
+  const size_t last = std::min(cells_.size(), cut_ + kMaxTrainCells) - 1;
   size_t target = last;
-  for (size_t i = train_head_; i < last; ++i) {
-    if (train_[i].cell.end_of_frame) {
+  for (size_t i = cut_; i < last; ++i) {
+    if (cells_[i].end_of_frame) {
       target = i;
       break;
     }
@@ -73,7 +74,7 @@ void Link::ArmDelivery() {
   // out the propagation delay without forfeiting its lookahead) would cut
   // trains differently from the single-simulator path. The wire itself is
   // pure delay, applied after the cut in DeliverReady.
-  sim_->ScheduleAt(train_[target].done, [this]() { DeliverReady(); });
+  sim_->ScheduleAt(done_[target], [this]() { DeliverReady(); });
 }
 
 void Link::DeliverBoundaryTrain(void* ctx, const void* data, size_t size) {
@@ -86,49 +87,71 @@ void Link::DeliverBoundaryTrain(void* ctx, const void* data, size_t size) {
 void Link::DeliverReady() {
   delivery_pending_ = false;
   const sim::TimeNs now = sim_->now();
-  size_t end = train_head_;
-  while (end < train_.size() && train_[end].done <= now) {
+  size_t end = cut_;
+  while (end < cells_.size() && done_[end] <= now) {
     ++end;
   }
-  const size_t count = end - train_head_;
-  if (count > 0) {
-    burst_buf_.clear();
-    burst_buf_.reserve(count);
-    for (size_t i = train_head_; i < end; ++i) {
-      burst_buf_.push_back(train_[i].cell);
-    }
-    train_head_ = end;
-    if (train_head_ == train_.size()) {
-      train_.clear();
-      train_head_ = 0;
-    } else if (train_head_ * 2 >= train_.size()) {
-      // Compact once the delivered prefix outweighs the remainder: each
-      // erase moves at most as many cells as were just delivered, so the
-      // cost is amortised O(1) per cell and a permanently backlogged link
-      // holds O(queue_limit) memory instead of growing without bound.
-      train_.erase(train_.begin(), train_.begin() + static_cast<ptrdiff_t>(train_head_));
-      train_head_ = 0;
-    }
-    if (boundary_ != nullptr) {
-      // Ship the train to the sink's shard, due one propagation delay out —
-      // exactly when the local path below would have delivered it. The cells
-      // are memcpy'd into the channel's window batch (one mailbox hand-off
-      // per channel per window), not captured per-train.
-      boundary_->PostSpan(now + prop_delay_, burst_buf_.data(), count * sizeof(Cell),
-                          &Link::DeliverBoundaryTrain, sink_);
-    } else if (sink_ != nullptr) {
+  if (end > cut_) {
+    if (boundary_ == nullptr && sink_ != nullptr) {
       // The cut is made at serialisation completion; the wire adds pure
-      // delay. The train is moved into the event so later cuts (which
-      // rebuild burst_buf_) cannot clobber an in-flight delivery.
-      sim_->ScheduleAt(now + prop_delay_, [sink = sink_, flight = std::move(burst_buf_)]() {
-        sink->DeliverBurst(flight.data(), flight.size());
-      });
+      // delay. The train stays in cells_ until Arrive hands it over.
+      sim_->ScheduleAt(now + prop_delay_, [this]() { Arrive(); });
+      cut_ = end;
+    } else {
+      // Ship the train to the sink's shard, due one propagation delay out —
+      // exactly when the local path would have delivered it. The cells are
+      // memcpy'd into the channel's window batch (one mailbox hand-off per
+      // channel per window), not captured per-train. Such a link, like one
+      // without a sink, keeps no train on the wire: its cut cells are done.
+      if (boundary_ != nullptr) {
+        boundary_->PostSpan(now + prop_delay_, &cells_[cut_], (end - cut_) * sizeof(Cell),
+                            &Link::DeliverBoundaryTrain, sink_);
+      }
+      head_ = cut_ = end;
+      CompactDelivered();
     }
   }
-  // Whatever is still undelivered (queued after the event was armed) gets
-  // the next event. The sink runs in its own event, never in this one.
-  if (train_head_ < train_.size()) {
+  // Whatever is still uncut (queued after the event was armed) gets the
+  // next event. The sink runs in its own event, never in this one.
+  if (cut_ < cells_.size()) {
     ArmDelivery();
+  }
+}
+
+void Link::Arrive() {
+  // The oldest train on the wire was cut one propagation delay ago, and it
+  // took exactly the cells that had completed by then.
+  const sim::TimeNs cut_at = sim_->now() - prop_delay_;
+  size_t end = head_;
+  while (end < cut_ && done_[end] <= cut_at) {
+    ++end;
+  }
+  // The sink reads the train in place, and the prefix is compacted only
+  // once it returns. Nothing appends to this link meanwhile: a sink never
+  // sends on the link that feeds it (a switch forwards through its fabric
+  // event, an endpoint on its own uplink). sink_ is read at arrival;
+  // Network sets it only while wiring.
+  sink_->DeliverBurst(&cells_[head_], end - head_);
+  head_ = end;
+  CompactDelivered();
+}
+
+void Link::CompactDelivered() {
+  if (head_ == cells_.size()) {
+    cells_.clear();
+    done_.clear();
+    head_ = 0;
+    cut_ = 0;
+  } else if (head_ * 2 >= cells_.size()) {
+    // Compact once the delivered prefix outweighs the remainder: each erase
+    // moves at most as many cells as were just delivered, so the cost is
+    // amortised O(1) per cell and a permanently backlogged link holds
+    // O(queue_limit + cells on the wire) memory instead of growing without
+    // bound.
+    cells_.erase(cells_.begin(), cells_.begin() + static_cast<ptrdiff_t>(head_));
+    done_.erase(done_.begin(), done_.begin() + static_cast<ptrdiff_t>(head_));
+    cut_ -= head_;
+    head_ = 0;
   }
 }
 

@@ -53,8 +53,8 @@ class CellSink {
 
 class Link {
  public:
-  // `queue_limit` is the maximum number of cells waiting for serialisation;
-  // a cell being transmitted does not count against the limit.
+  // `queue_limit` is the maximum number of accepted cells not yet clear of
+  // the transmitter, the one being serialised included (see queued_cells).
   Link(sim::Simulator* sim, std::string name, int64_t bits_per_second,
        sim::DurationNs propagation_delay, size_t queue_limit = 1024);
 
@@ -134,20 +134,18 @@ class Link {
   // interior cell to kMaxTrainCells serialisation times.
   static constexpr size_t kMaxTrainCells = 128;
 
-  // A cell waiting in (or in flight beyond) the transmitter, tagged with the
-  // instant its serialisation completes.
-  struct PendingCell {
-    Cell cell;
-    sim::TimeNs done;
-  };
-
   // Number of accepted cells whose serialisation completes after `now`.
   size_t QueuedAt(sim::TimeNs now) const;
-  // Schedules the next delivery event: at the first undelivered
-  // end-of-frame cell's completion, or the kMaxTrainCells-th undelivered
-  // cell's, whichever is earlier.
+  // Schedules the next cut: at the first uncut end-of-frame cell's
+  // completion, or the kMaxTrainCells-th uncut cell's, whichever is earlier.
   void ArmDelivery();
+  // The cut event: groups the cells serialised by now into a train and
+  // starts it down the wire.
   void DeliverReady();
+  // The arrival event: hands the oldest in-flight train to the sink.
+  void Arrive();
+  // Drops the prefix of cells_/done_ that has reached the sink.
+  void CompactDelivered();
 
   sim::Simulator* sim_;
   std::string name_;
@@ -172,15 +170,16 @@ class Link {
   uint64_t cells_dropped_low_ = 0;
   sim::DurationNs busy_time_ = 0;
 
-  // The current train: accepted, undelivered cells in send order.
-  // train_head_ marks the delivered prefix (compacted when it drains).
-  std::vector<PendingCell> train_;
-  size_t train_head_ = 0;
+  // Every accepted cell from acceptance until it reaches the sink, in send
+  // order, with the instant its serialisation completes. [head_, cut_) are
+  // cut trains on the wire; [cut_, end) wait for their cut. A link's cut
+  // times strictly increase and its propagation delay is constant, so its
+  // arrivals fire in cut order and each takes the oldest train.
+  std::vector<Cell> cells_;
+  std::vector<sim::TimeNs> done_;
+  size_t head_ = 0;  // first cell not yet at the sink
+  size_t cut_ = 0;   // first cell not yet cut
   bool delivery_pending_ = false;
-  // Scratch the cut train is copied into: a boundary link copies it into
-  // the channel's batch; a local link moves it into the delivery event
-  // (and rebuilds it empty on the next cut).
-  std::vector<Cell> burst_buf_;
 };
 
 }  // namespace pegasus::atm

@@ -123,18 +123,33 @@ Vci Switch::AllocateVci(int in_port) const {
   return vci;
 }
 
-void Switch::ForwardRun(Link* out, std::vector<Cell>& run) {
+void Switch::EnterFabric(Link* out, size_t count) {
+  fabric_runs_.push_back(FabricRun{out, count});
   // A zero fabric delay is scheduled at now like any other delay.
-  if (run.size() == 1) {
-    // Single cell: capture it in the closure (inline in the engine's
-    // handler storage) instead of heap-allocating a one-element train.
-    const Cell relabelled = run[0];
-    sim_->ScheduleAfter(fabric_delay_, [out, relabelled]() { out->SendCell(relabelled); });
-  } else {
-    sim_->ScheduleAfter(fabric_delay_, [out, train = std::move(run)]() mutable {
-      out->SendBurst(train.data(), train.size());
-    });
-    run.clear();  // moved-from; make the state explicit
+  sim_->ScheduleAfter(fabric_delay_, [this]() { Cross(); });
+}
+
+void Switch::Cross() {
+  const FabricRun run = fabric_runs_[run_head_++];
+  const size_t first = cell_head_;
+  cell_head_ += run.count;
+  // The link reads the run in place, and the fabric is compacted only once
+  // it returns. Nothing enters the fabric meanwhile: SendBurst only queues
+  // cells and schedules the link's own events.
+  run.out->SendBurst(&fabric_cells_[first], run.count);
+  if (run_head_ == fabric_runs_.size()) {
+    fabric_cells_.clear();
+    fabric_runs_.clear();
+    cell_head_ = 0;
+    run_head_ = 0;
+  } else if (cell_head_ * 2 >= fabric_cells_.size()) {
+    // Same amortised compaction as a link's delivered prefix.
+    fabric_cells_.erase(fabric_cells_.begin(),
+                        fabric_cells_.begin() + static_cast<ptrdiff_t>(cell_head_));
+    fabric_runs_.erase(fabric_runs_.begin(),
+                       fabric_runs_.begin() + static_cast<ptrdiff_t>(run_head_));
+    cell_head_ = 0;
+    run_head_ = 0;
   }
 }
 
@@ -153,39 +168,35 @@ void Switch::OnBurst(int in_port, const Cell* cells, size_t count) {
       // Point-to-multipoint entry: the run of consecutive cells carrying
       // this VCI is replicated once per BRANCH (each a distinct output
       // port), not once per downstream leaf — one relabel pass and one
-      // fabric-transit event per branch, in graft order.
+      // fabric-transit event per branch, in graft order. Replication only
+      // appends to the fabric and schedules its crossings, so nothing
+      // touches routes_ while the entry is read in place.
       const Vci in_vci = cells[i].vci;
       size_t j = i;
       while (j < count && cells[j].vci == in_vci) {
         ++j;
       }
-      const size_t run = j - i;
-      const RouteEntry snapshot = *entry;  // relabel loop must not hold a table ref
       auto replicate = [&](const RouteTarget& target) {
-        relabel_buf_.clear();
         for (size_t k = i; k < j; ++k) {
-          relabel_buf_.push_back(cells[k]);
-          relabel_buf_.back().vci = target.out_vci;
+          fabric_cells_.push_back(cells[k]);
+          fabric_cells_.back().vci = target.out_vci;
         }
-        ForwardRun(outputs_[static_cast<size_t>(target.out_port)], relabel_buf_);
+        EnterFabric(outputs_[static_cast<size_t>(target.out_port)], j - i);
       };
-      replicate(snapshot.primary);
-      for (const RouteTarget& target : snapshot.extra) {
+      replicate(entry->primary);
+      for (const RouteTarget& target : entry->extra) {
         replicate(target);
       }
-      cells_switched_ += run * (1 + snapshot.extra.size());
+      cells_switched_ += (j - i) * (1 + entry->extra.size());
       i = j;
       continue;
     }
     // Gather the maximal run of cells bound for the same output link and
     // relabel them in one pass; the run crosses the fabric as one event.
-    // The scratch buffer is a member; every run crosses the fabric in a
-    // scheduled event, so nothing re-enters OnBurst while the scratch is
-    // live.
-    relabel_buf_.clear();
+    const size_t first = fabric_cells_.size();
     do {
-      relabel_buf_.push_back(cells[i]);
-      relabel_buf_.back().vci = entry->primary.out_vci;
+      fabric_cells_.push_back(cells[i]);
+      fabric_cells_.back().vci = entry->primary.out_vci;
       ++i;
       if (i == count) {
         break;
@@ -193,8 +204,9 @@ void Switch::OnBurst(int in_port, const Cell* cells, size_t count) {
       entry = Lookup(in_port, cells[i].vci);
     } while (entry != nullptr && entry->unicast() &&
              outputs_[static_cast<size_t>(entry->primary.out_port)] == out);
-    cells_switched_ += relabel_buf_.size();
-    ForwardRun(out, relabel_buf_);
+    const size_t run = fabric_cells_.size() - first;
+    cells_switched_ += run;
+    EnterFabric(out, run);
   }
 }
 

@@ -121,8 +121,11 @@ class Switch {
   // output ports by construction), still one relabel pass per branch. Per-
   // cell stats count every copy switched.
   void OnBurst(int in_port, const Cell* cells, size_t count);
-  // Dispatches one relabelled run to `out` (one fabric-transit event).
-  void ForwardRun(Link* out, std::vector<Cell>& run);
+  // Closes the run of `count` cells just relabelled onto the fabric: it
+  // crosses to `out` as one event.
+  void EnterFabric(Link* out, size_t count);
+  // The fabric-transit event: hands the oldest run to its output link.
+  void Cross();
   const RouteEntry* Lookup(int in_port, Vci vci) const {
     const auto& table = routes_[static_cast<size_t>(in_port)];
     if (vci >= table.size() || table[vci].empty()) {
@@ -139,8 +142,18 @@ class Switch {
   std::vector<Link*> outputs_;
   // Flat per-input-port VCI tables (see kMaxRoutableVci).
   std::vector<std::vector<RouteEntry>> routes_;
-  // Relabel scratch for OnBurst (see there for the re-entrancy argument).
-  std::vector<Cell> relabel_buf_;
+  // The fabric: every relabelled run still crossing, oldest first — its
+  // cells back to back in fabric_cells_ from cell_head_, one record per run
+  // in fabric_runs_ from run_head_. The fabric delay is constant (set only
+  // in the constructor), so runs leave in the order they entered.
+  struct FabricRun {
+    Link* out;
+    size_t count;
+  };
+  std::vector<Cell> fabric_cells_;
+  std::vector<FabricRun> fabric_runs_;
+  size_t cell_head_ = 0;
+  size_t run_head_ = 0;
   // Per-input-port allocation hints: every VCI below the hint (and at or
   // above kVciFirstData) is known occupied. Advanced by AllocateVci/AddRoute,
   // lowered only when an entry becomes fully empty — pruning one branch of a

@@ -31,7 +31,9 @@ EventId Simulator::Enqueue(TimeNs t, uint32_t index) {
   }
   Slot& slot = SlotAt(index);
   slot.seq = next_seq_;
-  queue_.push(HeapEntry{t, next_seq_, index});
+  const int bucket = BucketOf(t, base_);
+  buckets_[bucket].push_back(Entry{t, next_seq_, index});
+  occupied_ |= uint64_t{1} << bucket;
   ++next_seq_;
   ++live_;
   return EventId{PackId(index, slot.gen)};
@@ -60,26 +62,74 @@ bool Simulator::Cancel(EventId id) {
     // Already ran, already cancelled, or the slot moved on to a newer event.
     return false;
   }
-  // The heap entry stays behind as a tombstone; the pop loop discards it by
+  // The queue entry stays behind as a tombstone; the pop path discards it by
   // seeing a seq mismatch. The slot itself is reusable right away.
   ReleaseSlot(index);
   --live_;
   return true;
 }
 
-bool Simulator::SkimStaleHead() {
-  while (!queue_.empty() && !EntryLive(queue_.top())) {
-    queue_.pop();
+TimeNs Simulator::NextEventTime() {
+  std::vector<Entry>& front = buckets_[0];
+  while (head_ < front.size() && !EntryLive(front[head_])) {
+    ++head_;
   }
-  return !queue_.empty();
+  if (head_ < front.size()) {
+    return base_;
+  }
+  front.clear();
+  head_ = 0;
+  occupied_ &= ~uint64_t{1};
+  // The lowest occupied bucket holds the earliest entries. A bucket left
+  // holding only tombstones is dropped.
+  while (occupied_ != 0) {
+    const int k = __builtin_ctzll(occupied_);
+    TimeNs earliest = kTimeNever;
+    bool any_live = false;
+    for (const Entry& e : buckets_[k]) {
+      if (e.time <= earliest && EntryLive(e)) {
+        earliest = e.time;
+        any_live = true;
+      }
+    }
+    if (any_live) {
+      return earliest;
+    }
+    buckets_[k].clear();
+    occupied_ &= ~(uint64_t{1} << k);
+  }
+  return kTimeNever;
 }
 
-bool Simulator::Step() {
-  if (!SkimStaleHead()) {
+bool Simulator::SettleFront(TimeNs bound) {
+  // NextEventTime leaves occupied_ empty exactly when nothing is pending.
+  const TimeNs earliest = NextEventTime();
+  if (occupied_ == 0 || earliest > bound) {
     return false;
   }
-  const HeapEntry entry = queue_.top();
-  queue_.pop();
+  if (head_ < buckets_[0].size()) {
+    return true;
+  }
+  // Re-base onto the earliest entry: the lowest occupied bucket's entries
+  // move into lower buckets (the ones at that time into bucket 0), each in
+  // stored order; tombstones are dropped on the way.
+  const int k = __builtin_ctzll(occupied_);
+  std::vector<Entry>& bucket = buckets_[k];
+  base_ = earliest;
+  for (const Entry& e : bucket) {
+    if (EntryLive(e)) {
+      const int to = BucketOf(e.time, base_);
+      buckets_[to].push_back(e);
+      occupied_ |= uint64_t{1} << to;
+    }
+  }
+  bucket.clear();
+  occupied_ &= ~(uint64_t{1} << k);
+  return true;
+}
+
+void Simulator::RunFront() {
+  const Entry entry = buckets_[0][head_++];
   now_ = entry.time;
   // Mark the slot as run before invoking, so a closure cancelling its own id
   // gets false. The closure runs in place and its slot is freed only once it
@@ -90,6 +140,13 @@ bool Simulator::Step() {
   ++executed_;
   slot.ops->invoke(slot.storage);
   ReleaseSlot(entry.slot);
+}
+
+bool Simulator::Step() {
+  if (!SettleFront(kTimeNever)) {
+    return false;
+  }
+  RunFront();
   return true;
 }
 
@@ -99,8 +156,8 @@ void Simulator::Run() {
 }
 
 void Simulator::RunUntil(TimeNs t) {
-  while (SkimStaleHead() && queue_.top().time <= t) {
-    Step();
+  while (SettleFront(t)) {
+    RunFront();
   }
   if (now_ < t) {
     now_ = t;
@@ -108,16 +165,12 @@ void Simulator::RunUntil(TimeNs t) {
 }
 
 void Simulator::RunUntilBefore(TimeNs t) {
-  while (SkimStaleHead() && queue_.top().time < t) {
-    Step();
+  while (SettleFront(t - 1)) {
+    RunFront();
   }
   if (now_ < t) {
     now_ = t;
   }
-}
-
-TimeNs Simulator::NextEventTime() {
-  return SkimStaleHead() ? queue_.top().time : kTimeNever;
 }
 
 bool Simulator::RunUntilPredicate(const std::function<bool()>& pred) {

@@ -12,8 +12,14 @@
 //     there: it is never wrapped or moved after scheduling. Closures up to
 //     kInlineSize bytes never touch the heap; larger ones take one
 //     allocation.
-//   - Slots live in a slab and are reused; the priority queue holds only
-//     small POD entries {time, seq, slot}.
+//   - Slots live in a slab and are reused; the queue holds only small POD
+//     entries {time, seq, slot}.
+//   - The queue is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, JACM
+//     1990): 64 buckets keyed by the highest bit in which an entry's time
+//     differs from a base time that never passes the clock. A push is an
+//     append; a pop takes the front of bucket 0, and only when bucket 0 runs
+//     dry is the lowest occupied bucket re-filed around its earliest time.
+//     It is exact: events pop in (time, seq) order, as from a binary heap.
 //   - EventIds carry the slot's generation, so Cancel is O(1), an id that
 //     already ran (or was already cancelled) is rejected without any
 //     bookkeeping growth, and a cancelled slot is reusable immediately.
@@ -25,7 +31,6 @@
 #include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -46,9 +51,9 @@ class Simulator {
  public:
   // A default-aligned closure of at most this many bytes is built, run and
   // destroyed inside its event slot; a bigger one goes through one heap
-  // allocation. Big enough for the data plane's worst closure (a Cell
-  // captured by value plus a couple of pointers) without making slots
-  // cache-hostile.
+  // allocation. The data plane's closures capture only their link or
+  // switch; the PFS and disk closures take 32 to 128 bytes. A 32-byte
+  // bound read no resolved gain on the metro fleet, so the bound stays.
   static constexpr size_t kInlineSize = 96;
 
   Simulator() = default;
@@ -103,7 +108,9 @@ class Simulator {
   void RunUntilBefore(TimeNs t);
 
   // Absolute time of the earliest pending event, or kTimeNever when the
-  // queue is empty. Non-const: stale (cancelled) heads are skimmed off.
+  // queue is empty. Non-const: cancelled entries are dropped on the way. It
+  // only looks: the queue's base stays put, so any time >= now() may still
+  // be scheduled.
   TimeNs NextEventTime();
 
   // Runs events until `pred()` is true (checked after each event) or the
@@ -152,7 +159,7 @@ class Simulator {
   template <typename Fn>
   static constexpr Ops kOps{&Invoke<Fn>, &Destroy<Fn>};
 
-  // A pending event's closure plus the identity needed to validate heap
+  // A pending event's closure plus the identity needed to validate queue
   // entries and EventIds against slot reuse. seq/gen lead the layout so the
   // pop path's liveness check and the head of the closure's storage share a
   // cache line. A slot never moves: its closure lives in it.
@@ -172,21 +179,27 @@ class Simulator {
     const Ops* ops = nullptr;  // null when the slot holds no closure
     alignas(std::max_align_t) unsigned char storage[kInlineSize];
   };
-  // What the priority queue actually sorts: 24 bytes of POD, no closure.
-  struct HeapEntry {
+  // What the queue actually files: 24 bytes of POD, no closure.
+  struct Entry {
     TimeNs time;
     uint64_t seq;  // tie-breaker: FIFO among same-time events; also the
                    // staleness check against the slot's current occupant
     uint32_t slot;
   };
-  struct Later {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.time != b.time) {
-        return a.time > b.time;
-      }
-      return a.seq > b.seq;
-    }
-  };
+
+  // Bucket k > 0 holds the entries whose time first differs from base_ in
+  // bit k-1; bucket 0 holds those at base_. Every pending time is >= base_
+  // and fits in 63 bits, so 64 buckets cover them all.
+  //
+  // Same-time entries always share a bucket, because an entry's bucket
+  // depends only on its time and base_. The earlier seq was appended first,
+  // and re-filing a bucket preserves its stored order. So the pop order is
+  // exactly (time, seq).
+  static constexpr int kBuckets = 64;
+  static int BucketOf(TimeNs t, TimeNs base) {
+    const uint64_t diff = static_cast<uint64_t>(t ^ base);
+    return diff == 0 ? 0 : 64 - __builtin_clzll(diff);
+  }
 
   // The slab is chunked so slots have stable addresses: a closure runs in
   // its slot, and the events it schedules may grow the slab meanwhile
@@ -201,10 +214,15 @@ class Simulator {
   const Slot& SlotAt(uint32_t index) const {
     return chunks_[index >> kChunkShift][index & kChunkMask];
   }
-  bool EntryLive(const HeapEntry& e) const { return SlotAt(e.slot).seq == e.seq; }
-  // Pops entries whose slot was cancelled (and possibly reused) off the
-  // head. Returns false when the queue is empty afterwards.
-  bool SkimStaleHead();
+  bool EntryLive(const Entry& e) const { return SlotAt(e.slot).seq == e.seq; }
+  // Returns true when the earliest pending event falls due at or before
+  // `bound`; it is then buckets_[0][head_]. It re-bases only onto such an
+  // event, so base_ <= now_ holds once that event runs, and every later
+  // ScheduleAt (t >= now_) files at or above base_. Returning false, it
+  // leaves base_ where it was.
+  bool SettleFront(TimeNs bound);
+  // Pops the settled front, runs it and frees its slot.
+  void RunFront();
   uint32_t AcquireSlot();
   // Queues the closure just built in slot `index` to run at `t`.
   EventId Enqueue(TimeNs t, uint32_t index);
@@ -218,7 +236,10 @@ class Simulator {
   size_t slot_count_ = 0;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<uint32_t> free_slots_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> queue_;
+  TimeNs base_ = 0;
+  uint64_t occupied_ = 0;  // bit k set while bucket k holds unconsumed entries
+  size_t head_ = 0;        // bucket 0 is consumed FIFO from here
+  std::vector<Entry> buckets_[kBuckets];
 };
 
 }  // namespace pegasus::sim

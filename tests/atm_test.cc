@@ -506,6 +506,130 @@ TEST(SwitchTest, UnicastRunStopsAtMulticastEntry) {
   EXPECT_EQ(sw.cells_switched(), 6u);
 }
 
+// Records each DeliverBurst call whole: when it came and what it carried.
+class TrainSink : public CellSink {
+ public:
+  explicit TrainSink(sim::Simulator* sim) : sim_(sim) {}
+  void DeliverBurst(const Cell* burst, size_t count) override {
+    trains.push_back(std::vector<Cell>(burst, burst + count));
+    times.push_back(sim_->now());
+  }
+  std::vector<std::vector<Cell>> trains;
+  std::vector<sim::TimeNs> times;
+
+ private:
+  sim::Simulator* sim_;
+};
+
+// A long link keeps about 58 frame trains on the wire at once behind the
+// cuts still being made, while more frames keep its transmitter busy. Each
+// frame is cut when its end-of-frame cell clears the transmitter, and must
+// reach the sink as one DeliverBurst exactly one propagation delay later,
+// its cells in order.
+TEST(LinkTest, InFlightTrainsArriveIntactBehindLaterCuts) {
+  sim::Simulator sim;
+  const sim::DurationNs prop = sim::Microseconds(800);
+  Link link(&sim, "long", 155'000'000, prop);
+  TrainSink sink(&sim);
+  link.set_sink(&sink);
+  constexpr int kFrameCells = 5;
+  uint64_t next_seq = 0;
+  auto send_frames = [&](int frames) {
+    for (int f = 0; f < frames; ++f) {
+      for (int c = 0; c < kFrameCells; ++c) {
+        Cell cell;
+        cell.seq = next_seq++;
+        cell.end_of_frame = c == kFrameCells - 1;
+        ASSERT_TRUE(link.SendCell(cell));
+      }
+    }
+  };
+  // 20 frames now, then 8 more every 100 us: 109 us of work per period, so
+  // the transmitter never idles.
+  send_frames(20);
+  for (int k = 1; k <= 30; ++k) {
+    sim.ScheduleAt(k * sim::Microseconds(100), [&]() { send_frames(8); });
+  }
+  sim.Run();
+  const size_t frames = 20 + 30 * 8;
+  EXPECT_EQ(link.cells_dropped(), 0u);
+  // The first cell finds the transmitter idle and is cut alone. From then
+  // on each train is the rest of a frame, cut when its end-of-frame cell
+  // clears the transmitter: (last + 1) cells of serialisation from t = 0.
+  std::vector<size_t> last_cells = {0};
+  for (size_t f = 0; f < frames; ++f) {
+    last_cells.push_back((f + 1) * kFrameCells - 1);
+  }
+  ASSERT_EQ(sink.trains.size(), last_cells.size());
+  uint64_t seq = 0;
+  for (size_t t = 0; t < last_cells.size(); ++t) {
+    const std::vector<Cell>& train = sink.trains[t];
+    ASSERT_EQ(train.size(), last_cells[t] + 1 - seq) << "train " << t;
+    for (const Cell& cell : train) {
+      EXPECT_EQ(cell.seq, seq++) << "train " << t;
+    }
+    const sim::TimeNs cut = static_cast<sim::TimeNs>(last_cells[t] + 1) * link.cell_time();
+    EXPECT_EQ(sink.times[t], cut + prop) << "train " << t;
+  }
+}
+
+// Trains reach a switch on two input ports at one instant and split into
+// runs: a two-branch multicast entry and unicast runs, two of them sharing
+// an output link. Each output link must take its runs in the order the
+// fabric took them, whatever the fabric delay.
+TEST(SwitchTest, FabricRunsLeaveInEntryOrder) {
+  for (const sim::DurationNs fabric : {sim::Microseconds(1), sim::DurationNs{0}}) {
+    SCOPED_TRACE(fabric);
+    sim::Simulator sim;
+    Switch sw(&sim, "sw", 4, fabric);
+    Link out1(&sim, "o1", 622'000'000, 0);
+    Link out2(&sim, "o2", 622'000'000, 0);
+    CollectorSink sink1;
+    CollectorSink sink2;
+    sink1.set_sim(&sim);
+    out1.set_sink(&sink1);
+    out2.set_sink(&sink2);
+    sw.AttachOutput(1, &out1);
+    sw.AttachOutput(2, &out2);
+    ASSERT_TRUE(sw.AddRoute(0, 40, 1, 70));  // multicast -> ports 1 and 2
+    ASSERT_TRUE(sw.AddRouteTarget(0, 40, 2, 80));
+    ASSERT_TRUE(sw.AddRoute(0, 41, 1, 71));  // unicast -> port 1
+    ASSERT_TRUE(sw.AddRoute(3, 50, 2, 90));  // unicast -> port 2
+    ASSERT_TRUE(sw.AddRoute(3, 51, 1, 91));  // unicast -> port 1
+    auto train = [](std::vector<Vci> vcis, uint64_t first_seq) {
+      std::vector<Cell> cells(vcis.size());
+      for (size_t i = 0; i < cells.size(); ++i) {
+        cells[i].vci = vcis[i];
+        cells[i].seq = first_seq + i;
+      }
+      return cells;
+    };
+    const std::vector<Cell> a = train({40, 40, 41, 41, 40}, 0);
+    const std::vector<Cell> b = train({50, 51, 51, 50}, 10);
+    const sim::TimeNs t0 = sim::Microseconds(5);
+    sim.ScheduleAt(t0, [&]() { sw.input(0)->DeliverBurst(a.data(), a.size()); });
+    sim.ScheduleAt(t0, [&]() { sw.input(3)->DeliverBurst(b.data(), b.size()); });
+    sim.Run();
+    // Runs in fabric order: a's {40,40} to both branches, {41,41}, {40} to
+    // both branches; then b's {50}, {51,51}, {50}.
+    using Labels = std::vector<std::pair<Vci, uint64_t>>;
+    auto labels = [](const std::vector<Cell>& cells) {
+      Labels out;
+      for (const Cell& c : cells) {
+        out.emplace_back(c.vci, c.seq);
+      }
+      return out;
+    };
+    EXPECT_EQ(labels(sink1.cells),
+              (Labels{{70, 0}, {70, 1}, {71, 2}, {71, 3}, {70, 4}, {91, 11}, {91, 12}}));
+    EXPECT_EQ(labels(sink2.cells), (Labels{{80, 0}, {80, 1}, {80, 4}, {90, 10}, {90, 13}}));
+    EXPECT_EQ(sw.cells_switched(), 12u);
+    // The first run left the fabric one fabric delay after it entered.
+    ASSERT_FALSE(sink1.times.empty());
+    EXPECT_EQ(sink1.times.front(), t0 + fabric + out1.cell_time());
+  }
+}
+
 class NetworkFixture : public ::testing::Test {
  protected:
   NetworkFixture() : net_(&sim_) {

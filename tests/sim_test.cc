@@ -5,8 +5,10 @@
 #include <array>
 #include <cmath>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <queue>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -295,6 +297,153 @@ TEST(SimulatorTest, ClosuresAreDestroyedExactlyOnce) {
   }
   EXPECT_EQ(*token, 2);
   EXPECT_EQ(token.use_count(), 1);
+}
+
+// Drives the engine through random schedules, cancels, bounded runs and
+// peeks in lockstep with a std::priority_queue over (time, seq): each event
+// must run exactly when the reference pops it. Delays come from the metro
+// fleet's mix, plus zero delays (same-time ties) and delays up to 2^62 (the
+// top bucket). The clock stays below kFar until the final drain, so no time
+// overflows. After every peek and bounded stop an event is scheduled
+// between the clock and the next pending one, so a queue that moves its
+// base on a peek or a stop files it in the wrong place.
+TEST(SimulatorTest, QueuePopsInTimeSeqOrderUnderRandomChurn) {
+  struct Ref {
+    TimeNs time;
+    uint64_t seq;
+    bool operator>(const Ref& o) const { return time != o.time ? time > o.time : seq > o.seq; }
+  };
+  struct Harness {
+    Simulator sim;
+    Rng rng{27};
+    bool draining = false;
+    std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> ref;
+    std::vector<EventId> ids;  // by seq
+    std::vector<bool> over;    // by seq: ran or cancelled
+    size_t live = 0;
+    uint64_t ran = 0;
+
+    // The reference's earliest pending event, cancelled ones skimmed off.
+    const Ref* Front() {
+      while (!ref.empty() && over[ref.top().seq]) {
+        ref.pop();
+      }
+      return ref.empty() ? nullptr : &ref.top();
+    }
+    TimeNs FrontTime() {
+      const Ref* front = Front();
+      return front == nullptr ? kTimeNever : front->time;
+    }
+    DurationNs FleetDelay() {
+      static constexpr DurationNs kDelays[] = {
+          177,         354,         682,        1'000,          2'736,
+          5'000,       8'443,       32'637,     84'816,         500'000,
+          800'000,     6'784'000,   40'291'533, 2'493'986'432, 26'859'481'242};
+      return kDelays[rng.UniformInt(0, static_cast<int64_t>(std::size(kDelays)) - 1)];
+    }
+    DurationNs Delay() {
+      switch (rng.UniformInt(0, 9)) {
+        case 0:
+          return 0;
+        case 1:
+          return rng.UniformInt(0, int64_t{1} << 62);
+        default:
+          return FleetDelay();
+      }
+    }
+    void Schedule(TimeNs t) {
+      const uint64_t seq = ids.size();
+      over.push_back(false);
+      ref.push(Ref{std::max(t, sim.now()), seq});
+      ++live;
+      ids.push_back(sim.ScheduleAt(t, [this, seq]() { Ran(seq); }));
+    }
+    void Ran(uint64_t seq) {
+      const Ref* front = Front();
+      ASSERT_NE(front, nullptr);
+      EXPECT_EQ(front->seq, seq);
+      EXPECT_EQ(front->time, sim.now());
+      over[seq] = true;
+      --live;
+      ++ran;
+      // Zero, one or two successors: the pending set holds steady.
+      for (int64_t n = draining ? 0 : rng.UniformInt(0, 2); n > 0; --n) {
+        Schedule(sim.now() + Delay());
+      }
+    }
+    // An event between the clock and the next pending one.
+    void ScheduleBeforeFront() {
+      const TimeNs next = FrontTime();
+      const TimeNs gap = next == kTimeNever ? Microseconds(1) : next - sim.now();
+      Schedule(sim.now() + rng.UniformInt(0, gap));
+    }
+    // A stop within the fleet's horizon; half of them fall exactly on the
+    // next pending event when it is that near.
+    TimeNs StopTime() {
+      const TimeNs near = sim.now() + FleetDelay();
+      return rng.UniformInt(0, 1) == 0 ? std::min(near, FrontTime()) : near;
+    }
+  };
+  constexpr TimeNs kFar = TimeNs{1} << 50;
+  Harness h;
+  for (int i = 0; i < 64; ++i) {
+    h.Schedule(h.Delay());
+  }
+  for (int round = 0; round < 20'000; ++round) {
+    switch (h.rng.UniformInt(0, 7)) {
+      case 0:
+        h.Schedule(h.sim.now() + h.Delay());
+        break;
+      case 1: {
+        const uint64_t seq = static_cast<uint64_t>(h.rng.UniformInt(0, h.ids.size() - 1));
+        EXPECT_EQ(h.sim.Cancel(h.ids[seq]), !h.over[seq]);
+        if (!h.over[seq]) {
+          h.over[seq] = true;
+          --h.live;
+        }
+        break;
+      }
+      case 2:
+        if (const Ref* front = h.Front()) {
+          EXPECT_TRUE(h.sim.Cancel(h.ids[front->seq]));
+          h.over[front->seq] = true;
+          --h.live;
+        }
+        break;
+      case 3:
+        EXPECT_EQ(h.sim.NextEventTime(), h.FrontTime());
+        h.ScheduleBeforeFront();
+        break;
+      case 4: {
+        const TimeNs t = h.StopTime();
+        h.sim.RunUntil(t);
+        EXPECT_EQ(h.sim.now(), t);
+        EXPECT_GT(h.FrontTime(), t);
+        h.ScheduleBeforeFront();
+        break;
+      }
+      case 5: {
+        const TimeNs t = h.StopTime();
+        h.sim.RunUntilBefore(t);
+        EXPECT_EQ(h.sim.now(), t);
+        EXPECT_GE(h.FrontTime(), t);
+        h.ScheduleBeforeFront();
+        break;
+      }
+      default:
+        if (h.FrontTime() < kFar) {
+          EXPECT_TRUE(h.sim.Step());
+        }
+        break;
+    }
+    ASSERT_EQ(h.sim.pending(), h.live);
+  }
+  h.draining = true;
+  h.sim.Run();
+  EXPECT_EQ(h.Front(), nullptr);
+  EXPECT_EQ(h.sim.pending(), 0u);
+  EXPECT_EQ(h.sim.executed(), h.ran);
+  EXPECT_GT(h.ran, 20'000u);
 }
 
 TEST(RngTest, DeterministicAcrossInstances) {
