@@ -25,7 +25,10 @@ size_t Link::queued_cells() const { return QueuedAt(sim_->now()); }
 
 bool Link::SendCell(const Cell& cell) {
   const sim::TimeNs now = sim_->now();
-  if (QueuedAt(now) >= queue_limit_) {
+  // QueuedAt(now) >= queue_limit_ without the divide: ceil(b / c) >= L
+  // exactly when b > (L - 1) * c, and a zero limit always drops.
+  if (std::max<sim::DurationNs>(tx_free_at_ - now, 0) >
+      (static_cast<sim::DurationNs>(queue_limit_) - 1) * cell_time_) {
     // Tail-drop: the ARRIVING cell is lost, whatever its priority bit says
     // (see the class comment); the split counters record which class lost.
     ++(cell.low_priority ? cells_dropped_low_ : cells_dropped_high_);

@@ -30,6 +30,17 @@ sim::DurationNs ScaledSlice(sim::DurationNs slice, double ratio) {
   return static_cast<sim::DurationNs>(static_cast<double>(slice) * ratio * 0.999);
 }
 
+// The CPU contract `handler` holds, or none.
+nemesis::QosParams Held(const std::unique_ptr<nemesis::PeriodicDomain>& handler) {
+  return handler != nullptr ? handler->qos() : nemesis::QosParams{};
+}
+
+AdmitFailure CpuFailure(int end) {
+  return end == StreamSession::kSourceEnd ? AdmitFailure::kSourceCpu
+         : end == StreamSession::kSinkEnd ? AdmitFailure::kSinkCpu
+                                          : AdmitFailure::kComputeCpu;
+}
+
 // One CPU contract of the pipeline: an end host's protocol handler or a
 // compute stage, identified by the session end index (0 = source host,
 // 1 = sink host, 2+k = the stage terminating leg k).
@@ -39,8 +50,6 @@ struct CpuEndCheck {
   nemesis::QosParams wanted;
   // Utilisation this stream already holds on the kernel (renegotiation).
   double old_util = 0.0;
-  AdmitFailure kind = AdmitFailure::kNone;
-  const char* what = "";
   // Outputs.
   nemesis::QosParams clamped;
   bool failed = false;
@@ -169,159 +178,6 @@ std::string JoinDetails(const std::vector<std::string>& details) {
   return joined;
 }
 
-// One CPU contract of the joint check. `old_util` is what the stream
-// already holds there (zero on first admission).
-CpuEndCheck CpuEnd(int end, nemesis::Kernel* kernel, const nemesis::QosParams& wanted,
-                   double old_util) {
-  CpuEndCheck e;
-  e.end = end;
-  e.kernel = kernel;
-  e.wanted = wanted;
-  e.old_util = old_util;
-  if (end == StreamSession::kSourceEnd) {
-    e.kind = AdmitFailure::kSourceCpu;
-    e.what = "source";
-  } else if (end == StreamSession::kSinkEnd) {
-    e.kind = AdmitFailure::kSinkCpu;
-    e.what = "sink";
-  } else {
-    e.kind = AdmitFailure::kComputeCpu;
-    e.what = "compute stage";
-  }
-  return e;
-}
-
-// The one joint cross-layer admission pass shared by first admission
-// (StreamBuilder::Open) and renegotiation (StreamSession::RenegotiateImpl),
-// so counter-offer fixes cannot diverge between the two. Checks every layer
-// — bandwidth jointly per link over all legs, CPU grouped per kernel, disk
-// — collecting EVERY failure and materialising one jointly-admissible
-// counter-offer with self-contained legs.
-struct JointAdmissionRequest {
-  const atm::Network* network = nullptr;
-  size_t nlegs = 0;
-  size_t nstages = 0;
-  // Per-leg traversed links and demands; `old_bps` is the reservation each
-  // leg already holds (all zero on first admission). Renegotiations whose
-  // bandwidth is unchanged skip the link walk entirely (check_network
-  // false, leg_links may be empty).
-  bool check_network = true;
-  const std::vector<std::vector<atm::Link*>>* leg_links = nullptr;
-  std::vector<int64_t> wanted_bps;
-  std::vector<int64_t> old_bps;
-  // A point-to-point spec without an explicit leg entry takes bandwidth
-  // clamps on the stream-wide knob instead of a materialised leg.
-  bool counter_streamwide = false;
-  // CPU contracts in path order: source, every compute stage, every sink.
-  std::vector<CpuEndCheck> cpu_ends;
-  // Resolved per-stage CPU demands, for materialising counter legs.
-  std::vector<nemesis::QosParams> stage_cpu;
-  // Disk: headroom as seen by this stream (its current share added back).
-  bool check_disk = false;
-  int64_t disk_wanted = 0;
-  int64_t disk_available = 0;
-};
-
-// Returns true when every layer accepts. Otherwise fills `report` — verdict
-// (counter-offer when every failing layer still has something to give),
-// every failure in path order, joined detail — and returns false. `counter`
-// starts as the spec the caller was asked for.
-bool RunJointAdmission(JointAdmissionRequest& req, StreamSpec counter,
-                       AdmissionReport* report) {
-  std::vector<AdmitFailure> failures;
-  std::vector<std::string> details;
-  bool viable = true;
-  auto fail = [&](AdmitFailure kind, const std::string& text, bool still_viable) {
-    failures.push_back(kind);
-    details.push_back(text);
-    viable = viable && still_viable;
-  };
-  // Counter legs are materialised with the resolved demands so the offer is
-  // self-contained: resubmitting it verbatim never silently drops a stage
-  // contract the caller did not mention.
-  auto counter_leg_slot = [&](size_t i) -> LegSpec* {
-    while (counter.legs.size() < req.nlegs) {
-      const size_t j = counter.legs.size();
-      LegSpec filled;
-      filled.bandwidth_bps = req.wanted_bps[j];
-      if (j < req.nstages) {
-        filled.compute_cpu = req.stage_cpu[j];
-      }
-      counter.legs.push_back(filled);
-    }
-    return &counter.legs[i];
-  };
-
-  // 1. Network bandwidth, jointly on every link of every leg.
-  std::vector<int64_t> clamped_bps = req.wanted_bps;
-  if (req.check_network) {
-    JointLinkCheck(*req.network, *req.leg_links, req.wanted_bps, req.old_bps, &clamped_bps);
-  }
-  for (size_t i = 0; i < req.nlegs; ++i) {
-    if (clamped_bps[i] >= req.wanted_bps[i]) {
-      continue;
-    }
-    if (req.counter_streamwide) {
-      counter.bandwidth_bps = clamped_bps[i];
-    } else {
-      counter_leg_slot(i)->bandwidth_bps = clamped_bps[i];
-    }
-    fail(AdmitFailure::kNetworkBandwidth,
-         "leg " + std::to_string(i) + ": a traversed link lacks spare capacity",
-         clamped_bps[i] > 0);
-  }
-
-  // 2. CPU at both ends and every compute stage, grouped per kernel.
-  for (const CpuEndCheck& e : req.cpu_ends) {
-    if (e.wanted.slice > 0 && e.kernel == nullptr) {
-      report->verdict = AdmitVerdict::kRejected;
-      report->failure = e.kind;
-      report->detail = "no kernel attached to the host";
-      return false;
-    }
-  }
-  JointCpuCheck(&req.cpu_ends);
-  for (const CpuEndCheck& e : req.cpu_ends) {
-    if (!e.failed) {
-      continue;
-    }
-    if (e.end == StreamSession::kSourceEnd) {
-      counter.source_cpu = e.clamped;
-    } else if (e.end == StreamSession::kSinkEnd) {
-      // Every sink end carries its own entry, all at the same per-sink
-      // demand; the joint offer must satisfy the tightest of them.
-      if (e.clamped.slice < counter.sink_cpu.slice) {
-        counter.sink_cpu = e.clamped;
-      }
-    } else {
-      counter_leg_slot(static_cast<size_t>(e.end - 2))->compute_cpu = e.clamped;
-    }
-    fail(e.kind, std::string(e.what) + " CPU demand exceeds Atropos headroom",
-         e.clamped.slice > 0);
-  }
-
-  // 3. Disk rate at the file server.
-  if (req.check_disk && req.disk_wanted > req.disk_available) {
-    counter.disk_bps = std::max<int64_t>(req.disk_available, 0);
-    fail(AdmitFailure::kDiskBandwidth, "PFS stream budget exhausted",
-         req.disk_available > 0);
-  }
-
-  if (failures.empty()) {
-    return true;
-  }
-  report->failure = failures.front();
-  report->failures = std::move(failures);
-  report->detail = JoinDetails(details);
-  // A counter-offer is only useful if every demanded layer still has
-  // something to give.
-  report->verdict = viable ? AdmitVerdict::kCounterOffer : AdmitVerdict::kRejected;
-  if (viable) {
-    report->counter_offer = std::move(counter);
-  }
-  return false;
-}
-
 }  // namespace
 
 const char* AdaptationTriggerName(AdaptationEvent::Trigger trigger) {
@@ -427,7 +283,7 @@ void StreamSession::OnGrantChanged(int end, const nemesis::GrantUpdate& update) 
   if (has_adaptation_ && active_) {
     double requested = 0.0;
     if (end == kSourceEnd) {
-      requested = requested_source_cpu_.Utilization();
+      requested = nominal_.source_cpu.Utilization();
     } else if (end == kSinkEnd) {
       requested = requested_sink_cpu_.Utilization();
     } else {
@@ -550,7 +406,8 @@ void StreamSession::BindAdaptationHooks() {
           }
           Adapt(AdaptationEvent::Trigger::kNetworkCongestion,
                 severity > 0.0 ? nemesis::GrantReason::kContention
-                               : nemesis::GrantReason::kRestore);
+                               : nemesis::GrantReason::kRestore,
+                GrantedCpuUtil());
         });
   }
   RebindDiskPressureHook();
@@ -567,7 +424,8 @@ void StreamSession::RebindDiskPressureHook() {
     disk_limit_ = std::clamp(fraction, 0.0, 1.0);
     Adapt(AdaptationEvent::Trigger::kDiskPressure,
           fraction < 1.0 ? nemesis::GrantReason::kContention
-                         : nemesis::GrantReason::kRestore);
+                         : nemesis::GrantReason::kRestore,
+          GrantedCpuUtil());
   });
 }
 
@@ -586,19 +444,12 @@ StreamSpec StreamSession::ScaledSpec(double fraction) const {
   if (policy_.mode == AdaptationMode::kFrameRateScaling) {
     spec.frame_rate = nominal_.frame_rate * fraction;
   }
+  // A pipeline's granted spec carries every leg; a one-leg session's
+  // nominal rate is its leg's, stream-wide and in any explicit entry.
   const size_t nlegs = legs_.size();
-  if (nlegs == 1) {
-    spec.bandwidth_bps = scaled_bps(nominal_.bandwidth_bps);
-    if (!spec.legs.empty()) {
-      spec.legs[0].bandwidth_bps = spec.bandwidth_bps;
-    }
-  } else {
-    if (spec.legs.size() < nlegs) {
-      spec.legs.resize(nlegs);
-    }
-    for (size_t i = 0; i < nlegs; ++i) {
-      spec.legs[i].bandwidth_bps = scaled_bps(nominal_.LegBandwidthBps(i));
-    }
+  spec.bandwidth_bps = scaled_bps(nominal_.bandwidth_bps);
+  for (size_t i = 0; i < nlegs && i < spec.legs.size(); ++i) {
+    spec.legs[i].bandwidth_bps = scaled_bps(nominal_.LegBandwidthBps(i));
   }
   // CPU moves with the stream except where the manager owns the slice: a
   // managed end keeps the manager's current grant (contract_.granted).
@@ -631,12 +482,8 @@ AdmissionReport StreamSession::AdaptTo(double target_fraction) {
   app_limit_ = std::clamp(target_fraction, 0.0, 1.0);
   return Adapt(AdaptationEvent::Trigger::kManual,
                app_limit_ >= current_fraction_ ? nemesis::GrantReason::kRestore
-                                               : nemesis::GrantReason::kContention);
-}
-
-AdmissionReport StreamSession::Adapt(AdaptationEvent::Trigger trigger,
-                                     nemesis::GrantReason reason) {
-  return Adapt(trigger, reason, GrantedCpuUtil());
+                                               : nemesis::GrantReason::kContention,
+               GrantedCpuUtil());
 }
 
 AdmissionReport StreamSession::Adapt(AdaptationEvent::Trigger trigger,
@@ -657,8 +504,7 @@ AdmissionReport StreamSession::Adapt(AdaptationEvent::Trigger trigger,
   event.target_fraction = next;
 
   AdmissionReport report;
-  if (policy_.mode == AdaptationMode::kHold ||
-      std::abs(next - current_fraction_) < policy_.hysteresis) {
+  if (std::abs(next - current_fraction_) < policy_.hysteresis) {
     event.held = true;
     event.cpu_util_after = GrantedCpuUtil();
     event.net_bps_after = event.net_bps_before;
@@ -693,16 +539,17 @@ AdmissionReport StreamSession::Renegotiate(const StreamSpec& spec) {
 
 AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool update_requests) {
   AdmissionReport report;
-  if (!active_) {
+  auto refuse = [&report](AdmitFailure failure, const char* detail) {
     report.verdict = AdmitVerdict::kRejected;
-    report.failure = AdmitFailure::kEndpoint;
-    report.detail = "session is closed";
+    report.failure = failure;
+    report.detail = detail;
     return report;
+  };
+  if (!active_) {
+    return refuse(AdmitFailure::kEndpoint, "session is closed");
   }
   atm::Network& network = system_->network();
-  const StreamSpec old = contract_.granted;
   const size_t nlegs = legs_.size();
-  const size_t nstages = nlegs > 0 ? nlegs - 1 : 0;
 
   // Resolve the per-leg demands. Without Via() stages the stream-wide knob
   // applies; for a pipeline, entries missing from spec.legs keep the
@@ -710,207 +557,99 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
   // contract().granted renegotiates naturally).
   std::vector<int64_t> old_bps(nlegs);
   std::vector<int64_t> wanted_bps(nlegs);
+  bool bandwidth_changed = false;
   for (size_t i = 0; i < nlegs; ++i) {
     old_bps[i] = legs_[i].granted_bps;
-    if (i < spec.legs.size() && spec.legs[i].bandwidth_bps != LegSpec::kInheritBps) {
-      wanted_bps[i] = spec.legs[i].bandwidth_bps;
-    } else if (nlegs == 1) {
-      wanted_bps[i] = spec.bandwidth_bps;
-    } else {
-      wanted_bps[i] = old_bps[i];
-    }
-  }
-  std::vector<nemesis::QosParams> old_stage_cpu(nstages);
-  std::vector<nemesis::QosParams> wanted_stage_cpu(nstages);
-  for (size_t k = 0; k < nstages; ++k) {
-    old_stage_cpu[k] = legs_[k].handler != nullptr
-                           ? legs_[k].handler->qos()
-                           : nemesis::QosParams{0, sim::Milliseconds(100), true};
-    wanted_stage_cpu[k] = k < spec.legs.size() ? spec.legs[k].compute_cpu : old_stage_cpu[k];
+    const bool explicit_leg =
+        i < spec.legs.size() && spec.legs[i].bandwidth_bps != LegSpec::kInheritBps;
+    wanted_bps[i] = explicit_leg || nlegs == 1 ? spec.LegBandwidthBps(i) : old_bps[i];
+    bandwidth_changed = bandwidth_changed || wanted_bps[i] != old_bps[i];
   }
 
-  // ---- pre-check every layer jointly (the pass shared with first
-  // admission); nothing is touched until all pass, so a refusal leaves the
-  // original contract fully intact. A renegotiation that moves no
-  // bandwidth skips the link walk ----
-  const bool bandwidth_changed = wanted_bps != old_bps;
+  // ---- pre-check every layer jointly (the pass Open runs); nothing is
+  // touched until all pass, so a refusal leaves the original contract fully
+  // intact. A renegotiation that moves no bandwidth skips the link walk ----
   std::vector<std::vector<atm::Link*>> leg_links(bandwidth_changed ? nlegs : 0);
-  for (size_t i = 0; bandwidth_changed && i < nlegs; ++i) {
+  for (size_t i = 0; i < leg_links.size(); ++i) {
     const std::vector<atm::Link*>* links = network.VcLinks(legs_[i].vc);
     if (links == nullptr) {
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = AdmitFailure::kNoPath;
-      report.detail = "a leg's VC no longer exists";
-      return report;
+      return refuse(AdmitFailure::kNoPath, "a leg's VC no longer exists");
     }
     leg_links[i] = *links;
   }
   if (spec.disk_bps > 0 && (storage_ == nullptr || file_ < 0)) {
-    report.verdict = AdmitVerdict::kRejected;
-    report.failure = AdmitFailure::kDiskBandwidth;
-    report.detail = "disk rate demanded but the session has no single file to reserve";
+    return refuse(AdmitFailure::kDiskBandwidth,
+                  "disk rate demanded but the session has no single file to reserve");
+  }
+  std::vector<nemesis::QosParams> stage_cpu;
+  if (!Admit(spec, leg_links, wanted_bps, file_ >= 0 ? storage_ : nullptr, &stage_cpu,
+             &report)) {
     return report;
   }
 
-  JointAdmissionRequest req;
-  req.network = &network;
-  req.nlegs = nlegs;
-  req.nstages = nstages;
-  req.check_network = bandwidth_changed;
-  req.leg_links = &leg_links;
-  req.wanted_bps = wanted_bps;
-  req.old_bps = old_bps;
-  req.counter_streamwide =
-      nlegs == 1 &&
-      (spec.legs.empty() || spec.legs[0].bandwidth_bps == LegSpec::kInheritBps);
-  req.cpu_ends.push_back(CpuEnd(kSourceEnd, source_ws_ != nullptr ? source_ws_->kernel() : nullptr,
-                                spec.source_cpu,
-                                source_handler_ != nullptr
-                                    ? source_handler_->qos().Utilization()
-                                    : 0.0));
-  for (size_t k = 0; k < nstages; ++k) {
-    req.cpu_ends.push_back(
-        CpuEnd(2 + static_cast<int>(k),
-               legs_[k].compute != nullptr ? legs_[k].compute->kernel() : nullptr,
-               wanted_stage_cpu[k], old_stage_cpu[k].Utilization()));
-  }
-  for (const SinkBinding& b : sinks_) {
-    req.cpu_ends.push_back(CpuEnd(kSinkEnd, b.sink.ws != nullptr ? b.sink.ws->kernel() : nullptr,
-                                  spec.sink_cpu,
-                                  b.handler != nullptr ? b.handler->qos().Utilization() : 0.0));
-  }
-  req.stage_cpu = wanted_stage_cpu;
-  req.check_disk = storage_ != nullptr && file_ >= 0 && spec.disk_bps != old.disk_bps;
-  req.disk_wanted = spec.disk_bps;
-  if (req.check_disk) {
-    req.disk_available = storage_->server()->AvailableStreamBps() +
-                         (disk_reserved_ ? old.disk_bps : 0);
-  }
-  if (!RunJointAdmission(req, spec, &report)) {
-    return report;
-  }
-
-  // ---- every layer accepts: apply, decreases before increases so shared
-  // links and kernels never transiently overcommit. The undo stack keeps
-  // the apply all-or-nothing even if a layer refuses after the pre-check.
-  std::vector<std::function<void()>> undo;
-  auto rollback = [&]() {
-    for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-      (*it)();
-    }
-  };
-
-  // Network.
+  // ---- every layer accepts: apply network legs, then CPU, then disk, each
+  // layer's decreases before its increases so shared links and kernels
+  // never transiently overcommit. A layer refusing after the pre-check
+  // moves whatever was applied back, in reverse ----
   std::vector<size_t> net_order(nlegs);
   std::iota(net_order.begin(), net_order.end(), size_t{0});
   std::sort(net_order.begin(), net_order.end(), [&](size_t a, size_t b) {
     return wanted_bps[a] - old_bps[a] < wanted_bps[b] - old_bps[b];
   });
-  for (size_t i : net_order) {
+  struct CpuMove {
+    CpuSlot slot;
+    nemesis::QosParams wanted;
+    nemesis::QosParams prev;
+  };
+  std::vector<CpuMove> moves;
+  for (const CpuSlot& slot : CpuSlots()) {
+    moves.push_back({slot, Demand(slot, spec, stage_cpu), Held(*slot.handler)});
+  }
+  std::sort(moves.begin(), moves.end(), [](const CpuMove& a, const CpuMove& b) {
+    return a.wanted.Utilization() - a.prev.Utilization() <
+           b.wanted.Utilization() - b.prev.Utilization();
+  });
+  size_t legs_done = 0;
+  size_t moves_done = 0;
+  auto move_back = [&]() {
+    while (moves_done > 0) {
+      const CpuMove& m = moves[--moves_done];
+      SetCpu(m.slot, m.prev, LongTermRequest(m.slot, m.prev));
+    }
+    while (legs_done > 0) {
+      const size_t i = net_order[--legs_done];
+      if (wanted_bps[i] != old_bps[i]) {
+        network.UpdateVcQos(legs_[i].vc, atm::QosSpec{old_bps[i]});
+        legs_[i].granted_bps = old_bps[i];
+      }
+    }
+  };
+  for (; legs_done < nlegs; ++legs_done) {
+    const size_t i = net_order[legs_done];
     if (wanted_bps[i] == old_bps[i]) {
       continue;
     }
     if (!network.UpdateVcQos(legs_[i].vc, atm::QosSpec{wanted_bps[i]})) {
-      rollback();
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = AdmitFailure::kNetworkBandwidth;
-      report.detail = "network re-admission refused after the joint pre-check";
-      return report;
+      move_back();
+      return refuse(AdmitFailure::kNetworkBandwidth,
+                    "network re-admission refused after the joint pre-check");
     }
     legs_[i].granted_bps = wanted_bps[i];
-    undo.push_back([this, &network, i, prev = old_bps[i]]() {
-      network.UpdateVcQos(legs_[i].vc, atm::QosSpec{prev});
-      legs_[i].granted_bps = prev;
-    });
   }
-
-  // CPU. `request` is the long-term demand (re-)registered with the QoS
-  // manager: on a forward apply the renegotiated spec, on a rollback the
-  // original request the session was opened with.
-  auto apply_cpu = [&](std::unique_ptr<nemesis::PeriodicDomain>* slot,
-                       nemesis::Kernel* kernel, const nemesis::QosParams& qos,
-                       const nemesis::QosParams& request, int end,
-                       const std::string& suffix) -> bool {
-    nemesis::PeriodicDomain* handler = slot->get();
-    if (qos.slice <= 0) {
-      if (handler != nullptr) {
-        ReleaseCpuEnd(slot, kernel);
-      }
-      return true;
+  // The forward move registers the renegotiated demand with the QoS
+  // manager, unless the adaptation plane drives it (grants grow back).
+  for (; moves_done < moves.size(); ++moves_done) {
+    const CpuMove& m = moves[moves_done];
+    if (!SetCpu(m.slot, m.wanted,
+                update_requests ? m.wanted : LongTermRequest(m.slot, m.wanted))) {
+      move_back();
+      return refuse(CpuFailure(m.slot.end), "CPU re-admission refused after the joint pre-check");
     }
-    if (handler == nullptr || handler->kernel() == nullptr) {
-      return BindCpu(slot, kernel, qos, request, suffix, end);
-    }
-    if (kernel == nullptr || !kernel->UpdateQos(handler, qos)) {
-      return false;
-    }
-    if (manager_ != nullptr && manager_->kernel() == kernel) {
-      manager_->Register(handler, manager_weight_, request,
-                         [this, end](const nemesis::GrantUpdate& update) {
-                           OnGrantChanged(end, update);
-                         });
-    }
-    return true;
-  };
-  struct CpuApply {
-    std::unique_ptr<nemesis::PeriodicDomain>* slot;
-    nemesis::Kernel* kernel;
-    nemesis::QosParams wanted;
-    // Long-term demand (re-)registered with the manager on the forward
-    // apply: the renegotiated spec normally, but the original request when
-    // the adaptation plane drives the change (so grants can grow back).
-    nemesis::QosParams request;
-    nemesis::QosParams prev;
-    nemesis::QosParams prev_request;
-    int end;
-    std::string suffix;
-    AdmitFailure kind;
-  };
-  const nemesis::QosParams no_cpu{0, sim::Milliseconds(100), true};
-  std::vector<CpuApply> cpu_applies;
-  cpu_applies.push_back({&source_handler_,
-                         source_ws_ != nullptr ? source_ws_->kernel() : nullptr,
-                         spec.source_cpu,
-                         update_requests ? spec.source_cpu : requested_source_cpu_,
-                         source_handler_ != nullptr ? source_handler_->qos() : no_cpu,
-                         requested_source_cpu_, kSourceEnd, "/src", AdmitFailure::kSourceCpu});
-  for (size_t k = 0; k < nstages; ++k) {
-    cpu_applies.push_back({&legs_[k].handler,
-                           legs_[k].compute != nullptr ? legs_[k].compute->kernel() : nullptr,
-                           wanted_stage_cpu[k], wanted_stage_cpu[k], old_stage_cpu[k],
-                           old_stage_cpu[k], 2 + static_cast<int>(k),
-                           "/via" + std::to_string(k), AdmitFailure::kComputeCpu});
-  }
-  // Every sink end's handler moves together at the one per-sink contract.
-  for (size_t si = 0; si < sinks_.size(); ++si) {
-    SinkBinding& b = sinks_[si];
-    cpu_applies.push_back({&b.handler, b.sink.ws != nullptr ? b.sink.ws->kernel() : nullptr,
-                           spec.sink_cpu, update_requests ? spec.sink_cpu : requested_sink_cpu_,
-                           b.handler != nullptr ? b.handler->qos() : no_cpu,
-                           requested_sink_cpu_, kSinkEnd, "/snk" + std::to_string(si),
-                           AdmitFailure::kSinkCpu});
-  }
-  std::sort(cpu_applies.begin(), cpu_applies.end(), [](const CpuApply& a, const CpuApply& b) {
-    return a.wanted.Utilization() - a.prev.Utilization() <
-           b.wanted.Utilization() - b.prev.Utilization();
-  });
-  for (CpuApply& apply : cpu_applies) {
-    if (!apply_cpu(apply.slot, apply.kernel, apply.wanted, apply.request, apply.end,
-                   apply.suffix)) {
-      rollback();
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = apply.kind;
-      report.detail = "CPU re-admission refused after the joint pre-check";
-      return report;
-    }
-    undo.push_back([this, &apply_cpu, apply]() mutable {
-      apply_cpu(apply.slot, apply.kernel, apply.prev, apply.prev_request, apply.end,
-                apply.suffix);
-    });
   }
 
   // Disk, by release-and-re-reserve.
-  if (storage_ != nullptr && file_ >= 0 && spec.disk_bps != old.disk_bps) {
+  const int64_t old_disk_bps = contract_.granted.disk_bps;
+  if (storage_ != nullptr && file_ >= 0 && spec.disk_bps != old_disk_bps) {
     pfs::PegasusFileServer* server = storage_->server();
     const bool was_reserved = disk_reserved_;
     if (disk_reserved_) {
@@ -918,58 +657,29 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
       disk_reserved_ = false;
     }
     if (spec.disk_bps > 0 && !server->ReserveStream(file_, spec.disk_bps)) {
-      if (was_reserved && old.disk_bps > 0) {
-        server->ReserveStream(file_, old.disk_bps);
+      if (was_reserved && old_disk_bps > 0) {
+        server->ReserveStream(file_, old_disk_bps);
         disk_reserved_ = true;
       }
-      rollback();
-      report.verdict = AdmitVerdict::kRejected;
-      report.failure = AdmitFailure::kDiskBandwidth;
-      report.detail = "PFS re-reservation refused after the joint pre-check";
-      return report;
+      move_back();
+      return refuse(AdmitFailure::kDiskBandwidth,
+                    "PFS re-reservation refused after the joint pre-check");
     }
     disk_reserved_ = spec.disk_bps > 0;
   }
 
-  // ---- bind the new contract; the renegotiated demand becomes the
-  // long-term request the QoS manager steers toward ----
-  contract_.granted = spec;
-  if (nlegs > 1) {
-    // The stream-wide bandwidth knob plays no part in a pipeline
-    // renegotiation (legs carry the real demands); keep the previous value
-    // rather than echoing an ignored edit into the granted contract.
-    contract_.granted.bandwidth_bps = old.bandwidth_bps;
-    if (contract_.granted.legs.size() < nlegs) {
-      contract_.granted.legs.resize(nlegs);
-    }
-    for (size_t i = 0; i < nlegs; ++i) {
-      contract_.granted.legs[i].bandwidth_bps = wanted_bps[i];
-    }
-    for (size_t k = 0; k < nstages; ++k) {
-      contract_.granted.legs[k].compute_cpu =
-          legs_[k].handler != nullptr ? legs_[k].handler->qos() : no_cpu;
-    }
-  } else if (nlegs == 1) {
-    contract_.granted.bandwidth_bps = wanted_bps[0];
-  }
+  // ---- bind the new contract; an application renegotiation states a new
+  // nominal the adaptation plane scales from hereafter, with every signal
+  // source's limit reset ----
+  SetGranted(spec, wanted_bps, contract_.granted.bandwidth_bps);
   if (update_requests) {
-    requested_source_cpu_ = spec.source_cpu;
     requested_sink_cpu_ = spec.sink_cpu;
-    // An application-driven renegotiation states a new nominal; the
-    // adaptation plane scales from it hereafter, with every signal
-    // source's limit reset.
     nominal_ = contract_.granted;
     current_fraction_ = 1.0;
     app_limit_ = 1.0;
     disk_limit_ = 1.0;
     net_link_limits_.clear();
     cpu_end_limits_.clear();
-  }
-  if (source_handler_ != nullptr) {
-    contract_.granted.source_cpu = source_handler_->qos();
-  }
-  if (const nemesis::PeriodicDomain* sink = EndHandler(kSinkEnd)) {
-    contract_.granted.sink_cpu = sink->qos();
   }
   ++contract_.renegotiations;
   ApplySourcePacing();
@@ -979,35 +689,230 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
   return report;
 }
 
-bool StreamSession::BindCpu(std::unique_ptr<nemesis::PeriodicDomain>* slot,
-                            nemesis::Kernel* kernel, const nemesis::QosParams& qos,
-                            const nemesis::QosParams& request, const std::string& suffix,
-                            int end) {
-  if (kernel == nullptr) {
+std::vector<StreamSession::CpuSlot> StreamSession::CpuSlots() {
+  std::vector<CpuSlot> slots;
+  slots.reserve(legs_.size() + sinks_.size());
+  slots.push_back({kSourceEnd, 0, source_ws_ != nullptr ? source_ws_->kernel() : nullptr,
+                   &source_handler_});
+  for (size_t k = 0; k + 1 < legs_.size(); ++k) {
+    slots.push_back({2 + static_cast<int>(k), k,
+                     legs_[k].compute != nullptr ? legs_[k].compute->kernel() : nullptr,
+                     &legs_[k].handler});
+  }
+  for (size_t i = 0; i < sinks_.size(); ++i) {
+    slots.push_back(SinkSlot(sinks_[i], i));
+  }
+  return slots;
+}
+
+StreamSession::CpuSlot StreamSession::SinkSlot(SinkBinding& b, size_t index) {
+  return {kSinkEnd, index, b.sink.ws != nullptr ? b.sink.ws->kernel() : nullptr, &b.handler};
+}
+
+nemesis::QosParams StreamSession::Demand(const CpuSlot& slot, const StreamSpec& spec,
+                                         const std::vector<nemesis::QosParams>& stage_cpu) {
+  if (slot.end == kSourceEnd) {
+    return spec.source_cpu;
+  }
+  return slot.end == kSinkEnd ? spec.sink_cpu : stage_cpu[slot.index];
+}
+
+nemesis::QosParams StreamSession::LongTermRequest(const CpuSlot& slot,
+                                                  const nemesis::QosParams& qos) const {
+  if (slot.end == kSourceEnd) {
+    return nominal_.source_cpu;
+  }
+  return slot.end == kSinkEnd ? requested_sink_cpu_ : qos;
+}
+
+bool StreamSession::Admit(const StreamSpec& spec,
+                          const std::vector<std::vector<atm::Link*>>& leg_links,
+                          const std::vector<int64_t>& wanted_bps, StorageNode* disk_storage,
+                          std::vector<nemesis::QosParams>* stage_cpu, AdmissionReport* report) {
+  const size_t nlegs = legs_.size();
+  const size_t nstages = nlegs - 1;
+  stage_cpu->resize(nstages);
+  for (size_t k = 0; k < nstages; ++k) {
+    (*stage_cpu)[k] = k < spec.legs.size() ? spec.legs[k].compute_cpu : Held(legs_[k].handler);
+  }
+  StreamSpec counter = spec;
+  std::vector<AdmitFailure> failures;
+  std::vector<std::string> details;
+  bool viable = true;
+  auto fail = [&](AdmitFailure kind, const std::string& text, bool still_viable) {
+    failures.push_back(kind);
+    details.push_back(text);
+    viable = viable && still_viable;
+  };
+  // Counter legs are materialised with the resolved demands so the offer is
+  // self-contained: resubmitting it verbatim never silently drops a stage
+  // contract the caller did not mention.
+  auto counter_leg_slot = [&](size_t i) -> LegSpec* {
+    while (counter.legs.size() < nlegs) {
+      const size_t j = counter.legs.size();
+      LegSpec filled;
+      filled.bandwidth_bps = wanted_bps[j];
+      if (j < nstages) {
+        filled.compute_cpu = (*stage_cpu)[j];
+      }
+      counter.legs.push_back(filled);
+    }
+    return &counter.legs[i];
+  };
+
+  // 1. Network bandwidth, jointly on every link of every leg. A point-to-
+  // point spec without an explicit leg entry takes its clamp on the
+  // stream-wide knob instead of a materialised leg.
+  std::vector<int64_t> clamped_bps = wanted_bps;
+  if (!leg_links.empty()) {
+    std::vector<int64_t> old_bps(nlegs);
+    for (size_t i = 0; i < nlegs; ++i) {
+      old_bps[i] = legs_[i].granted_bps;
+    }
+    JointLinkCheck(system_->network(), leg_links, wanted_bps, old_bps, &clamped_bps);
+  }
+  const bool counter_streamwide =
+      nlegs == 1 && (spec.legs.empty() || spec.legs[0].bandwidth_bps == LegSpec::kInheritBps);
+  for (size_t i = 0; i < nlegs; ++i) {
+    if (clamped_bps[i] >= wanted_bps[i]) {
+      continue;
+    }
+    if (counter_streamwide) {
+      counter.bandwidth_bps = clamped_bps[i];
+    } else {
+      counter_leg_slot(i)->bandwidth_bps = clamped_bps[i];
+    }
+    fail(AdmitFailure::kNetworkBandwidth,
+         "leg " + std::to_string(i) + ": a traversed link lacks spare capacity",
+         clamped_bps[i] > 0);
+  }
+
+  // 2. CPU at both ends and every compute stage, grouped per kernel.
+  std::vector<CpuEndCheck> ends;
+  for (const CpuSlot& slot : CpuSlots()) {
+    CpuEndCheck e;
+    e.end = slot.end;
+    e.kernel = slot.kernel;
+    e.wanted = Demand(slot, spec, *stage_cpu);
+    e.old_util = Held(*slot.handler).Utilization();
+    if (e.wanted.slice > 0 && e.kernel == nullptr) {
+      report->verdict = AdmitVerdict::kRejected;
+      report->failure = CpuFailure(e.end);
+      report->detail = "no kernel attached to the host";
+      return false;
+    }
+    ends.push_back(e);
+  }
+  JointCpuCheck(&ends);
+  for (const CpuEndCheck& e : ends) {
+    if (!e.failed) {
+      continue;
+    }
+    const char* what = "compute stage";
+    if (e.end == kSourceEnd) {
+      counter.source_cpu = e.clamped;
+      what = "source";
+    } else if (e.end == kSinkEnd) {
+      // Every sink end carries its own entry, all at the same per-sink
+      // demand; the joint offer must satisfy the tightest of them.
+      if (e.clamped.slice < counter.sink_cpu.slice) {
+        counter.sink_cpu = e.clamped;
+      }
+      what = "sink";
+    } else {
+      counter_leg_slot(static_cast<size_t>(e.end - 2))->compute_cpu = e.clamped;
+    }
+    fail(CpuFailure(e.end), std::string(what) + " CPU demand exceeds Atropos headroom",
+         e.clamped.slice > 0);
+  }
+
+  // 3. Disk rate at the file server, its current share handed back.
+  if (disk_storage != nullptr && spec.disk_bps != contract_.granted.disk_bps) {
+    const int64_t available = disk_storage->server()->AvailableStreamBps() +
+                              (disk_reserved_ ? contract_.granted.disk_bps : 0);
+    if (spec.disk_bps > available) {
+      counter.disk_bps = std::max<int64_t>(available, 0);
+      fail(AdmitFailure::kDiskBandwidth, "PFS stream budget exhausted", available > 0);
+    }
+  }
+
+  if (failures.empty()) {
+    return true;
+  }
+  report->failure = failures.front();
+  report->failures = std::move(failures);
+  report->detail = JoinDetails(details);
+  // A counter-offer is only useful if every demanded layer still has
+  // something to give.
+  report->verdict = viable ? AdmitVerdict::kCounterOffer : AdmitVerdict::kRejected;
+  if (viable) {
+    report->counter_offer = std::move(counter);
+  }
+  return false;
+}
+
+bool StreamSession::SetCpu(const CpuSlot& slot, const nemesis::QosParams& qos,
+                           const nemesis::QosParams& request) {
+  std::unique_ptr<nemesis::PeriodicDomain>& handler = *slot.handler;
+  if (qos.slice <= 0) {
+    ReleaseCpuEnd(slot.handler, slot.kernel);
+    return true;
+  }
+  if (slot.kernel == nullptr) {
     return false;
   }
-  auto domain = std::make_unique<nemesis::PeriodicDomain>(
-      system_->simulator(), name_ + suffix, qos, qos.slice, qos.period);
-  if (!kernel->AddDomain(domain.get())) {
+  if (handler == nullptr || handler->kernel() == nullptr) {
+    const std::string suffix = slot.end == kSourceEnd ? "/src"
+                               : slot.end == kSinkEnd ? "/snk" + std::to_string(slot.index)
+                                                      : "/via" + std::to_string(slot.index);
+    auto domain = std::make_unique<nemesis::PeriodicDomain>(
+        system_->simulator(), name_ + suffix, qos, qos.slice, qos.period);
+    if (!slot.kernel->AddDomain(domain.get())) {
+      return false;
+    }
+    handler = std::move(domain);
+  } else if (!slot.kernel->UpdateQos(handler.get(), qos)) {
     return false;
   }
-  if (manager_ != nullptr && manager_->kernel() == kernel) {
-    manager_->Register(domain.get(), manager_weight_, request,
-                       [this, end](const nemesis::GrantUpdate& update) {
+  if (manager_ != nullptr && manager_->kernel() == slot.kernel) {
+    manager_->Register(handler.get(), manager_weight_, request,
+                       [this, end = slot.end](const nemesis::GrantUpdate& update) {
                          OnGrantChanged(end, update);
                        });
   }
-  *slot = std::move(domain);
   return true;
 }
 
-AdmitFailure StreamSession::BindSink(SinkBinding& b, const nemesis::QosParams& cpu, bool control,
-                                     size_t index) {
-  if (cpu.slice > 0 &&
-      !BindCpu(&b.handler, b.sink.ws != nullptr ? b.sink.ws->kernel() : nullptr, cpu,
-               requested_sink_cpu_, "/snk" + std::to_string(index), kSinkEnd)) {
-    return AdmitFailure::kSinkCpu;
+void StreamSession::SetGranted(const StreamSpec& spec, const std::vector<int64_t>& leg_bps,
+                               int64_t pipeline_bps) {
+  StreamSpec& granted = contract_.granted;
+  granted = spec;
+  const size_t nlegs = legs_.size();
+  if (nlegs > 1) {
+    granted.bandwidth_bps = pipeline_bps;
+    if (granted.legs.size() < nlegs) {
+      granted.legs.resize(nlegs);
+    }
+  } else {
+    granted.bandwidth_bps = leg_bps[0];
   }
+  for (size_t i = 0; i < nlegs && i < granted.legs.size(); ++i) {
+    granted.legs[i].bandwidth_bps = leg_bps[i];
+  }
+  if (source_handler_ != nullptr) {
+    granted.source_cpu = source_handler_->qos();
+  }
+  for (size_t k = 0; k + 1 < nlegs; ++k) {
+    if (legs_[k].handler != nullptr) {
+      granted.legs[k].compute_cpu = legs_[k].handler->qos();
+    }
+  }
+  if (const nemesis::PeriodicDomain* sink = EndHandler(kSinkEnd)) {
+    granted.sink_cpu = sink->qos();
+  }
+}
+
+AdmitFailure StreamSession::BindSink(SinkBinding& b, bool control) {
   if (window_.has_value() && b.sink.display != nullptr) {
     dev::WindowManager wm(b.sink.display);
     wm.CreateWindow(b.vci, window_->x, window_->y, window_->w, window_->h);
@@ -1048,8 +953,6 @@ AdmitFailure StreamSession::BindSink(SinkBinding& b, const nemesis::QosParams& c
     }
     if (control_send_vci_ == atm::kVciUnassigned) {
       control_send_vci_ = to_far_end->source_vci;
-      control_receive_vci_ =
-          back.has_value() ? back->destination_vci : to_far_end->destination_vci;
     }
   }
   if (b.sink.storage != nullptr) {
@@ -1145,7 +1048,10 @@ AdmissionReport StreamSession::AddSink(const MulticastSink& sink) {
   b.vci = *vci;
   // Sink CPU on the new sink's host alone — the rest of the session is
   // untouched.
-  const AdmitFailure failure = BindSink(b, contract_.granted.sink_cpu, false, sinks_.size());
+  const AdmitFailure failure =
+      SetCpu(SinkSlot(b, sinks_.size()), contract_.granted.sink_cpu, requested_sink_cpu_)
+          ? BindSink(b, false)
+          : AdmitFailure::kSinkCpu;
   if (failure != AdmitFailure::kNone) {
     UnbindSink(b);
     network.RemoveLeaf(legs_.back().vc, ep);
@@ -1248,31 +1154,32 @@ void StreamSession::Close() {
 // --- StreamBuilder ---
 
 StreamBuilder::StreamBuilder(PegasusSystem* system, std::string name)
-    : system_(system), name_(std::move(name)) {}
+    : session_(new StreamSession()) {
+  session_->name_ = std::move(name);
+  session_->system_ = system;
+}
 
 StreamBuilder& StreamBuilder::From(Workstation* ws, dev::AtmCamera* camera) {
-  source_ws_ = ws;
-  source_ep_ = ws != nullptr ? ws->device_endpoint(camera) : nullptr;
-  source_camera_ = camera;
+  FromEndpoint(ws, ws != nullptr ? ws->device_endpoint(camera) : nullptr);
+  session_->source_camera_ = camera;
   return *this;
 }
 
 StreamBuilder& StreamBuilder::From(Workstation* ws, dev::AudioCapture* capture) {
-  source_ws_ = ws;
-  source_ep_ = ws != nullptr ? ws->device_endpoint(capture) : nullptr;
-  source_audio_ = capture;
+  FromEndpoint(ws, ws != nullptr ? ws->device_endpoint(capture) : nullptr);
+  session_->source_audio_ = capture;
   return *this;
 }
 
 StreamBuilder& StreamBuilder::FromEndpoint(Workstation* ws, atm::Endpoint* endpoint) {
-  source_ws_ = ws;
-  source_ep_ = endpoint;
+  session_->source_ws_ = ws;
+  session_->source_ep_ = endpoint;
   return *this;
 }
 
 StreamBuilder& StreamBuilder::FromStorage(StorageNode* storage, pfs::FileId file) {
   source_storage_ = storage;
-  source_ep_ = storage != nullptr ? storage->endpoint() : nullptr;
+  session_->source_ep_ = storage != nullptr ? storage->endpoint() : nullptr;
   playback_file_ = file;
   return *this;
 }
@@ -1326,18 +1233,13 @@ StreamBuilder& StreamBuilder::WithSpec(const StreamSpec& spec) {
 }
 
 StreamBuilder& StreamBuilder::WithWindow(int x, int y, int w, int h) {
-  window_ = StreamSession::Window{x, y, w, h};
+  session_->window_ = StreamSession::Window{x, y, w, h};
   return *this;
 }
 
 StreamBuilder& StreamBuilder::ManagedBy(nemesis::QosManagerDomain* manager, double weight) {
-  manager_ = manager;
-  manager_weight_ = weight;
-  return *this;
-}
-
-StreamBuilder& StreamBuilder::RequestingSourceCpu(const nemesis::QosParams& cpu) {
-  requested_source_cpu_ = cpu;
+  session_->manager_ = manager;
+  session_->manager_weight_ = weight;
   return *this;
 }
 
@@ -1347,19 +1249,22 @@ StreamBuilder& StreamBuilder::RequestingSinkCpu(const nemesis::QosParams& cpu) {
 }
 
 StreamBuilder& StreamBuilder::WithAdaptation(const AdaptationPolicy& policy) {
-  adaptation_ = policy;
+  session_->has_adaptation_ = true;
+  session_->policy_ = policy;
   return *this;
 }
 
 StreamBuilder& StreamBuilder::OnDegrade(StreamSession::DegradeCallback cb) {
-  degrade_cb_ = std::move(cb);
+  session_->degrade_cb_ = std::move(cb);
   return *this;
 }
 
 StreamResult StreamBuilder::Open() {
   StreamResult result;
   AdmissionReport& report = result.report;
-  atm::Network& network = system_->network();
+  StreamSession* s = session_.get();
+  PegasusSystem* system = s->system_;
+  atm::Network& network = system->network();
   auto reject = [&](AdmitFailure failure, std::string detail) {
     report.verdict = AdmitVerdict::kRejected;
     report.failure = failure;
@@ -1375,7 +1280,7 @@ StreamResult StreamBuilder::Open() {
     sink_eps.push_back(SinkEndpoint(end.sink));
     recorders += end.sink.storage != nullptr ? 1 : 0;
   }
-  if (source_ep_ == nullptr || sink_eps.empty() ||
+  if (s->source_ep_ == nullptr || sink_eps.empty() ||
       std::count(sink_eps.begin(), sink_eps.end(), nullptr) > 0) {
     return reject(AdmitFailure::kEndpoint, "source or sink endpoint missing");
   }
@@ -1384,14 +1289,14 @@ StreamResult StreamBuilder::Open() {
       return reject(AdmitFailure::kEndpoint, "compute node missing");
     }
   }
-  if (manager_ != nullptr && sinks_.size() > 1) {
+  if (s->manager_ != nullptr && sinks_.size() > 1) {
     return reject(AdmitFailure::kEndpoint,
                   "QoS-manager registration needs a single sink end");
   }
   // Legs in path order: one per Via() stage, then the tree leg from the
   // last stage to every sink.
   std::vector<atm::Endpoint*> heads;
-  heads.push_back(source_ep_);
+  heads.push_back(s->source_ep_);
   for (const ViaStage& via : vias_) {
     heads.push_back(via.node->endpoint());
   }
@@ -1404,7 +1309,7 @@ StreamResult StreamBuilder::Open() {
 
   // --- cross-layer admission: check EVERY layer of EVERY leg in one pass
   // before binding anything, collecting all failures into one joint
-  // counter-offer (the pass shared with RenegotiateImpl) ---
+  // counter-offer (the pass Renegotiate runs) ---
   // One ResolveRoute per leg and per sink serves the joint bandwidth check
   // and the latency check. The tree leg's links are its sinks' routes
   // laid end to end; the joint check charges a shared edge once.
@@ -1453,73 +1358,39 @@ StreamResult StreamBuilder::Open() {
                   "disk rate demanded but the session has no single file to reserve");
   }
 
-  JointAdmissionRequest req;
-  req.network = &network;
-  req.nlegs = nlegs;
-  req.nstages = nstages;
-  req.leg_links = &leg_links;
-  req.wanted_bps = wanted_bps;
-  req.old_bps = std::vector<int64_t>(nlegs, 0);
-  req.counter_streamwide =
-      nlegs == 1 &&
-      (spec_.legs.empty() || spec_.legs[0].bandwidth_bps == LegSpec::kInheritBps);
-  req.cpu_ends.push_back(CpuEnd(StreamSession::kSourceEnd,
-                                source_ws_ != nullptr ? source_ws_->kernel() : nullptr,
-                                spec_.source_cpu, 0.0));
-  req.stage_cpu.resize(nstages);
+  // The session's legs (each with its compute node, no VC yet) and sink
+  // ends (each with its endpoint, nothing bound), so admission sees every
+  // CPU contract the chain will hold.
+  s->legs_.resize(nlegs);
   for (size_t k = 0; k < nstages; ++k) {
-    req.stage_cpu[k] = spec_.LegComputeCpu(k);
-    req.cpu_ends.push_back(
-        CpuEnd(2 + static_cast<int>(k), vias_[k].node->kernel(), req.stage_cpu[k], 0.0));
+    s->legs_[k].compute = vias_[k].node;
   }
-  for (const SinkEnd& end : sinks_) {
-    req.cpu_ends.push_back(CpuEnd(StreamSession::kSinkEnd,
-                                  end.sink.ws != nullptr ? end.sink.ws->kernel() : nullptr,
-                                  spec_.sink_cpu, 0.0));
+  s->sinks_.resize(sinks_.size());
+  for (size_t i = 0; i < sinks_.size(); ++i) {
+    s->sinks_[i].sink = sinks_[i].sink;
+    s->sinks_[i].sink.endpoint = sink_eps[i];
   }
-  req.check_disk = spec_.disk_bps > 0;
-  req.disk_wanted = spec_.disk_bps;
-  if (req.check_disk) {
-    req.disk_available = disk_storage->server()->AvailableStreamBps();
-  }
-  if (!RunJointAdmission(req, spec_, &report)) {
+  std::vector<nemesis::QosParams> stage_cpu;
+  if (!s->Admit(spec_, leg_links, wanted_bps, disk_storage, &stage_cpu, &report)) {
     return result;
   }
 
   // --- every layer accepts: bind the whole chain ---
-  auto session = std::unique_ptr<StreamSession>(new StreamSession());
-  StreamSession* s = session.get();
-  s->name_ = name_;
-  s->system_ = system_;
-  s->source_ws_ = source_ws_;
-  s->source_ep_ = source_ep_;
-  s->source_camera_ = source_camera_;
-  s->source_audio_ = source_audio_;
   s->upstream_latency_ns_ = upstream_latency;
-  s->window_ = window_;
   if (s->window_.has_value() && (s->window_->w == 0 || s->window_->h == 0) &&
-      source_camera_ != nullptr) {
-    s->window_->w = source_camera_->config().width;
-    s->window_->h = source_camera_->config().height;
+      s->source_camera_ != nullptr) {
+    s->window_->w = s->source_camera_->config().width;
+    s->window_->h = s->source_camera_->config().height;
   }
-  s->manager_ = manager_;
-  s->manager_weight_ = manager_weight_;
-  s->requested_source_cpu_ = requested_source_cpu_.value_or(spec_.source_cpu);
   s->requested_sink_cpu_ = requested_sink_cpu_.value_or(spec_.sink_cpu);
-  if (adaptation_.has_value()) {
-    s->has_adaptation_ = true;
-    s->policy_ = *adaptation_;
-  }
-  s->degrade_cb_ = std::move(degrade_cb_);
   s->active_ = true;
   auto fail = [&](AdmitFailure failure, std::string detail) {
     s->Close();
-    system_->AdoptSession(std::move(session));
+    system->AdoptSession(std::move(session_));
     return reject(failure, std::move(detail));
   };
 
   // Network: one reserved VC per leg, the last a tree to every sink.
-  int total_hops = 0;
   for (size_t i = 0; i < nlegs; ++i) {
     const atm::QosSpec qos{wanted_bps[i]};
     auto vc = i < nstages ? network.OpenVc(heads[i], heads[i + 1], qos)
@@ -1528,15 +1399,13 @@ StreamResult StreamBuilder::Open() {
       return fail(AdmitFailure::kNetworkBandwidth,
                   "VC establishment failed after admission on leg " + std::to_string(i));
     }
-    StreamSession::Leg leg;
+    StreamSession::Leg& leg = s->legs_[i];
     leg.vc = vc->id;
     leg.source_vci = vc->source_vci;
     leg.sink_vci = vc->destination_vci;
     leg.granted_bps = wanted_bps[i];
     leg.hop_count = vc->hop_count;
-    leg.compute = i < nstages ? vias_[i].node : nullptr;
-    s->legs_.push_back(std::move(leg));
-    total_hops += vc->hop_count;
+    s->contract_.hop_count += vc->hop_count;
   }
 
   // Compute: instantiate each detour's processing stage between its
@@ -1546,36 +1415,25 @@ StreamResult StreamBuilder::Open() {
         s->legs_[k].sink_vci, s->legs_[k + 1].source_vci, vias_[k].config);
   }
 
-  // CPU: the source's handler domain and each stage's compute domain,
-  // through scheduler admission.
-  const char* const kCpuRefused =
-      "scheduler admission refused the contract after the headroom check";
-  if (spec_.source_cpu.slice > 0 &&
-      !s->BindCpu(&s->source_handler_, source_ws_->kernel(), spec_.source_cpu,
-                  s->requested_source_cpu_, "/src", StreamSession::kSourceEnd)) {
-    return fail(AdmitFailure::kSourceCpu, kCpuRefused);
-  }
-  for (size_t k = 0; k < nstages; ++k) {
-    if (req.stage_cpu[k].slice > 0 &&
-        !s->BindCpu(&s->legs_[k].handler, vias_[k].node->kernel(), req.stage_cpu[k],
-                    req.stage_cpu[k], "/via" + std::to_string(k), 2 + static_cast<int>(k))) {
-      return fail(AdmitFailure::kComputeCpu, kCpuRefused);
+  // CPU: every contract in path order, through scheduler admission.
+  for (const StreamSession::CpuSlot& slot : s->CpuSlots()) {
+    const nemesis::QosParams qos = StreamSession::Demand(slot, spec_, stage_cpu);
+    if (!s->SetCpu(slot, qos,
+                   slot.end == StreamSession::kSinkEnd ? s->requested_sink_cpu_ : qos)) {
+      return fail(CpuFailure(slot.end),
+                  "scheduler admission refused the contract after the headroom check");
     }
   }
 
-  // Sinks: each end's CPU, window, control path and recording, through the
+  // Sinks: each end's window, control path and recording, through the
   // routine AddSink reuses.
   const atm::VcId tree = s->legs_.back().vc;
   for (size_t i = 0; i < sinks_.size(); ++i) {
-    s->sinks_.emplace_back();
-    StreamSession::SinkBinding& b = s->sinks_.back();
-    b.sink = sinks_[i].sink;
-    b.sink.endpoint = sink_eps[i];
+    StreamSession::SinkBinding& b = s->sinks_[i];
     b.vci = network.LeafVci(tree, sink_eps[i]).value_or(atm::kVciUnassigned);
-    const AdmitFailure failure = s->BindSink(b, spec_.sink_cpu, sinks_[i].control, i);
+    const AdmitFailure failure = s->BindSink(b, sinks_[i].control);
     if (failure != AdmitFailure::kNone) {
-      return fail(failure, failure == AdmitFailure::kSinkCpu ? kCpuRefused
-                                                             : "control VC establishment failed");
+      return fail(failure, "control VC establishment failed");
     }
     if (b.record_file >= 0 && s->file_ < 0) {
       s->file_ = b.record_file;
@@ -1596,18 +1454,11 @@ StreamResult StreamBuilder::Open() {
   }
 
   // The granted contract carries fully explicit legs for pipelines, so
-  // callers renegotiate by editing contract().granted.
-  s->contract_.granted = spec_;
-  if (nlegs > 1 && s->contract_.granted.legs.size() < nlegs) {
-    s->contract_.granted.legs.resize(nlegs);
-  }
-  for (size_t i = 0; i < s->contract_.granted.legs.size() && i < nlegs; ++i) {
-    s->contract_.granted.legs[i].bandwidth_bps = wanted_bps[i];
-  }
-  s->contract_.hop_count = total_hops;
-  s->contract_.established_at = system_->simulator()->now();
-  // The contract as admitted is the nominal (full-rate) point the
-  // adaptation plane scales from and restores toward.
+  // callers renegotiate by editing contract().granted. As admitted it is
+  // the nominal (full-rate) point the adaptation plane scales from and
+  // restores toward.
+  s->SetGranted(spec_, wanted_bps, spec_.bandwidth_bps);
+  s->contract_.established_at = system->simulator()->now();
   s->nominal_ = s->contract_.granted;
 
   // Pace every media source to the granted rates so the reservations hold
@@ -1619,7 +1470,7 @@ StreamResult StreamBuilder::Open() {
   report.verdict = AdmitVerdict::kAccepted;
   report.failure = AdmitFailure::kNone;
   result.session = s;
-  system_->AdoptSession(std::move(session));
+  system->AdoptSession(std::move(session_));
   return result;
 }
 

@@ -25,7 +25,9 @@
 // report carries a single joint counter-offer computed across all failing
 // resources in one pass: each overcommitted link scales the legs crossing
 // it proportionally, each overcommitted kernel scales the CPU contracts it
-// would host, and the disk clamp rides in the same spec.
+// would host, and the disk clamp rides in the same spec. Open() and
+// Renegotiate() run that one admission pass, move every CPU contract
+// through one path and record the granted contract one way.
 #ifndef PEGASUS_SRC_CORE_STREAM_H_
 #define PEGASUS_SRC_CORE_STREAM_H_
 
@@ -153,8 +155,6 @@ enum class AdaptationMode {
   // Keep the frame rate, shrink bits per frame (coarser quantisation,
   // fewer tiles).
   kQualityScaling,
-  // Cross-layer contracts hold; only manager-owned CPU moves.
-  kHold,
 };
 
 struct AdaptationPolicy {
@@ -180,7 +180,7 @@ struct AdaptationEvent {
   // The smoothed, floor-clamped fraction of nominal this event aimed at.
   double target_fraction = 1.0;
   bool applied = false;  // the joint renegotiation was accepted
-  bool held = false;     // policy held (kHold mode, hysteresis, or reclaim)
+  bool held = false;     // policy held (hysteresis or reclaim)
   // Per-layer state around the event: CPU utilisation summed over every
   // end and compute stage, network bps summed over every leg, disk bytes/s.
   double cpu_util_before = 0.0;
@@ -305,7 +305,6 @@ class StreamSession {
   // The first control stream a sink end opened: managing host -> far end
   // (index marks, start/stop).
   atm::Vci control_send_vci() const { return control_send_vci_; }
-  atm::Vci control_receive_vci() const { return control_receive_vci_; }
   // The file the session's disk rate applies to — the single recording
   // sink's, else the FromStorage play-out — or, with several recording
   // sinks, the first one's; -1 otherwise.
@@ -338,10 +337,10 @@ class StreamSession {
 
   // Re-negotiates the contract in place, all-or-nothing: every layer's new
   // demand — bandwidth on each leg's own links (no route churn), CPU at
-  // both ends and every compute stage, disk rate — is checked jointly
-  // BEFORE anything is re-bound, so a refusal leaves the original contract
-  // fully intact and carries one joint counter-offer across all failing
-  // resources.
+  // both ends and every compute stage, disk rate — is checked jointly, by
+  // the admission pass Open() runs, BEFORE anything is re-bound, so a
+  // refusal leaves the original contract fully intact and carries one joint
+  // counter-offer across all failing resources.
   AdmissionReport Renegotiate(const StreamSpec& spec);
 
   // --- the adaptation plane ---
@@ -358,22 +357,15 @@ class StreamSession {
   // "held"). Requires an AdaptationPolicy (WithAdaptation at build time).
   AdmissionReport AdaptTo(double target_fraction);
   bool has_adaptation() const { return has_adaptation_; }
-  const AdaptationPolicy& adaptation_policy() const { return policy_; }
   // Fraction of the nominal contract currently in force (1.0 = full rate).
   double adaptation_fraction() const { return current_fraction_; }
-  // The full-rate contract adaptation scales from (the spec granted at
-  // Open, with explicit legs).
-  const StreamSpec& nominal() const { return nominal_; }
   // Recent adaptation decisions, in order, with per-layer deltas (bounded:
   // the oldest are dropped past 256 entries; the counters are exact).
   const std::vector<AdaptationEvent>& adaptation_log() const { return adaptation_log_; }
   // Joint renegotiations the adaptation plane actually applied.
   int64_t adaptations_applied() const { return adaptations_applied_; }
-  // Decisions held (kHold mode, hysteresis, or reclaim) without touching
-  // the contract.
+  // Decisions held (hysteresis or reclaim) without touching the contract.
   int64_t adaptations_held() const { return adaptations_held_; }
-
-  void set_degrade_callback(DegradeCallback cb) { degrade_cb_ = std::move(cb); }
 
   // Releases every layer's resources: each sink end's window, recording,
   // control path and CPU contract, the PFS stream reservation (stopping
@@ -404,20 +396,48 @@ class StreamSession {
     pfs::FileId record_file = -1;
     bool window_created = false;
   };
+  // One CPU contract of the chain: its end, its position among the stages
+  // (k) or sinks (i), the kernel it is admitted on and the handler slot.
+  struct CpuSlot {
+    int end = kSourceEnd;
+    size_t index = 0;
+    nemesis::Kernel* kernel = nullptr;
+    std::unique_ptr<nemesis::PeriodicDomain>* handler = nullptr;
+  };
 
-  // Creates the handler domain holding a CPU contract on `kernel` and
-  // registers it when the session is QoS-managed there. False when there
-  // is no kernel or its scheduler refuses.
-  bool BindCpu(std::unique_ptr<nemesis::PeriodicDomain>* slot, nemesis::Kernel* kernel,
-               const nemesis::QosParams& qos, const nemesis::QosParams& request,
-               const std::string& suffix, int end);
-  // Binds one sink end: its host CPU at `cpu`, its window, its control
-  // path — a duplex to the source host (or one VC to a storage source)
-  // when `control` (To*() ends), one from the source host for a storage
-  // sink — and its recording. Returns the failing layer, kNone on success;
-  // whatever was bound stays in `b` for UnbindSink.
-  AdmitFailure BindSink(SinkBinding& b, const nemesis::QosParams& cpu, bool control,
-                        size_t index);
+  // Every CPU contract in path order: source, stages, sinks.
+  std::vector<CpuSlot> CpuSlots();
+  static CpuSlot SinkSlot(SinkBinding& b, size_t index);
+  // The contract `slot` demands under `spec`, stages as Admit resolved them.
+  static nemesis::QosParams Demand(const CpuSlot& slot, const StreamSpec& spec,
+                                   const std::vector<nemesis::QosParams>& stage_cpu);
+  // The long-term demand registered with the QoS manager beside `qos`: the
+  // source's nominal, the sink's request, a stage's own contract.
+  nemesis::QosParams LongTermRequest(const CpuSlot& slot, const nemesis::QosParams& qos) const;
+  // The one admission pass of Open and Renegotiate, over `leg_links` (empty
+  // when no bandwidth moves), CpuSlots() and the disk at `disk_storage`;
+  // what the session holds is handed back for the check. Resolves each
+  // stage's CPU into `stage_cpu` (a stage without a spec.legs entry keeps
+  // what it holds). On refusal fills `report` and returns false.
+  bool Admit(const StreamSpec& spec, const std::vector<std::vector<atm::Link*>>& leg_links,
+             const std::vector<int64_t>& wanted_bps, StorageNode* disk_storage,
+             std::vector<nemesis::QosParams>* stage_cpu, AdmissionReport* report);
+  // Moves one CPU contract to `qos`: releases it at slice 0, else binds a
+  // handler domain or updates the one there, and (re-)registers it with
+  // the QoS manager under `request`. False when the kernel refuses.
+  bool SetCpu(const CpuSlot& slot, const nemesis::QosParams& qos,
+              const nemesis::QosParams& request);
+  // Records the granted contract: `spec` with each leg at its admitted rate
+  // (a one-leg session's bandwidth_bps too; a pipeline keeps
+  // `pipeline_bps`) and every CPU contract as its handler holds it.
+  void SetGranted(const StreamSpec& spec, const std::vector<int64_t>& leg_bps,
+                  int64_t pipeline_bps);
+  // Binds one sink end's window, its control path — a duplex to the source
+  // host (or one VC to a storage source) when `control` (To*() ends), one
+  // from the source host for a storage sink — and its recording. Returns
+  // kNoPath when a control VC cannot open, else kNone; whatever was bound
+  // stays in `b` for UnbindSink.
+  AdmitFailure BindSink(SinkBinding& b, bool control);
   // Releases one sink end's window, recording, CPU and control path (not
   // its tree branch).
   void UnbindSink(SinkBinding& b);
@@ -435,8 +455,8 @@ class StreamSession {
   // back toward it).
   AdmissionReport RenegotiateImpl(const StreamSpec& spec, bool update_requests);
   // Renegotiates toward CombinedLimit(), the min over every signal source's
-  // current limit fraction.
-  AdmissionReport Adapt(AdaptationEvent::Trigger trigger, nemesis::GrantReason reason);
+  // current limit fraction; `cpu_util_before` is logged as the event's
+  // starting CPU.
   AdmissionReport Adapt(AdaptationEvent::Trigger trigger, nemesis::GrantReason reason,
                         double cpu_util_before);
   double CombinedLimit() const;
@@ -483,7 +503,6 @@ class StreamSession {
   // Network + compute: the bound pipeline.
   std::vector<Leg> legs_;
   atm::Vci control_send_vci_ = atm::kVciUnassigned;
-  atm::Vci control_receive_vci_ = atm::kVciUnassigned;
 
   // CPU.
   std::unique_ptr<nemesis::PeriodicDomain> source_handler_;
@@ -492,9 +511,9 @@ class StreamSession {
   std::vector<std::unique_ptr<nemesis::PeriodicDomain>> retired_handlers_;
   nemesis::QosManagerDomain* manager_ = nullptr;
   double manager_weight_ = 1.0;
-  // What the stream wants long-term at each end — the demand registered
-  // with the QoS manager, which may exceed the contract admitted now.
-  nemesis::QosParams requested_source_cpu_;
+  // What the sink wants long-term — the demand registered with the QoS
+  // manager, which may exceed the contract admitted now. The source's is
+  // its nominal source_cpu.
   nemesis::QosParams requested_sink_cpu_;
 
   // Storage: the file disk_bps applies to and its server (see file());
@@ -509,6 +528,8 @@ class StreamSession {
   // compose instead of overwriting each other.
   bool has_adaptation_ = false;
   AdaptationPolicy policy_;
+  // The full-rate contract adaptation scales from: the contract granted at
+  // Open or by the last application Renegotiate.
   StreamSpec nominal_;
   double current_fraction_ = 1.0;
   double app_limit_ = 1.0;   // stated via AdaptTo
@@ -560,6 +581,9 @@ struct StreamResult {
 //                .To(bob, display)
 //                .WithSpec(spec)
 //                .Open();
+//
+// The builder configures the session it will open: source, window, manager,
+// adaptation policy and degradation callback are written straight into it.
 class StreamBuilder {
  public:
   StreamBuilder(PegasusSystem* system, std::string name);
@@ -607,10 +631,9 @@ class StreamBuilder {
   // the session's degradation callback. Needs a single sink end: Open()
   // refuses more.
   StreamBuilder& ManagedBy(nemesis::QosManagerDomain* manager, double weight = 1.0);
-  // The CPU the stream *wants* long-term at an end, possibly more than the
-  // spec admits now; the QoS manager grows the contract toward it as
-  // capacity frees and shrinks it under pressure. Defaults to the spec.
-  StreamBuilder& RequestingSourceCpu(const nemesis::QosParams& cpu);
+  // The CPU the sink end *wants* long-term, possibly more than the spec
+  // admits now; the QoS manager grows the contract toward it as capacity
+  // frees and shrinks it under pressure. Defaults to the spec's sink_cpu.
   StreamBuilder& RequestingSinkCpu(const nemesis::QosParams& cpu);
   // Attaches an adaptation policy: QoS-manager grant cuts, network
   // congestion signals and disk budget pressure each drive one joint
@@ -621,6 +644,8 @@ class StreamBuilder {
 
   // Runs cross-layer admission over the whole pipeline and, if every layer
   // accepts, binds the contract. On rejection nothing is left allocated.
+  // Once admission passes the session is handed to the system, so a
+  // builder opens once.
   StreamResult Open();
 
  private:
@@ -634,26 +659,13 @@ class StreamBuilder {
     bool control = false;
   };
 
-  PegasusSystem* system_;
-  std::string name_;
+  std::unique_ptr<StreamSession> session_;
   StreamSpec spec_;
-
-  Workstation* source_ws_ = nullptr;
-  atm::Endpoint* source_ep_ = nullptr;
-  dev::AtmCamera* source_camera_ = nullptr;
-  dev::AudioCapture* source_audio_ = nullptr;
-  StorageNode* source_storage_ = nullptr;
-  pfs::FileId playback_file_ = -1;
   std::vector<ViaStage> vias_;
   std::vector<SinkEnd> sinks_;
-  std::optional<StreamSession::Window> window_;
-
-  nemesis::QosManagerDomain* manager_ = nullptr;
-  double manager_weight_ = 1.0;
-  std::optional<nemesis::QosParams> requested_source_cpu_;
+  StorageNode* source_storage_ = nullptr;
+  pfs::FileId playback_file_ = -1;
   std::optional<nemesis::QosParams> requested_sink_cpu_;
-  std::optional<AdaptationPolicy> adaptation_;
-  StreamSession::DegradeCallback degrade_cb_;
 };
 
 }  // namespace pegasus::core

@@ -15,19 +15,8 @@ PegasusSystem::PegasusSystem(sim::Simulator* sim) : sim_(sim), network_(sim) {
   backbone_ = network_.AddSwitch("backbone", kBackbonePorts);
 }
 
-void PegasusSystem::Uplink(Workstation* ws) {
-  const int local_port = ws->ClaimPort();
-  const int backbone_port = next_backbone_port_++;
-  network_.ConnectSwitches(ws->local_switch(), local_port, backbone_, backbone_port,
-                           kBackboneLinkBps);
-}
-
 Workstation* PegasusSystem::AddWorkstation(const std::string& name) {
-  workstations_.push_back(
-      std::make_unique<Workstation>(&network_, name, kWorkstationPorts, kDeviceLinkBps));
-  Workstation* ws = workstations_.back().get();
-  Uplink(ws);
-  return ws;
+  return AddWorkstation(name, backbone_, next_backbone_port_++, kBackboneLinkBps);
 }
 
 Workstation* PegasusSystem::AddWorkstation(const std::string& name, atm::Switch* attach,
@@ -41,14 +30,7 @@ Workstation* PegasusSystem::AddWorkstation(const std::string& name, atm::Switch*
 
 StorageNode* PegasusSystem::AddStorageServer(const pfs::PfsConfig& config,
                                              const std::string& name) {
-  const int port = next_backbone_port_++;
-  storage_nodes_.push_back(
-      std::make_unique<StorageNode>(&network_, backbone_, port, config, name));
-  StorageNode* node = storage_nodes_.back().get();
-  if (qos_monitor_ != nullptr) {
-    qos_monitor_->AddFileServer(node->server());
-  }
-  return node;
+  return AddStorageServer(config, name, backbone_, next_backbone_port_++, kBackboneLinkBps);
 }
 
 StorageNode* PegasusSystem::AddStorageServer(const pfs::PfsConfig& config,

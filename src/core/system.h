@@ -37,6 +37,7 @@ class PegasusSystem {
   atm::Switch* backbone() const { return backbone_; }
 
   // --- component factories ---
+  // A workstation whose local switch uplinks to the next backbone port.
   Workstation* AddWorkstation(const std::string& name);
   // Attach-anywhere variant for generated fabrics: the workstation's local
   // switch uplinks to `attach` port `attach_port` at `uplink_bps` instead of
@@ -85,9 +86,6 @@ class PegasusSystem {
   }
 
  private:
-  // Attaches a workstation's local switch to the backbone.
-  void Uplink(Workstation* ws);
-
   sim::Simulator* sim_;
   atm::Network network_;
   atm::Switch* backbone_;

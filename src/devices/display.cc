@@ -7,13 +7,19 @@ namespace pegasus::dev {
 
 AtmDisplay::AtmDisplay(sim::Simulator* sim, atm::Endpoint* endpoint, int width, int height)
     : sim_(sim),
-      endpoint_(endpoint),
+      transport_(endpoint),
       width_(width),
       height_(height),
       framebuffer_(static_cast<size_t>(width) * height, 0),
       owner_(static_cast<size_t>(width) * height, atm::kVciUnassigned) {
-  endpoint_->set_cell_handler(
-      [this](const atm::Cell* cells, size_t count) { OnBurst(cells, count); });
+  transport_.SetDefaultHandler([this](atm::Vci vci, std::vector<uint8_t> sdu, sim::TimeNs) {
+    auto packet = TilePacket::Parse(sdu);
+    if (!packet.has_value()) {
+      ++decode_errors_;
+      return;
+    }
+    OnPacket(vci, *packet);
+  });
 }
 
 void AtmDisplay::SetDescriptor(atm::Vci vci, const WindowDescriptor& desc) {
@@ -60,22 +66,6 @@ void AtmDisplay::RecomputeOwnership() {
         owner_[static_cast<size_t>(y) * width_ + x] = vci;
       }
     }
-  }
-}
-
-void AtmDisplay::OnBurst(const atm::Cell* cells, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    const atm::Cell& cell = cells[i];
-    auto sdu = reassemblers_[cell.vci].Push(cell);
-    if (!sdu.has_value()) {
-      continue;
-    }
-    auto packet = TilePacket::Parse(*sdu);
-    if (!packet.has_value()) {
-      ++decode_errors_;
-      continue;
-    }
-    OnPacket(cell.vci, *packet);
   }
 }
 

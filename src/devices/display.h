@@ -21,8 +21,8 @@
 #include <map>
 #include <vector>
 
-#include "src/atm/aal5.h"
 #include "src/atm/endpoint.h"
+#include "src/atm/transport.h"
 #include "src/devices/compression.h"
 #include "src/devices/tile.h"
 #include "src/sim/event_queue.h"
@@ -82,18 +82,18 @@ class AtmDisplay {
   uint32_t frames_completed() const { return frames_completed_; }
 
  private:
-  void OnBurst(const atm::Cell* cells, size_t count);
   void OnPacket(atm::Vci vci, const TilePacket& packet);
   void RecomputeOwnership();
 
   sim::Simulator* sim_;
-  atm::Endpoint* endpoint_;
+  // AAL5 reassembly of every VC the endpoint receives; each completed SDU
+  // is parsed as a tile packet.
+  atm::MessageTransport transport_;
   int width_;
   int height_;
   std::vector<uint8_t> framebuffer_;
   std::vector<atm::Vci> owner_;
   std::map<atm::Vci, WindowDescriptor> descriptors_;
-  std::map<atm::Vci, atm::Aal5Reassembler> reassemblers_;
   // Per-VCI frame tracking for completion latency.
   struct FrameTrack {
     uint32_t frame_no = 0;

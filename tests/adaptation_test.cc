@@ -501,5 +501,35 @@ TEST_F(AdaptationFixture, PipelineAdaptationScalesStagesAndLegs) {
   EXPECT_NEAR(compute_kernel.scheduler()->AdmittedUtilization(), 0.1, 1e-9);
 }
 
+// A one-leg session opened with an explicit leg rate records the rate it
+// reserved, so adaptation scales that rate rather than the stream-wide
+// default: half of the 4 Mb/s leg is 2 Mb/s, not half of 10 Mb/s.
+TEST_F(AdaptationFixture, ExplicitLegRateIsTheGrantedRateAdaptationScales) {
+  Workstation* far = system_.AddWorkstation("far");
+  dev::AtmCamera::Config cfg;
+  dev::AtmCamera* camera = ws_->AddCamera(cfg);
+  dev::AtmDisplay* display = far->AddDisplay(640, 480);
+
+  StreamSpec spec = StreamSpec::Video(25, 10'000'000);
+  spec.legs.resize(1);
+  spec.legs[0].bandwidth_bps = 4'000'000;
+  auto r = system_.BuildStream("leg")
+               .From(ws_, camera)
+               .To(far, display)
+               .WithSpec(spec)
+               .WithAdaptation(Policy())
+               .Open();
+  ASSERT_TRUE(r.report.ok());
+  EXPECT_EQ(r.session->legs()[0].granted_bps, 4'000'000);
+  EXPECT_EQ(r.session->contract().granted.bandwidth_bps, 4'000'000);
+  const int64_t reserved = TotalReservedBps();
+
+  ASSERT_TRUE(r.session->AdaptTo(0.5).ok());
+  EXPECT_EQ(r.session->legs()[0].granted_bps, 2'000'000);
+  EXPECT_EQ(r.session->contract().granted.bandwidth_bps, 2'000'000);
+  EXPECT_EQ(TotalReservedBps(), reserved / 2);
+  EXPECT_EQ(camera->config().pace_bps, 2'000'000);
+}
+
 }  // namespace
 }  // namespace pegasus::core

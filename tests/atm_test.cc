@@ -214,6 +214,27 @@ TEST(LinkTest, QueueLimitDropsExcess) {
   EXPECT_EQ(sink.cells.size(), 4u);
 }
 
+// The limit counts a cell that is partly serialised as queued: 4 cells sent
+// at t=0 on a 100 Mb/s link (4,240 ns a cell) leave 3.5 cells queued at
+// t=2,120, exactly 3 at t=4,240, and just over 3 a nanosecond later.
+TEST(LinkTest, QueueLimitCountsAPartlySerialisedCell) {
+  sim::Simulator sim;
+  Link link(&sim, "l", 100'000'000, 0, /*queue_limit=*/4);
+  CollectorSink sink;
+  link.set_sink(&sink);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(link.SendCell(Cell{}));
+  }
+  std::vector<bool> accepted;
+  for (sim::TimeNs at : {2120, 4240, 4241}) {
+    sim.ScheduleAt(at, [&]() { accepted.push_back(link.SendCell(Cell{})); });
+  }
+  sim.Run();
+  EXPECT_EQ(accepted, (std::vector<bool>{false, true, false}));
+  EXPECT_EQ(link.cells_dropped(), 2u);
+  EXPECT_EQ(sink.cells.size(), 5u);
+}
+
 // Pins the tail-drop contract: a full queue drops the ARRIVING cell no
 // matter its loss-priority bit — a queued low-priority cell is never evicted
 // to admit a high-priority arrival — and each drop lands in the counter of

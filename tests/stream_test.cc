@@ -15,6 +15,21 @@ using nemesis::QosParams;
 using sim::Milliseconds;
 using sim::Seconds;
 
+// An Atropos scheduler that refuses admissions and QoS updates on demand
+// while Capacity() still reports headroom: a layer refusing after the joint
+// pre-check has passed.
+class RefusingScheduler : public nemesis::AtroposScheduler {
+ public:
+  bool Admit(nemesis::Domain* domain) override {
+    return !refuse && AtroposScheduler::Admit(domain);
+  }
+  bool UpdateQos(nemesis::Domain* domain, const QosParams& qos) override {
+    return !refuse && AtroposScheduler::UpdateQos(domain, qos);
+  }
+
+  bool refuse = false;
+};
+
 class StreamFixture : public ::testing::Test {
  protected:
   StreamFixture() : system_(&sim_) {}
@@ -684,6 +699,88 @@ TEST_F(StreamFixture, StorageSinkRefusesSinkCpu) {
   EXPECT_EQ(tap.report.failure, AdmitFailure::kSinkCpu);
   EXPECT_EQ(kernel.scheduler()->AdmittedUtilization(), 0.0);
   EXPECT_EQ(TotalReservedBps(), 0);
+}
+
+// A renegotiation the sink host refuses after the joint pre-check moves
+// every applied layer back: the raised leg and the source's lowered CPU
+// contract are restored, the contract record is untouched, and the same
+// renegotiation goes through once the scheduler admits again.
+TEST_F(StreamFixture, RenegotiationRefusedAfterPreCheckRestoresEveryLayer) {
+  Workstation* src = system_.AddWorkstation("src");
+  Workstation* dst = system_.AddWorkstation("dst");
+  nemesis::Kernel src_kernel(&sim_, std::make_unique<nemesis::AtroposScheduler>(1.0));
+  src->AttachKernel(&src_kernel);
+  auto refusing = std::make_unique<RefusingScheduler>();
+  RefusingScheduler* sink_sched = refusing.get();
+  nemesis::Kernel dst_kernel(&sim_, std::move(refusing));
+  dst->AttachKernel(&dst_kernel);
+  dev::AtmCamera::Config cfg;
+  dev::AtmCamera* camera = src->AddCamera(cfg);
+  dev::AtmDisplay* display = dst->AddDisplay(640, 480);
+
+  StreamSpec spec = StreamSpec::Video(25, 10'000'000);
+  spec.source_cpu = QosParams::Guaranteed(Milliseconds(10), Milliseconds(40));
+  spec.sink_cpu = QosParams::Guaranteed(Milliseconds(5), Milliseconds(40));
+  auto r = system_.BuildStream("refused").From(src, camera).To(dst, display).WithSpec(spec).Open();
+  ASSERT_TRUE(r.report.ok()) << r.report.detail;
+  const int64_t reserved = TotalReservedBps();
+
+  StreamSpec wider = spec;
+  wider.bandwidth_bps = 20'000'000;
+  wider.source_cpu = QosParams::Guaranteed(Milliseconds(5), Milliseconds(40));
+  wider.sink_cpu = QosParams::Guaranteed(Milliseconds(10), Milliseconds(40));
+  sink_sched->refuse = true;
+  const AdmissionReport refused = r.session->Renegotiate(wider);
+  EXPECT_FALSE(refused.ok());
+  EXPECT_EQ(refused.failure, AdmitFailure::kSinkCpu);
+  EXPECT_EQ(r.session->legs()[0].granted_bps, 10'000'000);
+  EXPECT_EQ(TotalReservedBps(), reserved);
+  EXPECT_NEAR(src_kernel.scheduler()->AdmittedUtilization(), 0.25, 1e-9);
+  EXPECT_NEAR(dst_kernel.scheduler()->AdmittedUtilization(), 0.125, 1e-9);
+  EXPECT_EQ(r.session->contract().granted.bandwidth_bps, 10'000'000);
+  EXPECT_NEAR(r.session->contract().granted.source_cpu.Utilization(), 0.25, 1e-9);
+  EXPECT_NEAR(r.session->contract().granted.sink_cpu.Utilization(), 0.125, 1e-9);
+  EXPECT_EQ(r.session->contract().renegotiations, 0);
+  EXPECT_EQ(camera->config().pace_bps, 10'000'000);
+
+  sink_sched->refuse = false;
+  ASSERT_TRUE(r.session->Renegotiate(wider).ok());
+  EXPECT_EQ(r.session->legs()[0].granted_bps, 20'000'000);
+  EXPECT_EQ(TotalReservedBps(), 2 * reserved);
+  EXPECT_NEAR(src_kernel.scheduler()->AdmittedUtilization(), 0.125, 1e-9);
+  EXPECT_NEAR(dst_kernel.scheduler()->AdmittedUtilization(), 0.25, 1e-9);
+  EXPECT_EQ(r.session->contract().renegotiations, 1);
+}
+
+// An Open the sink host refuses after admission passed leaves nothing
+// bound: the source's CPU contract, every VC and every reservation it had
+// already taken are released, and no session is returned.
+TEST_F(StreamFixture, OpenRefusedAfterAdmissionLeavesNothingBound) {
+  Workstation* src = system_.AddWorkstation("src");
+  Workstation* dst = system_.AddWorkstation("dst");
+  nemesis::Kernel src_kernel(&sim_, std::make_unique<nemesis::AtroposScheduler>(1.0));
+  src->AttachKernel(&src_kernel);
+  auto refusing = std::make_unique<RefusingScheduler>();
+  refusing->refuse = true;
+  nemesis::Kernel dst_kernel(&sim_, std::move(refusing));
+  dst->AttachKernel(&dst_kernel);
+  dev::AtmCamera::Config cfg;
+  dev::AtmCamera* camera = src->AddCamera(cfg);
+  dev::AtmDisplay* display = dst->AddDisplay(640, 480);
+  const int64_t base_vcs = system_.network().open_vc_count();
+
+  StreamSpec spec = StreamSpec::Video(25, 10'000'000);
+  spec.source_cpu = QosParams::Guaranteed(Milliseconds(10), Milliseconds(40));
+  spec.sink_cpu = QosParams::Guaranteed(Milliseconds(5), Milliseconds(40));
+  auto r = system_.BuildStream("refused").From(src, camera).To(dst, display).WithSpec(spec).Open();
+  EXPECT_FALSE(r.report.ok());
+  EXPECT_EQ(r.report.verdict, AdmitVerdict::kRejected);
+  EXPECT_EQ(r.report.failure, AdmitFailure::kSinkCpu);
+  EXPECT_EQ(r.session, nullptr);
+  EXPECT_EQ(TotalReservedBps(), 0);
+  EXPECT_EQ(system_.network().open_vc_count(), base_vcs);
+  EXPECT_EQ(src_kernel.scheduler()->AdmittedUtilization(), 0.0);
+  EXPECT_EQ(dst_kernel.scheduler()->AdmittedUtilization(), 0.0);
 }
 
 }  // namespace
