@@ -5,6 +5,13 @@
 
 namespace pegasus::atm {
 
+namespace {
+
+// The link carrying cells from an attached endpoint's switch to it.
+Link* Downlink(const Endpoint* ep) { return ep->attached_switch()->output(ep->attached_port()); }
+
+}  // namespace
+
 Network::Network(sim::Simulator* sim) : sim_(sim) {}
 
 Network::~Network() = default;
@@ -33,7 +40,6 @@ Link* Network::RegisterLink(std::unique_ptr<Link> link) {
   link->set_id(static_cast<int>(links_.size()));
   links_.push_back(std::move(link));
   reserved_bps_.push_back(0);
-  link_vcs_.emplace_back();
   return links_.back().get();
 }
 
@@ -56,8 +62,6 @@ Endpoint* Network::AddEndpoint(const std::string& name, Switch* sw, int port, in
   ep->AttachUplink(up);
   ep->AttachSwitch(sw, port);
   sw->AttachOutput(port, down);
-
-  endpoint_attachments_[ep] = Attachment{sw, port, up, down};
   ++topology_epoch_;
   return ep;
 }
@@ -79,9 +83,9 @@ void Network::ConnectSwitches(Switch* a, int port_a, Switch* b, int port_b, int6
   a->AttachOutput(port_a, ab);
   b->AttachOutput(port_b, ba);
 
-  auto insert_edge = [this](Switch* s, Switch* t, int out_port, Link* l) {
+  auto insert_edge = [this](Switch* s, Switch* t, int out_port, int in_port, Link* l) {
     auto& row = adjacency_[static_cast<size_t>(s->id())];
-    const Edge edge{t->id(), t, out_port, l};
+    const Edge edge{s->id(), t->id(), out_port, in_port, t, l};
     auto it = std::lower_bound(row.begin(), row.end(), edge.to_id,
                                [](const Edge& e, int id) { return e.to_id < id; });
     if (it != row.end() && it->to_id == edge.to_id) {
@@ -90,20 +94,9 @@ void Network::ConnectSwitches(Switch* a, int port_a, Switch* b, int port_b, int6
       row.insert(it, edge);
     }
   };
-  insert_edge(a, b, port_a, ab);
-  insert_edge(b, a, port_b, ba);
+  insert_edge(a, b, port_a, port_b, ab);
+  insert_edge(b, a, port_b, port_a, ba);
   ++topology_epoch_;
-}
-
-const Network::Edge* Network::FindEdge(const Switch* a, const Switch* b) const {
-  const int a_id = a->id();
-  if (a_id < 0 || static_cast<size_t>(a_id) >= adjacency_.size()) {
-    return nullptr;
-  }
-  const auto& row = adjacency_[static_cast<size_t>(a_id)];
-  auto it = std::lower_bound(row.begin(), row.end(), b->id(),
-                             [](const Edge& e, int id) { return e.to_id < id; });
-  return (it != row.end() && it->to == b) ? &*it : nullptr;
 }
 
 const Network::RouteTree& Network::TreeFrom(int root_id) const {
@@ -113,21 +106,23 @@ const Network::RouteTree& Network::TreeFrom(int root_id) const {
   }
   // Breadth-first over switch ids, run to completion; each adjacency row is
   // sorted by neighbour id, so equal-length paths tie-break by insertion
-  // order — never by heap address. A switch's parent is fixed the moment it
+  // order — never by heap address. A switch's edge is fixed the moment it
   // is first reached, so stopping at any destination would have assigned
-  // that destination's ancestors exactly the same parents.
+  // that destination's ancestors exactly the same edges.
   const size_t n = adjacency_.size();
   tree.epoch = topology_epoch_;
-  tree.parent.assign(n, -1);
+  tree.depth.assign(n, -1);
+  tree.via.assign(n, nullptr);
   std::vector<int> frontier;
   frontier.reserve(n);
-  tree.parent[static_cast<size_t>(root_id)] = root_id;
+  tree.depth[static_cast<size_t>(root_id)] = 0;
   frontier.push_back(root_id);
   for (size_t head = 0; head < frontier.size(); ++head) {
     const int cur = frontier[head];
     for (const Edge& e : adjacency_[static_cast<size_t>(cur)]) {
-      if (tree.parent[static_cast<size_t>(e.to_id)] < 0) {
-        tree.parent[static_cast<size_t>(e.to_id)] = cur;
+      if (tree.depth[static_cast<size_t>(e.to_id)] < 0) {
+        tree.depth[static_cast<size_t>(e.to_id)] = tree.depth[static_cast<size_t>(cur)] + 1;
+        tree.via[static_cast<size_t>(e.to_id)] = &e;
         frontier.push_back(e.to_id);
       }
     }
@@ -136,8 +131,9 @@ const Network::RouteTree& Network::TreeFrom(int root_id) const {
 }
 
 bool Network::ReadPath(const Switch* from, const Switch* to, SwitchPath* out) const {
-  out->hops.clear();
-  out->links_latency = 0;
+  if (from == nullptr || to == nullptr) {
+    return false;
+  }
   const int n = static_cast<int>(switches_.size());
   const int from_id = from->id();
   const int to_id = to->id();
@@ -146,54 +142,40 @@ bool Network::ReadPath(const Switch* from, const Switch* to, SwitchPath* out) co
       switches_[static_cast<size_t>(to_id)].get() != to) {
     return false;
   }
-  const std::vector<int>& parent = TreeFrom(from_id).parent;
-  if (parent[static_cast<size_t>(to_id)] < 0) {
+  const RouteTree& tree = TreeFrom(from_id);
+  const int depth = tree.depth[static_cast<size_t>(to_id)];
+  if (depth < 0) {
     return false;
   }
-  // Walk dst -> src twice: once for the length, once filling the hops from
-  // the back, so they come out in src -> dst order.
-  size_t depth = 0;
-  for (int s = to_id; s != from_id; s = parent[static_cast<size_t>(s)]) {
-    ++depth;
-  }
-  out->hops.resize(depth);
-  for (int s = to_id; s != from_id; s = parent[static_cast<size_t>(s)]) {
-    Switch* cur = switches_[static_cast<size_t>(parent[static_cast<size_t>(s)])].get();
-    Switch* next = switches_[static_cast<size_t>(s)].get();
-    // Tree edges come from the adjacency, and ConnectSwitches always wires
-    // both directions, so neither lookup can miss.
-    const Edge* fwd = FindEdge(cur, next);
-    const Edge* back = FindEdge(next, cur);
-    assert(fwd != nullptr && back != nullptr);
-    out->hops[--depth] = PathHop{next, fwd->out_port, fwd->link, back->out_port};
-    out->links_latency += fwd->link->propagation_delay() + fwd->link->cell_time();
+  // One walk dst -> src, filling the hops from the back so they come out in
+  // src -> dst order.
+  out->resize(static_cast<size_t>(depth));
+  int s = to_id;
+  for (size_t d = static_cast<size_t>(depth); d > 0; --d) {
+    const Edge* hop = tree.via[static_cast<size_t>(s)];
+    (*out)[d - 1] = hop;
+    s = hop->from_id;
   }
   return true;
 }
 
 std::optional<ResolvedRoute> Network::ResolveRoute(const Endpoint* src,
                                                    const Endpoint* dst) const {
-  auto src_it = endpoint_attachments_.find(src);
-  auto dst_it = endpoint_attachments_.find(dst);
-  if (src_it == endpoint_attachments_.end() || dst_it == endpoint_attachments_.end()) {
-    return std::nullopt;
-  }
-  const Attachment& src_at = src_it->second;
-  const Attachment& dst_at = dst_it->second;
   SwitchPath path;
-  if (!ReadPath(src_at.sw, dst_at.sw, &path)) {
+  if (src == nullptr || dst == nullptr ||
+      !ReadPath(src->attached_switch(), dst->attached_switch(), &path)) {
     return std::nullopt;
   }
   ResolvedRoute route;
-  route.links.reserve(path.hops.size() + 2);
-  route.links.push_back(src_at.to_switch);
-  for (const PathHop& hop : path.hops) {
-    route.links.push_back(hop.link);
+  route.links.reserve(path.size() + 2);
+  route.links.push_back(src->uplink());
+  for (const Edge* hop : path) {
+    route.links.push_back(hop->link);
   }
-  route.links.push_back(dst_at.from_switch);
-  route.latency_ns = path.links_latency +
-                     src_at.to_switch->propagation_delay() + src_at.to_switch->cell_time() +
-                     dst_at.from_switch->propagation_delay() + dst_at.from_switch->cell_time();
+  route.links.push_back(Downlink(dst));
+  for (const Link* l : route.links) {
+    route.latency_ns += l->propagation_delay() + l->cell_time();
+  }
   return route;
 }
 
@@ -212,15 +194,6 @@ const std::vector<Link*>* Network::VcLinks(VcId id) const {
   return state == nullptr ? nullptr : &state->hop_links;
 }
 
-const std::vector<VcId>& Network::VcsOnLink(const Link* link) const {
-  static const std::vector<VcId> kEmpty;
-  const int id = link->id();
-  if (id < 0 || static_cast<size_t>(id) >= link_vcs_.size()) {
-    return kEmpty;
-  }
-  return link_vcs_[static_cast<size_t>(id)];
-}
-
 std::optional<VcDescriptor> Network::OpenVc(Endpoint* src, Endpoint* dst, QosSpec qos) {
   return OpenTree(src, &dst, 1, qos);
 }
@@ -232,23 +205,22 @@ std::optional<VcDescriptor> Network::OpenVc(Endpoint* src, const std::vector<End
 
 std::optional<VcDescriptor> Network::OpenTree(Endpoint* src, Endpoint* const* sinks,
                                               size_t count, QosSpec qos) {
-  auto src_it = endpoint_attachments_.find(src);
-  if (count == 0 || src_it == endpoint_attachments_.end()) {
+  if (count == 0) {
     ++rejections_no_path_;
     return std::nullopt;
   }
-  const Attachment& src_at = src_it->second;
   VcState state;
   state.desc.source = src;
   state.desc.qos = qos;
-  // Dry pass first: any bad sink or full link rejects the whole open before
-  // a single route is touched.
-  if (!PlanGraft(state, src_at, sinks, count)) {
+  // Dry pass first: an unattached source, any bad sink or a full link
+  // rejects the whole open before a single route is touched.
+  if (!PlanGraft(state, sinks, count)) {
     return std::nullopt;
   }
   state.desc.id = next_vc_id_++;
-  state.nodes.front().in_vci = src_at.sw->AllocateVci(src_at.port);
-  state.desc.source_vci = state.nodes.front().in_vci;
+  TreeNode& root = state.nodes.front();
+  root.in_vci = root.sw->AllocateVci(root.in_port);
+  state.desc.source_vci = root.in_vci;
   CommitGraft(state, 1, 0, 0);
   state.desc.destination = state.leaves.front().endpoint;
   state.desc.destination_vci = state.leaves.front().vci;
@@ -256,8 +228,7 @@ std::optional<VcDescriptor> Network::OpenTree(Endpoint* src, Endpoint* const* si
   return vcs_.emplace(id, std::move(state)).first->second.desc;
 }
 
-bool Network::PlanGraft(VcState& state, const Attachment& source, Endpoint* const* leaves,
-                        size_t count) {
+bool Network::PlanGraft(VcState& state, Endpoint* const* leaves, size_t count) {
   const size_t nodes = state.nodes.size();
   const size_t leaf_count = state.leaves.size();
   const size_t links = state.hop_links.size();
@@ -270,7 +241,7 @@ bool Network::PlanGraft(VcState& state, const Attachment& source, Endpoint* cons
   };
   SwitchPath path;
   for (size_t i = 0; i < count; ++i) {
-    if (!PlanLeaf(state, source, leaves[i], &path)) {
+    if (!PlanLeaf(state, leaves[i], &path)) {
       return refuse(&rejections_no_path_);
     }
   }
@@ -288,14 +259,10 @@ bool Network::PlanGraft(VcState& state, const Attachment& source, Endpoint* cons
   return true;
 }
 
-bool Network::PlanLeaf(VcState& state, const Attachment& source, Endpoint* leaf,
-                       SwitchPath* path) const {
-  auto leaf_it = endpoint_attachments_.find(leaf);
-  if (leaf_it == endpoint_attachments_.end()) {
-    return false;
-  }
-  const Attachment& leaf_at = leaf_it->second;
-  if (!ReadPath(source.sw, leaf_at.sw, path)) {
+bool Network::PlanLeaf(VcState& state, Endpoint* leaf, SwitchPath* path) const {
+  const Endpoint* source = state.desc.source;
+  if (source == nullptr || leaf == nullptr ||
+      !ReadPath(source->attached_switch(), leaf->attached_switch(), path)) {
     return false;
   }
   auto find_node = [&state](const Switch* sw) {
@@ -308,27 +275,28 @@ bool Network::PlanLeaf(VcState& state, const Attachment& source, Endpoint* leaf,
   };
   // Follow the tree while the path agrees with it; every switch past that
   // point must be new, or it would gain a second incoming edge.
-  const std::vector<PathHop>& hops = path->hops;
+  const SwitchPath& hops = *path;
   int cur = 0;
   size_t shared = 0;
   for (; shared < hops.size(); ++shared) {
-    const int next = find_node(hops[shared].next);
+    const int next = find_node(hops[shared]->to);
     if (next < 0) {
       break;
     }
     if (state.nodes[static_cast<size_t>(next)].parent != cur ||
-        state.nodes[static_cast<size_t>(next)].parent_port != hops[shared].out_port) {
+        state.nodes[static_cast<size_t>(next)].parent_port != hops[shared]->out_port) {
       return false;
     }
     cur = next;
   }
   for (size_t h = shared; h < hops.size(); ++h) {
-    if (find_node(hops[h].next) >= 0) {
+    if (find_node(hops[h]->to) >= 0) {
       return false;
     }
   }
+  const int leaf_port = leaf->attached_port();
   for (const TreeLeaf& other : state.leaves) {
-    if (other.node == cur && other.port == leaf_at.port) {
+    if (other.node == cur && other.port == leaf_port) {
       return false;
     }
   }
@@ -337,24 +305,25 @@ bool Network::PlanLeaf(VcState& state, const Attachment& source, Endpoint* leaf,
     state.nodes.reserve(1 + hops.size());
     state.hop_links.reserve(2 + hops.size());
     TreeNode root;
-    root.sw = source.sw;
-    root.in_port = source.port;
+    root.sw = source->attached_switch();
+    root.in_port = source->attached_port();
     state.nodes.push_back(root);
-    state.hop_links.push_back(source.to_switch);
+    state.hop_links.push_back(source->uplink());
   }
   for (size_t h = shared; h < hops.size(); ++h) {
     TreeNode node;
-    node.sw = hops[h].next;
-    node.in_port = hops[h].next_in_port;
+    node.sw = hops[h]->to;
+    node.in_port = hops[h]->in_port;
     node.parent = cur;
-    node.parent_port = hops[h].out_port;
-    node.link = hops[h].link;
+    node.parent_port = hops[h]->out_port;
+    node.link = hops[h]->link;
     state.nodes.push_back(node);
-    state.hop_links.push_back(hops[h].link);
+    state.hop_links.push_back(hops[h]->link);
     cur = static_cast<int>(state.nodes.size()) - 1;
   }
-  state.leaves.push_back(TreeLeaf{leaf, kVciUnassigned, cur, leaf_at.port, leaf_at.from_switch});
-  state.hop_links.push_back(leaf_at.from_switch);
+  Link* down = Downlink(leaf);
+  state.leaves.push_back(TreeLeaf{leaf, kVciUnassigned, cur, leaf_port, down});
+  state.hop_links.push_back(down);
   return true;
 }
 
@@ -384,16 +353,10 @@ void Network::CommitGraft(VcState& state, size_t first_node, size_t first_leaf,
       ++state.nodes[static_cast<size_t>(n)].refs;
     }
   }
-  const VcId id = state.desc.id;
-  for (size_t i = first_link; i < state.hop_links.size(); ++i) {
-    const size_t link_id = static_cast<size_t>(state.hop_links[i]->id());
-    if (state.desc.qos.peak_bps > 0) {
-      reserved_bps_[link_id] += state.desc.qos.peak_bps;
+  if (state.desc.qos.peak_bps > 0) {
+    for (size_t i = first_link; i < state.hop_links.size(); ++i) {
+      reserved_bps_[static_cast<size_t>(state.hop_links[i]->id())] += state.desc.qos.peak_bps;
     }
-    // Sorted insert: a graft can add an old id after younger VCs reached
-    // the link.
-    auto& on_link = link_vcs_[link_id];
-    on_link.insert(std::lower_bound(on_link.begin(), on_link.end(), id), id);
   }
   state.desc.hop_count = static_cast<int>(state.nodes.size());
 }
@@ -427,30 +390,19 @@ bool Network::CloseVc(VcId id) {
   for (const TreeLeaf& leaf : state.leaves) {
     leaf.endpoint->ReleaseIncomingVci(leaf.vci);
   }
-  for (Link* l : state.hop_links) {
-    if (state.desc.qos.peak_bps > 0) {
+  if (state.desc.qos.peak_bps > 0) {
+    for (Link* l : state.hop_links) {
       reserved_bps_[static_cast<size_t>(l->id())] -= state.desc.qos.peak_bps;
     }
-    EraseFromLinkIndex(l, id);
   }
   vcs_.erase(it);
   return true;
-}
-
-void Network::EraseFromLinkIndex(const Link* link, VcId id) {
-  // Order-preserving, so the index stays id-sorted.
-  auto& on_link = link_vcs_[static_cast<size_t>(link->id())];
-  auto pos = std::lower_bound(on_link.begin(), on_link.end(), id);
-  if (pos != on_link.end() && *pos == id) {
-    on_link.erase(pos);
-  }
 }
 
 void Network::UnchargeTreeLink(VcState& state, Link* link) {
   if (state.desc.qos.peak_bps > 0) {
     reserved_bps_[static_cast<size_t>(link->id())] -= state.desc.qos.peak_bps;
   }
-  EraseFromLinkIndex(link, state.desc.id);
   auto lpos = std::find(state.hop_links.begin(), state.hop_links.end(), link);
   if (lpos != state.hop_links.end()) {
     state.hop_links.erase(lpos);
@@ -465,7 +417,7 @@ std::optional<Vci> Network::AddLeaf(VcId id, Endpoint* leaf) {
   const size_t nodes = state->nodes.size();
   const size_t leaves = state->leaves.size();
   const size_t links = state->hop_links.size();
-  if (!PlanGraft(*state, endpoint_attachments_.at(state->desc.source), &leaf, 1)) {
+  if (!PlanGraft(*state, &leaf, 1)) {
     return std::nullopt;
   }
   CommitGraft(*state, nodes, leaves, links);
@@ -546,16 +498,21 @@ void Network::ClearCongestionHandler(VcId id) {
 }
 
 int Network::SignalCongestion(const Link* link, double severity) {
-  // Collect ids first: a handler may renegotiate or close VCs, mutating
-  // the per-link index and the VC table mid-iteration. The index is
-  // ascending VcId — the same order the historical all-VCs scan produced.
+  auto observes = [link](const VcState& state) {
+    return state.on_congestion &&
+           std::find(state.hop_links.begin(), state.hop_links.end(), link) !=
+               state.hop_links.end();
+  };
+  // Collect ids first: a handler may renegotiate or close VCs, mutating the
+  // VC table mid-iteration. Sorted, so handlers fire in ascending VcId (open
+  // order) whatever the table's hash order.
   std::vector<VcId> to_notify;
-  for (VcId id : VcsOnLink(link)) {
-    const VcState* state = FindVc(id);
-    if (state != nullptr && state->on_congestion) {
+  for (const auto& [id, state] : vcs_) {
+    if (observes(state)) {
       to_notify.push_back(id);
     }
   }
+  std::sort(to_notify.begin(), to_notify.end());
   int notified = 0;
   for (VcId id : to_notify) {
     // Re-validate right before the call: an earlier callback may have
@@ -563,9 +520,7 @@ int Network::SignalCongestion(const Link* link, double severity) {
     // handler — a stale notification would report congestion for a link
     // the VC no longer traverses.
     const VcState* state = FindVc(id);
-    if (state == nullptr || !state->on_congestion ||
-        std::find(state->hop_links.begin(), state->hop_links.end(), link) ==
-            state->hop_links.end()) {
+    if (state == nullptr || !observes(*state)) {
       continue;
     }
     // Copy the callback: the handler may replace itself mid-call.

@@ -11,21 +11,22 @@
 // tree, so open, graft, prune, renegotiation and teardown have one shape.
 //
 // Admission-plane fast path: each source switch keeps one shortest-path
-// tree (a parent per switch), built lazily by a full BFS on the first
-// resolve from that source and invalidated by a topology epoch; a route is
-// read by walking parents back from the destination. The reservation ledger
-// is a flat vector indexed by dense link id, a per-link -> VC index makes
-// congestion fan-out O(affected VCs), and one hash table holds every open
-// VC's state as flat vectors. The BFS expands neighbours in deterministic
-// switch-id (insertion) order, so equal-length paths tie-break identically
-// across runs, and a full BFS assigns the same parents as one stopped at the
-// destination — a tree path is exactly the per-pair BFS path.
+// tree (a depth and the edge that reached it per switch), built lazily by a
+// full BFS on the first resolve from that source and invalidated by a
+// topology epoch; a route is read in one walk back from the destination. The
+// reservation ledger is a flat vector indexed by dense link id, and one hash
+// table holds every open VC's state as flat vectors. An endpoint's switch,
+// port and links are read from the endpoint itself. Congestion fan-out scans
+// the VC table when a link is signalled, so opens and closes keep no per-link
+// state. The BFS expands neighbours in deterministic switch-id (insertion)
+// order, so equal-length paths tie-break identically across runs, and a full
+// BFS assigns the same parents as one stopped at the destination — a tree
+// path is exactly the per-pair BFS path.
 #ifndef PEGASUS_SRC_ATM_NETWORK_H_
 #define PEGASUS_SRC_ATM_NETWORK_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -110,10 +111,6 @@ class Network {
   void ConnectSwitches(Switch* a, int port_a, Switch* b, int port_b, int64_t link_bps,
                        sim::DurationNs propagation = sim::Microseconds(5));
 
-  // Monotone counter bumped by every topology mutation; route trees carry
-  // the epoch they were built under and are rebuilt on mismatch.
-  uint64_t topology_epoch() const { return topology_epoch_; }
-
   // --- Signalling ---
   // Establishes a unidirectional VC from `src` to `dst`: the one-leaf tree.
   // Returns nullopt when no path exists or admission control rejects the
@@ -165,7 +162,8 @@ class Network {
   void ClearCongestionHandler(VcId id);
   // Announces congestion on `link` (an operator/driver event: a flapping
   // port, a policer kicking in). Every open VC traversing the link that has
-  // a handler is notified. Returns the number of VCs notified.
+  // a handler is notified, in ascending VcId (open order). Returns the
+  // number of VCs notified.
   int SignalCongestion(const Link* link, double severity);
   // Re-negotiates the reservation of an open VC in place — the routes stay,
   // only the admission-control books change. An increase is checked against
@@ -185,7 +183,8 @@ class Network {
   // Resolves the route a VC from `src` to `dst` would take: ordered links
   // plus the one-way latency floor (propagation + one cell serialisation per
   // link, queueing excluded), in one route-tree walk. nullopt when either
-  // endpoint is unattached or no path exists.
+  // endpoint is unattached or attached to another network, or no path
+  // exists.
   std::optional<ResolvedRoute> ResolveRoute(const Endpoint* src, const Endpoint* dst) const;
   // The links an established VC traverses (its reservation applies to each,
   // once per tree edge), or nullptr for an unknown id. Valid until the VC is
@@ -201,10 +200,6 @@ class Network {
   int64_t admission_rejections_no_path() const { return rejections_no_path_; }
 
   const std::vector<std::unique_ptr<Link>>& links() const { return links_; }
-
-  // The ids of open VCs traversing `link`, ascending (open order). Congestion
-  // fan-out and monitors iterate this instead of scanning every VC's hops.
-  const std::vector<VcId>& VcsOnLink(const Link* link) const;
 
  private:
   // One switch of a VC's tree. nodes[0] is the root: the source's switch,
@@ -238,80 +233,62 @@ class Network {
     // The VC's congestion observer; empty when none is set.
     CongestionCallback on_congestion;
   };
-  // Either a switch-to-switch edge or an endpoint attachment.
-  struct Attachment {
-    Switch* sw = nullptr;
-    int port = -1;
-    Link* to_switch = nullptr;    // carries cells toward the switch
-    Link* from_switch = nullptr;  // carries cells away from the switch
-  };
-  // One directed switch-to-switch wire, as seen from its source switch.
+  // One directed switch-to-switch wire: everything VC installation needs
+  // for one hop, and the switch it leaves for walking a route backwards.
   struct Edge {
+    int from_id = -1;
     int to_id = -1;
+    int out_port = -1;  // on the `from_id` switch
+    int in_port = -1;   // on `to` (the reverse wire's port)
     Switch* to = nullptr;
-    int out_port = -1;
     Link* link = nullptr;
   };
-  // One inter-switch hop of a switch path: the wire out of the current
-  // switch plus the input port it lands on — everything VC installation
-  // needs without re-querying the adjacency.
-  struct PathHop {
-    Switch* next = nullptr;
-    int out_port = -1;        // on the current switch
-    Link* link = nullptr;     // current -> next
-    int next_in_port = -1;    // input port on `next` (the reverse wire's port)
-  };
-  // A switch-to-switch route read out of a route tree; the caller owns it.
-  struct SwitchPath {
-    std::vector<PathHop> hops;
-    // Sum of propagation + cell serialisation over the hop links (the
-    // endpoint attachment links are added per resolve).
-    sim::DurationNs links_latency = 0;
-  };
-  // Shortest-path tree rooted at one source switch, as a parent per switch
-  // id: the predecessor on the deterministic BFS path from the root (the
-  // root is its own parent, -1 marks an unreachable switch). `epoch` is the
-  // topology epoch it was built under; 0 means never built.
+  // A switch-to-switch route read out of a route tree, one edge per hop in
+  // path order. The edges live in the adjacency, so a path is read and used
+  // within one signalling call; the caller owns the vector.
+  using SwitchPath = std::vector<const Edge*>;
+  // Shortest-path tree rooted at one source switch, per switch id: the hop
+  // count of the deterministic BFS path from the root (0 at the root, -1
+  // where unreachable) and the edge that first reached the switch on it
+  // (null at the root and where unreachable). `epoch` is the topology epoch
+  // it was built under; 0 means never built, and a tree's edges are valid
+  // only under its own epoch.
   struct RouteTree {
     uint64_t epoch = 0;
-    std::vector<int> parent;
+    std::vector<int> depth;
+    std::vector<const Edge*> via;
   };
 
   // The route tree rooted at switch `root_id`, rebuilt by a full BFS when it
   // was built under another topology epoch.
   const RouteTree& TreeFrom(int root_id) const;
-  // Reads the path from `from` to `to` out of from's route tree into `out`.
-  // False when either switch is not this network's or `to` is unreachable.
+  // Reads the path from `from` to `to` out of from's route tree into `out`,
+  // one edge per hop. False, with `out` unspecified, when either switch is
+  // null or not this network's, or `to` is unreachable.
   bool ReadPath(const Switch* from, const Switch* to, SwitchPath* out) const;
-  // The directed edge from `a` to `b`, or nullptr when not adjacent.
-  const Edge* FindEdge(const Switch* a, const Switch* b) const;
   // Registers a freshly created link: assigns its dense id and grows the
   // flat ledgers.
   Link* RegisterLink(std::unique_ptr<Link> link);
   // The one tree open behind both OpenVc calls.
   std::optional<VcDescriptor> OpenTree(Endpoint* src, Endpoint* const* sinks, size_t count,
                                        QosSpec qos);
-  // Plans grafting `count` leaves onto the tree `source` roots and admits
-  // the links the graft adds: appends the new switches, links and leaf
-  // records (the root and the source's uplink first, on an empty tree)
+  // Plans grafting `count` leaves onto the tree `state.desc.source` roots
+  // and admits the links the graft adds: appends the new switches, links and
+  // leaf records (the root and the source's uplink first, on an empty tree)
   // without installing anything. On refusal the state is restored, the
   // rejection counted and false returned.
-  bool PlanGraft(VcState& state, const Attachment& source, Endpoint* const* leaves,
-                 size_t count);
+  bool PlanGraft(VcState& state, Endpoint* const* leaves, size_t count);
   // Plans one leaf (see PlanGraft); false, with the state untouched, when
-  // the leaf is unattached or unreachable, its port already carries a
-  // branch, or its path would enter a tree switch over a second edge (only
-  // possible after a topology change mid-tree-life).
-  bool PlanLeaf(VcState& state, const Attachment& source, Endpoint* leaf,
-                SwitchPath* path) const;
+  // the source or leaf is unattached or unreachable, the leaf's port already
+  // carries a branch, or its path would enter a tree switch over a second
+  // edge (only possible after a topology change mid-tree-life).
+  bool PlanLeaf(VcState& state, Endpoint* leaf, SwitchPath* path) const;
   // Installs a planned graft — everything past the given sizes: allocates
   // VCIs and adds route branches leaf by leaf in graft order, counts each
   // leaf on its ancestors, and charges the new links. Must not fail.
   void CommitGraft(VcState& state, size_t first_node, size_t first_leaf, size_t first_link);
-  // Removes a tree edge's reservation, VC index entry and hop_links slot.
+  // Removes a tree edge's reservation and hop_links slot.
   void UnchargeTreeLink(VcState& state, Link* link);
-  // Drops `id` from `link`'s id-sorted VC index (binary search, not a scan).
-  void EraseFromLinkIndex(const Link* link, VcId id);
 
   VcState* FindVc(VcId id);
   const VcState* FindVc(VcId id) const;
@@ -326,23 +303,21 @@ class Network {
   std::vector<std::unique_ptr<Switch>> switches_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  std::map<const Endpoint*, Attachment> endpoint_attachments_;
   // Adjacency indexed by switch id; each row sorted by neighbour id so BFS
   // expansion order is the insertion order of switches, not heap addresses.
   std::vector<std::vector<Edge>> adjacency_;
   // Route trees indexed by root switch id; only switches that source a
   // resolve ever get one built.
   mutable std::vector<RouteTree> route_trees_;
+  // Bumped by every topology mutation; a route tree built under another
+  // epoch is rebuilt before it is read.
   uint64_t topology_epoch_ = 0;
-  // Every open VC. Looked up by id, never iterated, so hash order cannot
-  // leak into behaviour.
+  // Every open VC. Looked up by id; the one scan (congestion fan-out) sorts
+  // the ids it collects, so hash order cannot leak into behaviour.
   std::unordered_map<VcId, VcState> vcs_;
   // Reserved bits/s per link, indexed by link id — AvailableBandwidth on the
   // admission walk is a load, not a map lookup.
   std::vector<int64_t> reserved_bps_;
-  // Open VCs traversing each link, indexed by link id, ascending VcId (ids
-  // are monotone and never reused, so append keeps the order sorted).
-  std::vector<std::vector<VcId>> link_vcs_;
   VcId next_vc_id_ = 1;
   int64_t rejections_bandwidth_ = 0;
   int64_t rejections_no_path_ = 0;

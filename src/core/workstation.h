@@ -83,7 +83,6 @@ class Workstation {
 
   // Bus-architecture baseline support.
   HostRelay* EnableHostRelay(sim::DurationNs per_cell_cost = sim::Microseconds(5));
-  HostRelay* host_relay() const { return relay_.get(); }
 
  private:
   atm::Endpoint* NewDevicePort(const std::string& suffix);

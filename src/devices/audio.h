@@ -46,7 +46,6 @@ class AudioCapture {
   int64_t nominal_bps() const;
   // Samples skipped by pacing-induced decimation, as whole-cell equivalents.
   int64_t cells_decimated() const { return samples_decimated_ / kSamplesPerAudioCell; }
-  int64_t samples_decimated() const { return samples_decimated_; }
 
  private:
   void EmitCell();

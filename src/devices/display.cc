@@ -84,12 +84,10 @@ void AtmDisplay::OnPacket(atm::Vci vci, const TilePacket& packet) {
   // Frame-completion tracking: a new frame number closes the previous frame.
   FrameTrack& track = frame_track_[vci];
   if (track.any && packet.frame_no != track.frame_no) {
-    frame_completion_latency_.Add(static_cast<double>(sim_->now() - track.capture_ts));
     ++frames_completed_;
     track.any = false;
   }
   track.frame_no = packet.frame_no;
-  track.capture_ts = packet.capture_ts;
   track.any = true;
 
   std::vector<uint8_t> decoded;  // the current tile's pixels when compressed

@@ -76,9 +76,6 @@ class AtmDisplay {
   uint64_t decode_errors() const { return decode_errors_; }
   // Capture-to-blit latency of every tile packet (ns) — the E01 metric.
   const sim::Summary& tile_latency() const { return tile_latency_; }
-  // Latency between a frame's capture and its *last* tile hitting the
-  // screen, per completed frame.
-  const sim::Summary& frame_completion_latency() const { return frame_completion_latency_; }
   uint32_t frames_completed() const { return frames_completed_; }
 
  private:
@@ -94,10 +91,9 @@ class AtmDisplay {
   std::vector<uint8_t> framebuffer_;
   std::vector<atm::Vci> owner_;
   std::map<atm::Vci, WindowDescriptor> descriptors_;
-  // Per-VCI frame tracking for completion latency.
+  // Per-VCI frame tracking for the completed-frame count.
   struct FrameTrack {
     uint32_t frame_no = 0;
-    sim::TimeNs capture_ts = 0;
     bool any = false;
   };
   std::map<atm::Vci, FrameTrack> frame_track_;
@@ -109,7 +105,6 @@ class AtmDisplay {
   int64_t pixels_drawn_ = 0;
   uint64_t decode_errors_ = 0;
   sim::Summary tile_latency_;
-  sim::Summary frame_completion_latency_;
   uint32_t frames_completed_ = 0;
 };
 

@@ -49,9 +49,6 @@ void PlaybackController::Playout(int stream, sim::TimeNs media_ts) {
   const sim::TimeNs now = sim_->now();
   ++playouts_;
   Stream& s = streams_[static_cast<size_t>(stream)];
-  if (s.effective_rate < 1.0) {
-    ++degraded_playouts_;
-  }
   s.history.emplace_back(media_ts, now);
   while (s.history.size() > 256) {
     s.history.pop_front();

@@ -48,7 +48,6 @@ class PlaybackController {
 
   // Registers a stream; returns its id.
   int RegisterStream(const std::string& name);
-  int stream_count() const { return static_cast<int>(streams_.size()); }
 
   // Data arrival: media for `media_ts` is ready to render on `stream`.
   void OnArrival(int stream, sim::TimeNs media_ts);
@@ -58,12 +57,9 @@ class PlaybackController {
   // --- cross-layer degradation visibility ---
   // The fraction of a stream's nominal rate currently granted (1.0 = full).
   // Stream degradation callbacks push renegotiated rates here so the
-  // synchronisation logic and its clients see A/V degradation coherently:
-  // every play-out is counted against the rate in force at that instant.
+  // synchronisation logic and its clients see A/V degradation coherently.
   void SetEffectiveRate(int stream, double fraction);
   double EffectiveRate(int stream) const;
-  // Play-outs that happened while the stream was degraded (rate < 1).
-  int64_t degraded_playouts() const { return degraded_playouts_; }
 
   // --- measurements ---
   // Cross-stream play-out skew samples (|ns|), matched by media timestamp.
@@ -93,7 +89,6 @@ class PlaybackController {
   sim::Summary skew_;
   int64_t late_arrivals_ = 0;
   int64_t playouts_ = 0;
-  int64_t degraded_playouts_ = 0;
 };
 
 }  // namespace pegasus::dev

@@ -128,7 +128,6 @@ void NameSpace::Resolve(const std::string& path, ResolveCallback callback) {
     auto it = node->children.find(components[i]);
     if (it == node->children.end()) {
       last_steps_ = steps;
-      steps_.Add(steps);
       callback(std::nullopt);
       return;
     }
@@ -136,7 +135,6 @@ void NameSpace::Resolve(const std::string& path, ResolveCallback callback) {
     Node* child = it->second.get();
     if (child->kind == Node::Kind::kLeaf) {
       last_steps_ = steps;
-      steps_.Add(steps);
       if (i + 1 == components.size()) {
         callback(child->handle);
       } else {
@@ -146,7 +144,6 @@ void NameSpace::Resolve(const std::string& path, ResolveCallback callback) {
     }
     if (child->kind == Node::Kind::kMount) {
       last_steps_ = steps;
-      steps_.Add(steps);
       // Reassemble the remainder and delegate through the connection.
       std::string rest;
       for (size_t j = i + 1; j < components.size(); ++j) {
@@ -161,7 +158,6 @@ void NameSpace::Resolve(const std::string& path, ResolveCallback callback) {
     node = child;
   }
   last_steps_ = steps;
-  steps_.Add(steps);
   callback(std::nullopt);  // empty path or resolved to a directory
 }
 

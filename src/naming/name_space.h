@@ -20,7 +20,6 @@
 
 #include "src/naming/object.h"
 #include "src/naming/rpc.h"
-#include "src/sim/stats.h"
 
 namespace pegasus::naming {
 
@@ -67,7 +66,6 @@ class NameSpace {
   int64_t lookups() const { return lookups_; }
   // Components walked in the most recent resolution (mount hops excluded).
   int last_resolution_steps() const { return last_steps_; }
-  const sim::Summary& resolution_steps() const { return steps_; }
 
   // Splits "a/b/c" into components, dropping empty ones.
   static std::vector<std::string> SplitPath(const std::string& path);
@@ -88,7 +86,6 @@ class NameSpace {
   std::unique_ptr<Node> root_;
   int64_t lookups_ = 0;
   int last_steps_ = 0;
-  sim::Summary steps_;
 };
 
 // Mount connection to a name space in the same machine (another process's

@@ -93,7 +93,6 @@ void RpcClient::Call(const std::string& object_name, const std::string& method,
   pending.invoke_cb = std::move(callback);
   pending.sent_at = sim_->now();
   pending_[id] = std::move(pending);
-  ++calls_sent_;
 
   atm::WireWriter w;
   w.PutU8(kMsgInvoke);

@@ -69,7 +69,6 @@ class RpcClient {
   // with Call.
   void Lookup(const std::string& name, std::function<void(bool found)> callback);
 
-  int64_t calls_sent() const { return calls_sent_; }
   int64_t calls_completed() const { return calls_completed_; }
   // Per-call round-trip latency, ns.
   const sim::Summary& latency() const { return latency_; }
@@ -87,7 +86,6 @@ class RpcClient {
   };
   std::map<uint64_t, Pending> pending_;
   uint64_t next_call_id_ = 1;
-  int64_t calls_sent_ = 0;
   int64_t calls_completed_ = 0;
   sim::Summary latency_;
 };

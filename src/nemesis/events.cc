@@ -20,7 +20,6 @@ SharedMessageQueue::SharedMessageQueue(AddressSpace* space, ProtectionDomain* pr
 
 bool SharedMessageQueue::Push(const std::vector<uint8_t>& message) {
   if (full() || message.size() > slot_size_) {
-    ++push_failures_;
     return false;
   }
   const VirtAddr slot = stretch_->base() + tail_ * (4 + slot_size_);

@@ -21,7 +21,6 @@
 
 #include "src/nemesis/domain.h"
 #include "src/nemesis/memory.h"
-#include "src/sim/stats.h"
 
 namespace pegasus::nemesis {
 
@@ -44,15 +43,10 @@ class EventChannel {
   const Closure& closure() const { return closure_; }
 
   void RecordSent() { ++sent_; }
-  void RecordDelivered(sim::TimeNs posted_at, sim::TimeNs delivered_at) {
-    ++delivered_;
-    delivery_latency_.Add(static_cast<double>(delivered_at - posted_at));
-  }
+  void RecordDelivered() { ++delivered_; }
 
   uint64_t sent() const { return sent_; }
   uint64_t delivered() const { return delivered_; }
-  // Post-to-delivery latency in nanoseconds.
-  const sim::Summary& delivery_latency() const { return delivery_latency_; }
 
  private:
   uint64_t id_;
@@ -62,7 +56,6 @@ class EventChannel {
   Closure closure_;
   uint64_t sent_ = 0;
   uint64_t delivered_ = 0;
-  sim::Summary delivery_latency_;
 };
 
 // A bounded single-producer single-consumer message ring in a shared-memory
@@ -84,7 +77,6 @@ class SharedMessageQueue {
   size_t size() const { return count_; }
   size_t capacity() const { return slots_; }
   bool full() const { return count_ == slots_; }
-  uint64_t push_failures() const { return push_failures_; }
 
  private:
   AddressSpace* space_;
@@ -96,7 +88,6 @@ class SharedMessageQueue {
   size_t head_ = 0;  // next slot to pop
   size_t tail_ = 0;  // next slot to push
   size_t count_ = 0;
-  uint64_t push_failures_ = 0;
 };
 
 // The paper's inter-domain call primitive: a pair of shared-memory message

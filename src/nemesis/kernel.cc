@@ -320,7 +320,7 @@ void Kernel::DeliverPendingEvents(Domain* domain) {
   while (!pending.empty()) {
     PendingEvent ev = pending.front();
     pending.pop_front();
-    ev.channel->RecordDelivered(ev.posted_at, sim_->now());
+    ev.channel->RecordDelivered();
     if (ev.channel->closure()) {
       ev.channel->closure()(ev.posted_at, sim_->now());
     }

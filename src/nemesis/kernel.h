@@ -49,7 +49,6 @@ class Kernel {
 
   sim::Simulator* simulator() const { return sim_; }
   Scheduler* scheduler() const { return scheduler_.get(); }
-  AddressSpace& address_space() { return address_space_; }
   const KernelCosts& costs() const { return costs_; }
 
   // Registers a domain. Returns false if scheduler admission rejects it.

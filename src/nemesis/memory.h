@@ -30,7 +30,6 @@ struct AccessRights {
   static AccessRights None() { return {}; }
   static AccessRights ReadOnly() { return {true, false, false}; }
   static AccessRights ReadWrite() { return {true, true, false}; }
-  static AccessRights ReadExec() { return {true, false, true}; }
 };
 
 // A contiguous range of the single address space, with backing storage.
@@ -85,8 +84,6 @@ class AddressSpace {
   Stretch* Find(StretchId id);
   // Stretch containing `addr`, or nullptr.
   Stretch* StretchAt(VirtAddr addr);
-
-  size_t stretch_count() const { return by_id_.size(); }
 
  private:
   VirtAddr next_data_addr_;

@@ -20,7 +20,6 @@ void PeriodicDomain::ReleaseJob() {
   if (stopped_) {
     return;
   }
-  ++jobs_released_;
   const sim::TimeNs release = sim_->now();
   if (current_release_ < 0) {
     current_release_ = release;

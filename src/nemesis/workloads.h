@@ -38,7 +38,6 @@ class PeriodicDomain : public Domain {
   void OnRunEnd(sim::TimeNs start, sim::DurationNs ran, bool completed) override;
   void OnAttached() override;
 
-  int64_t jobs_released() const { return jobs_released_; }
   int64_t jobs_completed() const { return jobs_completed_; }
   int64_t deadline_misses() const { return deadline_misses_; }
   // Release-to-completion latency (ns).
@@ -59,7 +58,6 @@ class PeriodicDomain : public Domain {
   sim::TimeNs current_release_ = -1;
   sim::DurationNs remaining_ = 0;
 
-  int64_t jobs_released_ = 0;
   int64_t jobs_completed_ = 0;
   int64_t deadline_misses_ = 0;
   sim::Summary completion_latency_;

@@ -65,7 +65,6 @@ class SimDisk {
   sim::DurationNs busy_time() const { return busy_time_; }
   sim::DurationNs seek_time() const { return seek_time_; }
   sim::DurationNs transfer_time() const { return transfer_time_; }
-  size_t queue_depth() const { return rt_queue_.size() + queue_.size(); }
 
  private:
   struct Request {

@@ -274,7 +274,6 @@ void PegasusFileServer::WriteSegmentOf(FileType type, std::vector<OpenBlock> blo
     placed.push_back({b.file, b.block, static_cast<int64_t>(payload.size())});
     payload.insert(payload.end(), b.data.begin(), b.data.end());
   }
-  partial_padding_ += config_.segment_size - static_cast<int64_t>(payload.size());
 
   const uint64_t epoch = epoch_;
   ++pending_flushes_;
@@ -358,7 +357,6 @@ void PegasusFileServer::StartCheckpoint() {
       [this, epoch, image, waiters = std::move(waiters)](bool ok) {
         if (epoch == epoch_ && ok) {
           durable_meta_image_ = image;
-          ++checkpoints_;
         }
         for (const auto& w : waiters) {
           w();

@@ -226,11 +226,9 @@ class PegasusFileServer {
   int64_t total_segments() const { return meta_.num_segments(); }
   int64_t buffered_bytes() const;
   int64_t segments_written() const { return segments_written_; }
-  int64_t partial_segment_padding() const { return partial_padding_; }
   int64_t blocks_accepted() const { return blocks_accepted_; }
   int64_t blocks_written_to_disk() const { return blocks_flushed_; }
   int64_t blocks_died_in_buffer() const { return blocks_died_in_buffer_; }
-  int64_t checkpoint_count() const { return checkpoints_; }
   const LogMetadata& metadata() const { return meta_; }
 
  private:
@@ -298,11 +296,9 @@ class PegasusFileServer {
   std::vector<std::function<void()>> checkpoint_waiters_;
 
   int64_t segments_written_ = 0;
-  int64_t partial_padding_ = 0;
   int64_t blocks_accepted_ = 0;
   int64_t blocks_flushed_ = 0;
   int64_t blocks_died_in_buffer_ = 0;
-  int64_t checkpoints_ = 0;
 };
 
 }  // namespace pegasus::pfs

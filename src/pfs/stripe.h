@@ -30,7 +30,6 @@ class StripeStore {
               DiskGeometry geometry);
 
   int64_t segment_size() const { return segment_size_; }
-  int64_t chunk_size() const { return chunk_size_; }
   int num_data_disks() const { return static_cast<int>(disks_.size()) - 1; }
   // Segments that fit on the disks.
   int64_t capacity_segments() const;
@@ -50,7 +49,6 @@ class StripeStore {
                  ReadCallback callback);
 
   SimDisk* disk(int i) { return disks_[static_cast<size_t>(i)].get(); }
-  SimDisk* parity_disk() { return disks_.back().get(); }
   int failed_disk_count() const;
 
   // Recomputes the chunk of `segment` belonging to disk `d` from the XOR of

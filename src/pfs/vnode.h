@@ -55,7 +55,6 @@ class VnodeLayer {
   int64_t Seek(Fd fd, int64_t offset);
   int64_t Tell(Fd fd) const;
   bool Close(Fd fd);
-  int open_files() const { return static_cast<int>(fds_.size()); }
 
  private:
   struct Node {

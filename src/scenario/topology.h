@@ -88,7 +88,6 @@ struct MetroTopology {
   int region_of_core(int core) const { return core; }
   int region_of_agg(int agg) const { return params.core_switches + agg; }
   int region_of_edge(int edge) const { return region_of_agg(edge / params.edge_per_agg); }
-  int region_of_host(int host) const { return region_of_edge(edge_of_host(host)); }
 };
 
 // Steers sharded construction for any fabric, hand-built or generated: a

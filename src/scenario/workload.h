@@ -108,7 +108,6 @@ class ScenarioEngine {
   const FleetMetrics& Run(sim::DurationNs duration);
 
   const FleetMetrics& metrics() const { return metrics_; }
-  int64_t active_sessions() const { return static_cast<int64_t>(active_.size()); }
 
  private:
   enum class SessionType { kPhone, kVod, kRecord, kBroadcast };

@@ -53,7 +53,7 @@ BoundaryChannel* ShardGroup::RegisterBoundary(Simulator* src, Simulator* dst,
   assert(src_idx >= 0 && dst_idx >= 0 && src_idx != dst_idx);
   assert(lookahead > 0);  // zero lookahead would stall the window loop
   channels_.push_back(std::unique_ptr<BoundaryChannel>(new BoundaryChannel(
-      this, src, src_idx, dst_idx, static_cast<uint32_t>(channels_.size()), lookahead)));
+      this, src, dst_idx, static_cast<uint32_t>(channels_.size()), lookahead)));
   min_lookahead_ = std::min(min_lookahead_, lookahead);
   // The destination's window bound only needs the tightest lookahead per
   // source shard, not one entry per parallel link.

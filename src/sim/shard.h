@@ -109,8 +109,6 @@ class BoundaryChannel {
                                  static_cast<uint32_t>(offset), static_cast<uint32_t>(size)});
   }
 
-  int source_shard() const { return src_; }
-  int destination_shard() const { return dst_; }
   DurationNs lookahead() const { return lookahead_; }
 
  private:
@@ -139,9 +137,9 @@ class BoundaryChannel {
     std::vector<unsigned char> arena;
   };
 
-  BoundaryChannel(ShardGroup* group, Simulator* src_sim, int src, int dst, uint32_t id,
+  BoundaryChannel(ShardGroup* group, Simulator* src_sim, int dst, uint32_t id,
                   DurationNs lookahead)
-      : group_(group), src_sim_(src_sim), src_(src), dst_(dst), id_(id), lookahead_(lookahead) {}
+      : group_(group), src_sim_(src_sim), dst_(dst), id_(id), lookahead_(lookahead) {}
 
   // The batch being filled this window; allocated lazily so quiet channels
   // cost nothing, and registered dirty with the group on first use.
@@ -149,7 +147,6 @@ class BoundaryChannel {
 
   ShardGroup* group_;
   Simulator* src_sim_;
-  int src_;
   int dst_;
   uint32_t id_;  // registration order; merge tie-breaker across channels
   DurationNs lookahead_;

@@ -815,6 +815,43 @@ TEST_F(NetworkFixture, CongestionHandlerClosingSiblingVcSuppressesItsCallback) {
   EXPECT_EQ(first_fired, 2);
 }
 
+// A graft can bring an OLD VC onto a link that younger VCs already cross.
+// Congestion on that link still reaches the handlers in ascending VcId (open
+// order), not in the order the VCs reached the link or set their handlers.
+TEST_F(NetworkFixture, CongestionReachesGraftedOlderVcInIdOrder) {
+  auto old_vc = net_.OpenVc(a_, b_);  // sw1 only
+  auto young1 = net_.OpenVc(b_, c_);
+  auto young2 = net_.OpenVc(a_, c_);
+  ASSERT_TRUE(old_vc.has_value());
+  ASSERT_TRUE(young1.has_value());
+  ASSERT_TRUE(young2.has_value());
+  ASSERT_LT(old_vc->id, young1->id);
+  ASSERT_LT(young1->id, young2->id);
+  const Link* trunk = (*net_.VcLinks(young1->id))[1];
+  EXPECT_EQ(trunk->name(), "sw1->sw2");
+  const std::vector<Link*>& old_links = *net_.VcLinks(old_vc->id);
+  ASSERT_EQ(std::count(old_links.begin(), old_links.end(), trunk), 0);
+
+  std::vector<VcId> order;
+  for (VcId id : {young2->id, young1->id, old_vc->id}) {
+    net_.SetCongestionHandler(id, [&order](VcId vc, const Link*, double) { order.push_back(vc); });
+  }
+  EXPECT_EQ(net_.SignalCongestion(trunk, 0.5), 2);
+  EXPECT_EQ(order, (std::vector<VcId>{young1->id, young2->id}));
+
+  // Grafting c onto the old VC brings it onto the trunk after both.
+  ASSERT_TRUE(net_.AddLeaf(old_vc->id, c_).has_value());
+  order.clear();
+  EXPECT_EQ(net_.SignalCongestion(trunk, 0.5), 3);
+  EXPECT_EQ(order, (std::vector<VcId>{old_vc->id, young1->id, young2->id}));
+
+  // Pruning it back takes it off the trunk again.
+  ASSERT_TRUE(net_.RemoveLeaf(old_vc->id, c_));
+  order.clear();
+  EXPECT_EQ(net_.SignalCongestion(trunk, 0.0), 2);
+  EXPECT_EQ(order, (std::vector<VcId>{young1->id, young2->id}));
+}
+
 TEST_F(NetworkFixture, MulticastVcDeliversToEveryLeafOnce) {
   auto vc = net_.OpenVc(a_, {b_, c_}, QosSpec{10'000'000});
   ASSERT_TRUE(vc.has_value());

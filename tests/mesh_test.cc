@@ -602,6 +602,54 @@ TEST(RejectionAccounting, NoPathAndUnattachedFailuresAreCounted) {
   EXPECT_FALSE(net.OpenVc(a, b, atm::QosSpec{20'000'000}).has_value());
   EXPECT_EQ(net.admission_rejections_bandwidth(), 1);
   EXPECT_EQ(net.admission_rejections(), 4);
+
+  // A stray endpoint as the SOURCE of a point-to-point or tree open, and as
+  // one sink among good ones: each open is refused as no_path.
+  EXPECT_FALSE(net.OpenVc(&stray, a).has_value());
+  EXPECT_EQ(net.admission_rejections_no_path(), 4);
+  EXPECT_FALSE(net.OpenVc(&stray, std::vector<atm::Endpoint*>{a, b}).has_value());
+  EXPECT_EQ(net.admission_rejections_no_path(), 5);
+  EXPECT_FALSE(net.OpenVc(a, std::vector<atm::Endpoint*>{b, &stray}).has_value());
+  EXPECT_EQ(net.admission_rejections_no_path(), 6);
+
+  // A stray leaf grafted onto an open VC: refused, counted, the tree as it was.
+  auto vc = net.OpenVc(a, b, atm::QosSpec{1'000'000});
+  ASSERT_TRUE(vc.has_value());
+  const std::vector<atm::Link*> tree = *net.VcLinks(vc->id);
+  EXPECT_FALSE(net.AddLeaf(vc->id, &stray).has_value());
+  EXPECT_EQ(net.admission_rejections_no_path(), 7);
+  EXPECT_EQ(net.LeafCount(vc->id), 1);
+  EXPECT_EQ(*net.VcLinks(vc->id), tree);
+
+  // ResolveRoute answers nullopt for a stray endpoint at either end and
+  // counts nothing: it is a query, not an admission.
+  EXPECT_FALSE(net.ResolveRoute(&stray, a).has_value());
+  EXPECT_FALSE(net.ResolveRoute(a, &stray).has_value());
+  EXPECT_EQ(net.admission_rejections_no_path(), 7);
+
+  // An endpoint attached to ANOTHER network's switch is not this network's,
+  // even though that switch's id is also one of this network's ids.
+  atm::Network other(&sim);
+  atm::Switch* foreign_sw = other.AddSwitch("foreign", 8);
+  ASSERT_EQ(foreign_sw->id(), sw1->id());
+  atm::Endpoint* foreign = other.AddEndpoint("foreign-ep", foreign_sw, 0, 155'000'000);
+  EXPECT_FALSE(net.ResolveRoute(a, foreign).has_value());
+  EXPECT_FALSE(net.ResolveRoute(foreign, a).has_value());
+  EXPECT_FALSE(net.OpenVc(a, foreign).has_value());
+  EXPECT_EQ(net.admission_rejections_no_path(), 8);
+  EXPECT_FALSE(net.OpenVc(foreign, a).has_value());
+  EXPECT_EQ(net.admission_rejections_no_path(), 9);
+  EXPECT_FALSE(net.AddLeaf(vc->id, foreign).has_value());
+  EXPECT_EQ(net.admission_rejections_no_path(), 10);
+  EXPECT_EQ(*net.VcLinks(vc->id), tree);
+  EXPECT_EQ(other.admission_rejections(), 0);
+
+  // None of the refusals left a reservation behind.
+  EXPECT_EQ(net.admission_rejections_bandwidth(), 1);
+  ASSERT_TRUE(net.CloseVc(vc->id));
+  for (const auto& l : net.links()) {
+    EXPECT_EQ(net.ReservedBps(l.get()), 0) << l->name();
+  }
 }
 
 }  // namespace
