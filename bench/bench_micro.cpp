@@ -10,6 +10,7 @@
 
 #include "src/atm/aal5.h"
 #include "src/atm/crc32.h"
+#include "src/atm/endpoint.h"
 #include "src/atm/link.h"
 #include "src/atm/switch.h"
 #include "src/devices/compression.h"
@@ -93,6 +94,35 @@ void BM_SwitchForward(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(seq), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SwitchForward)->Arg(1)->Arg(64)->Arg(256);
+
+// Signalling's VCI churn: one switch input port and one endpoint each hold
+// range(0) VCIs. Each iteration releases a seeded random held VCI on both and
+// allocates the lowest free one, as a close followed by an open does. Under
+// lowest-free allocation the held set stays the first range(0) data VCIs,
+// so every draw from that range is a held VCI. A calibration aid for the
+// allocators; the ledger's admission-churn workload is the end-to-end view.
+void BM_VciChurn(benchmark::State& state) {
+  const auto held = static_cast<int64_t>(state.range(0));
+  sim::Simulator sim;
+  atm::Switch sw(&sim, "sw", 2);
+  atm::Endpoint ep(&sim, "ep");
+  for (int64_t i = 0; i < held; ++i) {
+    sw.AddRoute(0, sw.AllocateVci(0), 1, atm::kVciFirstData);
+    ep.AllocateIncomingVci();
+  }
+  sim::Rng rng(16);
+  for (auto _ : state) {
+    const atm::Vci gone = atm::kVciFirstData + static_cast<atm::Vci>(rng.UniformInt(0, held - 1));
+    sw.RemoveRoute(0, gone);
+    ep.ReleaseIncomingVci(gone);
+    const atm::Vci vci = sw.AllocateVci(0);
+    sw.AddRoute(0, vci, 1, atm::kVciFirstData);
+    benchmark::DoNotOptimize(vci);
+    benchmark::DoNotOptimize(ep.AllocateIncomingVci());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_VciChurn)->Arg(64)->Arg(1024)->Arg(4096);
 
 void BM_Crc32(benchmark::State& state) {
   std::vector<uint8_t> data(static_cast<size_t>(state.range(0)));

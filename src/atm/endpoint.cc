@@ -91,17 +91,4 @@ void Endpoint::ArmPacer(Vci vci, Pacer& pacer) {
   });
 }
 
-Vci Endpoint::AllocateIncomingVci() {
-  // One in-order pass over the held VCIs: the first gap at or after
-  // kVciFirstData is the smallest free one, and its position is the hint.
-  Vci vci = kVciFirstData;
-  auto it = incoming_vcis_.lower_bound(vci);
-  while (it != incoming_vcis_.end() && *it == vci) {
-    ++vci;
-    ++it;
-  }
-  incoming_vcis_.insert(it, vci);
-  return vci;
-}
-
 }  // namespace pegasus::atm

@@ -12,12 +12,12 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/atm/cell.h"
 #include "src/atm/link.h"
+#include "src/atm/vci_allocator.h"
 #include "src/sim/event_queue.h"
 
 namespace pegasus::atm {
@@ -77,9 +77,15 @@ class Endpoint : public CellSink {
   static constexpr size_t kPaceBurstCells = 32;
 
   // Incoming-VCI bookkeeping used by signalling: the terminating VCI of each
-  // VC ending at this endpoint must be locally unique.
-  Vci AllocateIncomingVci();
-  void ReleaseIncomingVci(Vci vci) { incoming_vcis_.erase(vci); }
+  // VC ending at this endpoint must be locally unique. Allocation takes the
+  // lowest free VCI at or above kVciFirstData; releasing one that is not
+  // held is a no-op.
+  Vci AllocateIncomingVci() {
+    const Vci vci = incoming_vcis_.LowestFree();
+    incoming_vcis_.Hold(vci);
+    return vci;
+  }
+  void ReleaseIncomingVci(Vci vci) { incoming_vcis_.Release(vci); }
 
   uint64_t cells_received() const { return cells_received_; }
   uint64_t cells_sent() const { return cells_sent_; }
@@ -92,7 +98,7 @@ class Endpoint : public CellSink {
   Switch* switch_ = nullptr;
   int port_ = -1;
   CellHandler handler_;
-  std::set<Vci> incoming_vcis_;
+  VciAllocator incoming_vcis_;
   uint64_t cells_received_ = 0;
   uint64_t cells_sent_ = 0;
   uint64_t next_seq_ = 0;

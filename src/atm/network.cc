@@ -142,19 +142,33 @@ bool Network::ReadPath(const Switch* from, const Switch* to, SwitchPath* out) co
       switches_[static_cast<size_t>(to_id)].get() != to) {
     return false;
   }
-  const RouteTree& tree = TreeFrom(from_id);
+  if (from_id == to_id) {
+    out->clear();
+    return true;
+  }
+  // A switch with one neighbour keeps no tree of its own: its BFS reaches
+  // that neighbour first and then every other switch in the order the
+  // neighbour's BFS does, so its path is the one edge followed by the
+  // neighbour's tree path (which never comes back through `from`).
+  const std::vector<Edge>& row = adjacency_[static_cast<size_t>(from_id)];
+  const Edge* first = row.size() == 1 ? &row.front() : nullptr;
+  const RouteTree& tree = TreeFrom(first != nullptr ? first->to_id : from_id);
   const int depth = tree.depth[static_cast<size_t>(to_id)];
   if (depth < 0) {
     return false;
   }
-  // One walk dst -> src, filling the hops from the back so they come out in
-  // src -> dst order.
-  out->resize(static_cast<size_t>(depth));
+  // One walk dst -> tree root, filling the hops from the back so they come
+  // out in src -> dst order.
+  const size_t lead = first != nullptr ? 1 : 0;
+  out->resize(lead + static_cast<size_t>(depth));
   int s = to_id;
-  for (size_t d = static_cast<size_t>(depth); d > 0; --d) {
+  for (size_t d = out->size(); d > lead; --d) {
     const Edge* hop = tree.via[static_cast<size_t>(s)];
     (*out)[d - 1] = hop;
     s = hop->from_id;
+  }
+  if (first != nullptr) {
+    (*out)[0] = first;
   }
   return true;
 }

@@ -10,10 +10,14 @@
 // per tree edge, one leaf per sink. A point-to-point VC is the one-leaf
 // tree, so open, graft, prune, renegotiation and teardown have one shape.
 //
-// Admission-plane fast path: each source switch keeps one shortest-path
-// tree (a depth and the edge that reached it per switch), built lazily by a
-// full BFS on the first resolve from that source and invalidated by a
-// topology epoch; a route is read in one walk back from the destination. The
+// Admission-plane fast path: each source switch with more than one
+// neighbour keeps one shortest-path tree (a depth and the edge that reached
+// it per switch), built lazily by a full BFS on the first resolve from that
+// source and invalidated by a topology epoch; a route is read in one walk
+// back from the destination. A switch with exactly one neighbour (such as
+// a workstation's local switch) keeps no tree: a BFS from it reaches that
+// neighbour first and then visits every other switch in the neighbour's own
+// order, so its path is that edge plus the neighbour's tree path. The
 // reservation ledger is a flat vector indexed by dense link id, and one hash
 // table holds every open VC's state as flat vectors. An endpoint's switch,
 // port and links are read from the endpoint itself. Congestion fan-out scans
@@ -21,7 +25,8 @@
 // state. The BFS expands neighbours in deterministic switch-id (insertion)
 // order, so equal-length paths tie-break identically across runs, and a full
 // BFS assigns the same parents as one stopped at the destination — a tree
-// path is exactly the per-pair BFS path.
+// path is exactly the per-pair BFS path. VCIs come from each input port's
+// and each sink's lowest-free VciAllocator (src/atm/vci_allocator.h).
 #ifndef PEGASUS_SRC_ATM_NETWORK_H_
 #define PEGASUS_SRC_ATM_NETWORK_H_
 
@@ -262,9 +267,11 @@ class Network {
   // The route tree rooted at switch `root_id`, rebuilt by a full BFS when it
   // was built under another topology epoch.
   const RouteTree& TreeFrom(int root_id) const;
-  // Reads the path from `from` to `to` out of from's route tree into `out`,
-  // one edge per hop. False, with `out` unspecified, when either switch is
-  // null or not this network's, or `to` is unreachable.
+  // Reads the path from `from` to `to` into `out`, one edge per hop: out of
+  // from's route tree, or, when `from` has exactly one neighbour, that edge
+  // and then the neighbour's tree path. `from` == `to` is the empty path and
+  // reads no tree. False, with `out` unspecified, when either switch is null
+  // or not this network's, or `to` is unreachable.
   bool ReadPath(const Switch* from, const Switch* to, SwitchPath* out) const;
   // Registers a freshly created link: assigns its dense id and grows the
   // flat ledgers.
@@ -306,8 +313,8 @@ class Network {
   // Adjacency indexed by switch id; each row sorted by neighbour id so BFS
   // expansion order is the insertion order of switches, not heap addresses.
   std::vector<std::vector<Edge>> adjacency_;
-  // Route trees indexed by root switch id; only switches that source a
-  // resolve ever get one built.
+  // Route trees indexed by root switch id, built only for the roots
+  // ReadPath reads: a one-neighbour source reads its neighbour's.
   mutable std::vector<RouteTree> route_trees_;
   // Bumped by every topology mutation; a route tree built under another
   // epoch is rebuilt before it is read.

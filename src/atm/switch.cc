@@ -11,7 +11,7 @@ Switch::Switch(sim::Simulator* sim, std::string name, int num_ports, sim::Durati
       fabric_delay_(fabric_delay),
       outputs_(static_cast<size_t>(num_ports), nullptr),
       routes_(static_cast<size_t>(num_ports)),
-      vci_hints_(static_cast<size_t>(num_ports), kVciFirstData) {
+      vcis_(static_cast<size_t>(num_ports)) {
   inputs_.reserve(static_cast<size_t>(num_ports));
   for (int p = 0; p < num_ports; ++p) {
     inputs_.push_back(std::make_unique<InputPort>(this, p));
@@ -35,10 +35,7 @@ bool Switch::AddRoute(int in_port, Vci in_vci, int out_port, Vci out_vci) {
     return false;
   }
   entry.primary = RouteTarget{out_port, out_vci};
-  Vci& hint = vci_hints_[static_cast<size_t>(in_port)];
-  if (in_vci == hint) {
-    ++hint;
-  }
+  vcis_[static_cast<size_t>(in_port)].Hold(in_vci);
   return true;
 }
 
@@ -48,10 +45,7 @@ bool Switch::RemoveRoute(int in_port, Vci in_vci) {
     return false;
   }
   table[in_vci] = RouteEntry{};
-  Vci& hint = vci_hints_[static_cast<size_t>(in_port)];
-  if (in_vci >= kVciFirstData && in_vci < hint) {
-    hint = in_vci;
-  }
+  vcis_[static_cast<size_t>(in_port)].Release(in_vci);
   return true;
 }
 
@@ -81,8 +75,8 @@ bool Switch::RemoveRouteTarget(int in_port, Vci in_vci, int out_port) {
   RouteEntry& entry = table[in_vci];
   if (entry.primary.out_port == out_port) {
     if (entry.extra.empty()) {
-      // Last branch: the whole entry retires (and only now may the
-      // allocation hint drop back to this VCI).
+      // Last branch: the whole entry retires, and only now is its VCI
+      // free again.
       return RemoveRoute(in_port, in_vci);
     }
     // The next-oldest branch becomes primary, preserving graft order — the
@@ -107,20 +101,6 @@ int Switch::RouteTargetCount(int in_port, Vci in_vci) const {
 
 bool Switch::HasRoute(int in_port, Vci in_vci) const {
   return Lookup(in_port, in_vci) != nullptr;
-}
-
-Vci Switch::AllocateVci(int in_port) const {
-  Vci& hint = vci_hints_[static_cast<size_t>(in_port)];
-  Vci vci = hint < kVciFirstData ? kVciFirstData : hint;
-  while (HasRoute(in_port, vci)) {
-    ++vci;
-  }
-  // Everything in [old hint, vci) was occupied; remember that so churny
-  // allocate/release cycles never re-probe the same run. The found VCI is
-  // NOT marked used here — AddRoute advances past it when the caller
-  // commits, so repeated AllocateVci without AddRoute stays idempotent.
-  hint = vci;
-  return vci;
 }
 
 void Switch::EnterFabric(Link* out, size_t count) {

@@ -21,6 +21,7 @@
 
 #include "src/atm/cell.h"
 #include "src/atm/link.h"
+#include "src/atm/vci_allocator.h"
 #include "src/sim/event_queue.h"
 
 namespace pegasus::atm {
@@ -72,10 +73,14 @@ class Switch {
   // Number of output branches of an entry (0 = no entry, 1 = unicast).
   int RouteTargetCount(int in_port, Vci in_vci) const;
 
-  // Finds a VCI unused on the given *input* port, starting at kVciFirstData.
-  // A per-port next-free hint makes allocate/add/remove churn amortised
-  // O(1) instead of a linear probe over every live route.
-  Vci AllocateVci(int in_port) const;
+  // The lowest VCI at or above kVciFirstData with no entry on the given
+  // *input* port, read from the port's VciAllocator (one word of its bitmap).
+  // It stays free until AddRoute takes it, so asking again first returns the
+  // same VCI. Pruning one branch of a multicast entry keeps its VCI held;
+  // only an entry's removal frees it.
+  Vci AllocateVci(int in_port) const {
+    return vcis_[static_cast<size_t>(in_port)].LowestFree();
+  }
 
   uint64_t cells_switched() const { return cells_switched_; }
   uint64_t cells_unroutable() const { return cells_unroutable_; }
@@ -154,12 +159,9 @@ class Switch {
   std::vector<FabricRun> fabric_runs_;
   size_t cell_head_ = 0;
   size_t run_head_ = 0;
-  // Per-input-port allocation hints: every VCI below the hint (and at or
-  // above kVciFirstData) is known occupied. Advanced by AllocateVci/AddRoute,
-  // lowered only when an entry becomes fully empty — pruning one branch of a
-  // multicast entry must not hand the VCI out again while other branches
-  // still route through it.
-  mutable std::vector<Vci> vci_hints_;
+  // Per-input-port data VCIs that have an entry: held by AddRoute, released
+  // by RemoveRoute (directly or as the last branch's prune).
+  std::vector<VciAllocator> vcis_;
   uint64_t cells_switched_ = 0;
   uint64_t cells_unroutable_ = 0;
 };

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "src/atm/aal5.h"
@@ -12,6 +15,7 @@
 #include "src/atm/transport.h"
 #include "src/atm/wire.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/random.h"
 
 namespace pegasus::atm {
 namespace {
@@ -490,6 +494,178 @@ TEST(SwitchTest, PrunedBranchDoesNotFreeVciStillRoutingElsewhere) {
   EXPECT_TRUE(sw.RemoveRouteTarget(0, v, 3));
   EXPECT_FALSE(sw.HasRoute(0, v));
   EXPECT_EQ(sw.AllocateVci(0), v);
+}
+
+// The reference the VCI allocators must agree with: the lowest data VCI
+// not in `held`.
+Vci LowestFreeIn(const std::set<Vci>& held) {
+  Vci vci = kVciFirstData;
+  for (auto it = held.lower_bound(vci); it != held.end() && *it == vci; ++it) {
+    ++vci;
+  }
+  return vci;
+}
+
+template <typename T>
+T PickFrom(const std::set<T>& values, sim::Rng& rng) {
+  auto it = values.begin();
+  std::advance(it, rng.UniformInt(0, static_cast<int64_t>(values.size()) - 1));
+  return *it;
+}
+
+// A switch input port's and an endpoint's VCI allocation, checked against
+// a std::set of held VCIs under seeded churn: every allocation is the
+// lowest free data VCI. Covered along the way: the 64th and 65th data VCI
+// (a word boundary of the bitmap), explicit entries below kVciFirstData
+// and far above the live range, releases of VCIs that are not held, and
+// multicast entries whose VCI stays held until their last branch goes.
+TEST(VciAllocationTest, SwitchAndEndpointMatchLowestFreeReferenceUnderChurn) {
+  sim::Simulator sim;
+  Switch sw(&sim, "sw", 4);
+  Endpoint ep(&sim, "ep");
+  std::set<Vci> sw_held;                 // data VCIs with an entry on port 0
+  std::map<Vci, std::set<int>> branches;  // each entry's output ports
+  std::set<Vci> ep_held;
+  auto open_on_switch = [&]() {
+    const Vci v = sw.AllocateVci(0);
+    EXPECT_EQ(v, LowestFreeIn(sw_held));
+    EXPECT_EQ(sw.AllocateVci(0), v);  // idempotent until AddRoute
+    EXPECT_TRUE(sw.AddRoute(0, v, 1, v));
+    sw_held.insert(v);
+    branches[v] = {1};
+    return v;
+  };
+  auto open_on_endpoint = [&]() {
+    const Vci v = ep.AllocateIncomingVci();
+    EXPECT_EQ(v, LowestFreeIn(ep_held));
+    ep_held.insert(v);
+    return v;
+  };
+
+  // The first 130 data VCIs fill two words and start a third.
+  for (Vci i = 0; i < 130; ++i) {
+    EXPECT_EQ(open_on_switch(), kVciFirstData + i);
+    EXPECT_EQ(open_on_endpoint(), kVciFirstData + i);
+  }
+  // Free the 64th and 65th data VCI, one on each side of the boundary: the
+  // lower comes back first, then the upper, then allocation resumes at 130.
+  for (Vci v : {kVciFirstData + 64, kVciFirstData + 63}) {
+    EXPECT_TRUE(sw.RemoveRoute(0, v));
+    sw_held.erase(v);
+    branches.erase(v);
+    ep.ReleaseIncomingVci(v);
+    ep_held.erase(v);
+  }
+  for (Vci v : {kVciFirstData + 63, kVciFirstData + 64, kVciFirstData + 130}) {
+    EXPECT_EQ(open_on_switch(), v);
+    EXPECT_EQ(open_on_endpoint(), v);
+  }
+
+  // Explicit entries below kVciFirstData and far above the live range: they
+  // route, are never handed out, and leave the lowest free VCI where it was.
+  constexpr Vci kFar = 4000;
+  const Vci next = LowestFreeIn(sw_held);
+  EXPECT_TRUE(sw.AddRoute(0, 5, 1, 5));
+  EXPECT_TRUE(sw.AddRoute(0, kFar, 1, kFar));
+  EXPECT_TRUE(sw.HasRoute(0, 5));
+  EXPECT_TRUE(sw.HasRoute(0, kFar));
+  sw_held.insert(kFar);
+  EXPECT_EQ(sw.AllocateVci(0), next);
+
+  // Releasing what is not held changes nothing.
+  EXPECT_FALSE(sw.RemoveRoute(0, 7));
+  EXPECT_FALSE(sw.RemoveRoute(0, 3999));
+  EXPECT_FALSE(sw.RemoveRouteTarget(0, 3999, 1));
+  EXPECT_EQ(sw.AllocateVci(0), next);
+  const Vci ep_next = LowestFreeIn(ep_held);
+  for (Vci v : {Vci{5}, Vci{3999}, Vci{100'000}}) {
+    ep.ReleaseIncomingVci(v);
+  }
+  EXPECT_EQ(open_on_endpoint(), ep_next);
+
+  // The churn leaves the two explicit entries alone.
+  auto pick_churned = [&](sim::Rng& r) {
+    Vci v;
+    do {
+      v = PickFrom(sw_held, r);
+    } while (v == kFar);
+    return v;
+  };
+
+  // Seeded churn on both. Each step opens, closes, grafts or prunes on the
+  // switch, and allocates or releases (held or not) on the endpoint; the
+  // live counts hover at a few hundred, so the lowest free VCI keeps
+  // crossing word boundaries.
+  sim::Rng rng(16);
+  for (int step = 0; step < 20'000; ++step) {
+    SCOPED_TRACE(step);
+    const int64_t op = rng.UniformInt(0, 9);
+    if (sw_held.size() < 3 || rng.UniformInt(0, 399) >= static_cast<int64_t>(sw_held.size())) {
+      open_on_switch();
+    } else if (op < 5) {
+      const Vci v = pick_churned(rng);
+      ASSERT_TRUE(sw.RemoveRoute(0, v));
+      sw_held.erase(v);
+      branches.erase(v);
+    } else if (op < 7) {
+      // Graft a branch to a port the entry does not use yet.
+      const Vci v = pick_churned(rng);
+      std::set<int>& ports = branches[v];
+      if (ports.size() < 3) {
+        int port = 1;
+        while (ports.count(port) != 0) {
+          ++port;
+        }
+        ASSERT_TRUE(sw.AddRouteTarget(0, v, port, v));
+        ports.insert(port);
+      }
+    } else if (op < 9) {
+      // Prune one branch; the VCI is freed only with the last.
+      const Vci v = pick_churned(rng);
+      std::set<int>& ports = branches[v];
+      const int port = PickFrom(ports, rng);
+      ASSERT_TRUE(sw.RemoveRouteTarget(0, v, port));
+      ports.erase(port);
+      EXPECT_EQ(sw.HasRoute(0, v), !ports.empty());
+      EXPECT_EQ(sw.RouteTargetCount(0, v), static_cast<int>(ports.size()));
+      if (ports.empty()) {
+        sw_held.erase(v);
+        branches.erase(v);
+      }
+    } else {
+      // A VCI with no entry: removing it fails and frees nothing.
+      Vci v = kVciFirstData + static_cast<Vci>(rng.UniformInt(0, 500));
+      while (sw_held.count(v) != 0) {
+        ++v;
+      }
+      ASSERT_FALSE(sw.RemoveRoute(0, v));
+    }
+    ASSERT_EQ(sw.AllocateVci(0), LowestFreeIn(sw_held));
+
+    if (ep_held.empty() || rng.UniformInt(0, 399) >= static_cast<int64_t>(ep_held.size())) {
+      open_on_endpoint();
+    } else {
+      const Vci v = op < 8 ? PickFrom(ep_held, rng)
+                           : kVciFirstData + static_cast<Vci>(rng.UniformInt(0, 500));
+      ep.ReleaseIncomingVci(v);
+      ep_held.erase(v);
+    }
+    const Vci want = LowestFreeIn(ep_held);
+    ASSERT_EQ(open_on_endpoint(), want);
+    ep.ReleaseIncomingVci(want);
+    ep_held.erase(want);
+  }
+
+  // The explicit entries outlived the churn, and removing them frees only
+  // what was held.
+  EXPECT_TRUE(sw.HasRoute(0, 5));
+  EXPECT_TRUE(sw.RemoveRoute(0, 5));
+  EXPECT_EQ(sw.AllocateVci(0), LowestFreeIn(sw_held));
+  EXPECT_TRUE(sw.RemoveRoute(0, kFar));
+  sw_held.erase(kFar);
+  EXPECT_EQ(sw.AllocateVci(0), LowestFreeIn(sw_held));
+  // The other ports never saw an entry.
+  EXPECT_EQ(sw.AllocateVci(1), kVciFirstData);
 }
 
 // A unicast run gathered across VCIs must stop at a multicast entry: the

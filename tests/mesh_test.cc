@@ -570,6 +570,86 @@ TEST(RouteTreeEquivalence, SeededPairsOfMetroMidMatchPairBfs) {
   }
 }
 
+// A switch with exactly one neighbour reads its routes from that
+// neighbour's tree. Every ordered endpoint pair below matches the pair BFS:
+// a two-switch island in both directions, one-neighbour switches to their
+// own neighbour and to each other across an equal-cost diamond, a loopback
+// on a one-neighbour switch (the same endpoint and a second one there), and
+// destinations the neighbour cannot reach (nullopt, counted as no_path).
+TEST(RouteTreeEquivalence, OneNeighbourSwitchesMatchPairBfs) {
+  sim::Simulator sim;
+  atm::Network net(&sim);
+  // leaf1 and leaf2 hang off hub; hub reaches sink over up or down, an
+  // equal-cost diamond in which down has the lower id though up is wired
+  // first; tail hangs off sink. pair_a and pair_b are wired only to each
+  // other.
+  atm::Switch* leaf1 = net.AddSwitch("leaf1", 8);
+  atm::Switch* pair_a = net.AddSwitch("pair_a", 8);
+  atm::Switch* down = net.AddSwitch("down", 8);
+  atm::Switch* hub = net.AddSwitch("hub", 8);
+  atm::Switch* tail = net.AddSwitch("tail", 8);
+  atm::Switch* sink = net.AddSwitch("sink", 8);
+  atm::Switch* up = net.AddSwitch("up", 8);
+  atm::Switch* pair_b = net.AddSwitch("pair_b", 8);
+  atm::Switch* leaf2 = net.AddSwitch("leaf2", 8);
+  net.ConnectSwitches(hub, 0, leaf1, 0, 155'000'000);
+  net.ConnectSwitches(hub, 1, up, 0, 155'000'000);
+  net.ConnectSwitches(hub, 2, down, 0, 155'000'000);
+  net.ConnectSwitches(up, 1, sink, 0, 155'000'000);
+  net.ConnectSwitches(down, 1, sink, 1, 155'000'000);
+  net.ConnectSwitches(sink, 2, tail, 0, 155'000'000);
+  net.ConnectSwitches(leaf2, 0, hub, 3, 155'000'000);
+  net.ConnectSwitches(pair_a, 0, pair_b, 0, 155'000'000);
+  const std::vector<atm::Switch*> switches{leaf1, pair_a, down, hub,   tail,
+                                           sink,  up,     pair_b, leaf2};
+  std::map<const atm::Switch*, atm::Endpoint*> ep;
+  std::vector<atm::Endpoint*> endpoints;
+  for (atm::Switch* sw : switches) {
+    ep[sw] = net.AddEndpoint(sw->name() + "-ep", sw, 4, 155'000'000);
+    endpoints.push_back(ep[sw]);
+  }
+  atm::Endpoint* leaf1_other = net.AddEndpoint("leaf1-other", leaf1, 5, 155'000'000);
+  endpoints.push_back(leaf1_other);
+
+  const PairBfsOracle oracle(switches);
+  for (atm::Endpoint* src : endpoints) {
+    for (atm::Endpoint* dst : endpoints) {
+      ASSERT_TRUE(TreeMatchesOracle(net, oracle, src, dst));
+    }
+  }
+  // What the oracle agreed with, spelled out: the switch-to-switch links.
+  auto hops = [&net](const atm::Endpoint* src, const atm::Endpoint* dst) {
+    std::vector<std::string> names;
+    const auto route = net.ResolveRoute(src, dst);
+    if (!route.has_value()) {
+      names.push_back("none");
+    } else {
+      for (size_t i = 1; i + 1 < route->links.size(); ++i) {
+        names.push_back(route->links[i]->name());
+      }
+    }
+    return names;
+  };
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(hops(ep[pair_a], ep[pair_b]), (Names{"pair_a->pair_b"}));
+  EXPECT_EQ(hops(ep[pair_b], ep[pair_a]), (Names{"pair_b->pair_a"}));
+  EXPECT_EQ(hops(ep[leaf1], ep[hub]), (Names{"leaf1->hub"}));
+  EXPECT_EQ(hops(ep[tail], ep[sink]), (Names{"tail->sink"}));
+  EXPECT_EQ(hops(ep[leaf1], ep[leaf1]), Names{});
+  EXPECT_EQ(hops(ep[leaf1], leaf1_other), Names{});
+  EXPECT_EQ(hops(ep[leaf1], ep[leaf2]), (Names{"leaf1->hub", "hub->leaf2"}));
+  EXPECT_EQ(hops(ep[leaf1], ep[tail]),
+            (Names{"leaf1->hub", "hub->down", "down->sink", "sink->tail"}));
+  EXPECT_EQ(hops(ep[tail], ep[leaf2]),
+            (Names{"tail->sink", "sink->down", "down->hub", "hub->leaf2"}));
+  EXPECT_EQ(hops(ep[leaf1], ep[pair_a]), (Names{"none"}));
+  EXPECT_EQ(hops(ep[pair_b], ep[tail]), (Names{"none"}));
+  // Each pair switch's endpoint is cut off from the eight others, in both
+  // directions: 2 x 2 x 8 refused opens.
+  EXPECT_EQ(net.admission_rejections_no_path(), 32);
+  EXPECT_EQ(net.open_vc_count(), 0);
+}
+
 // --- rejection-cause accounting: no-path and unattached-endpoint failures
 // count (split from bandwidth), instead of silently returning nullopt ---
 TEST(RejectionAccounting, NoPathAndUnattachedFailuresAreCounted) {
