@@ -297,11 +297,15 @@ void BM_NameResolution(benchmark::State& state) {
 }
 BENCHMARK(BM_NameResolution)->Arg(1)->Arg(4)->Arg(16);
 
+// A boundary delivery that does nothing: the ring benches measure the
+// window, hand-off and merge machinery, not a receiver.
+void IgnoreDelivery(void*, sim::TimeNs) {}
+
 // The conservative-window machinery of the region-sharded engine: K shards
 // in a boundary ring (5 us lookahead), each carrying a steady 1 MHz local
-// event load that occasionally crosses to its neighbour. Measures sharded
-// event throughput as the shard count grows: the window/merge overhead
-// curve.
+// event load that occasionally posts a delivery to its neighbour. Measures
+// sharded event throughput as the shard count grows: the window/merge
+// overhead curve.
 void BM_ShardRingWindows(benchmark::State& state) {
   const int kShards = static_cast<int>(state.range(0));
   sim::Simulator control;
@@ -310,7 +314,7 @@ void BM_ShardRingWindows(benchmark::State& state) {
   if (kShards > 1) {
     for (int i = 0; i < kShards; ++i) {
       ring.push_back(group.RegisterBoundary(group.shard(i), group.shard((i + 1) % kShards),
-                                            sim::Microseconds(5)));
+                                            sim::Microseconds(5), &IgnoreDelivery, nullptr));
     }
   }
   uint64_t events = 0;
@@ -322,7 +326,7 @@ void BM_ShardRingWindows(benchmark::State& state) {
     void Fire() {
       ++*events;
       if (out != nullptr && (++n & 7) == 0) {
-        out->Post(s->now() + sim::Microseconds(5), []() {});
+        out->Post(s->now() + sim::Microseconds(5));
       }
       s->ScheduleAfter(sim::Microseconds(1), [this]() { Fire(); });
     }
@@ -361,7 +365,7 @@ void BM_ShardRingWindowsAsym(benchmark::State& state) {
     const sim::DurationNs lookahead =
         i == kShards - 1 ? sim::Microseconds(1) : sim::Microseconds(5);
     ring.push_back(group.RegisterBoundary(group.shard(i), group.shard((i + 1) % kShards),
-                                          lookahead));
+                                          lookahead, &IgnoreDelivery, nullptr));
   }
   uint64_t events = 0;
   struct Node {
@@ -373,7 +377,7 @@ void BM_ShardRingWindowsAsym(benchmark::State& state) {
     void Fire() {
       ++*events;
       if ((++n & 7) == 0) {
-        out->Post(s->now() + lookahead, []() {});
+        out->Post(s->now() + lookahead);
       }
       s->ScheduleAfter(sim::Microseconds(1), [this]() { Fire(); });
     }

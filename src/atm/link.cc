@@ -1,7 +1,6 @@
 #include "src/atm/link.h"
 
 #include <algorithm>
-#include <type_traits>
 
 namespace pegasus::atm {
 
@@ -13,6 +12,12 @@ Link::Link(sim::Simulator* sim, std::string name, int64_t bits_per_second,
       prop_delay_(propagation_delay),
       cell_time_(sim::TransmissionTime(kCellSize, bits_per_second)),
       queue_limit_(queue_limit) {}
+
+void Link::SetBoundary(sim::ShardGroup* group, sim::Simulator* sink_sim) {
+  boundary_ = group->RegisterBoundary(
+      sim_, sink_sim, prop_delay_,
+      [](void* link, sim::TimeNs at) { static_cast<Link*>(link)->Arrive(at); }, this);
+}
 
 size_t Link::QueuedAt(sim::TimeNs now) const {
   if (tx_free_at_ <= now) {
@@ -80,13 +85,6 @@ void Link::ArmDelivery() {
   sim_->ScheduleAt(done_[target], [this]() { DeliverReady(); });
 }
 
-void Link::DeliverBoundaryTrain(void* ctx, const void* data, size_t size) {
-  static_assert(std::is_trivially_copyable<Cell>::value,
-                "boundary trains cross the shard mailbox as raw bytes");
-  static_cast<CellSink*>(ctx)->DeliverBurst(static_cast<const Cell*>(data),
-                                            size / sizeof(Cell));
-}
-
 void Link::DeliverReady() {
   delivery_pending_ = false;
   const sim::TimeNs now = sim_->now();
@@ -95,21 +93,19 @@ void Link::DeliverReady() {
     ++end;
   }
   if (end > cut_) {
-    if (boundary_ == nullptr && sink_ != nullptr) {
+    if (sink_ != nullptr) {
       // The cut is made at serialisation completion; the wire adds pure
       // delay. The train stays in cells_ until Arrive hands it over.
-      sim_->ScheduleAt(now + prop_delay_, [this]() { Arrive(); });
+      const sim::TimeNs at = now + prop_delay_;
+      if (boundary_ != nullptr) {
+        boundary_->Post(at);
+      } else {
+        sim_->ScheduleAt(at, [this, at]() { Arrive(at); });
+      }
       cut_ = end;
     } else {
-      // Ship the train to the sink's shard, due one propagation delay out —
-      // exactly when the local path would have delivered it. The cells are
-      // memcpy'd into the channel's window batch (one mailbox hand-off per
-      // channel per window), not captured per-train. Such a link, like one
-      // without a sink, keeps no train on the wire: its cut cells are done.
-      if (boundary_ != nullptr) {
-        boundary_->PostSpan(now + prop_delay_, &cells_[cut_], (end - cut_) * sizeof(Cell),
-                            &Link::DeliverBoundaryTrain, sink_);
-      }
+      // A link without a sink keeps no train on the wire: its cut cells are
+      // done.
       head_ = cut_ = end;
       CompactDelivered();
     }
@@ -121,10 +117,10 @@ void Link::DeliverReady() {
   }
 }
 
-void Link::Arrive() {
+void Link::Arrive(sim::TimeNs at) {
   // The oldest train on the wire was cut one propagation delay ago, and it
   // took exactly the cells that had completed by then.
-  const sim::TimeNs cut_at = sim_->now() - prop_delay_;
+  const sim::TimeNs cut_at = at - prop_delay_;
   size_t end = head_;
   while (end < cut_ && done_[end] <= cut_at) {
     ++end;
@@ -132,8 +128,9 @@ void Link::Arrive() {
   // The sink reads the train in place, and the prefix is compacted only
   // once it returns. Nothing appends to this link meanwhile: a sink never
   // sends on the link that feeds it (a switch forwards through its fabric
-  // event, an endpoint on its own uplink). sink_ is read at arrival;
-  // Network sets it only while wiring.
+  // event, an endpoint on its own uplink), and no other shard runs while
+  // a boundary link's sink does. sink_ is read at arrival; Network sets it
+  // only while wiring.
   sink_->DeliverBurst(&cells_[head_], end - head_);
   head_ = end;
   CompactDelivered();

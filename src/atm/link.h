@@ -27,6 +27,12 @@
 // sent during the propagation window. Admission (per-cell tail-drop), the
 // split drop counters, cells_sent, busy_time and the queue-occupancy view
 // are bit-identical to the per-cell path.
+//
+// A cut train stays in the link's buffer until it arrives, and the sink
+// reads it there; no cell is copied on the way. A shard boundary link
+// (src/sim/shard.h) differs only in who schedules the arrival: it posts the
+// arrival time to its boundary channel, and the arrival then runs on the
+// sink's shard.
 #ifndef PEGASUS_SRC_ATM_LINK_H_
 #define PEGASUS_SRC_ATM_LINK_H_
 
@@ -67,12 +73,13 @@ class Link {
   sim::Simulator* simulator() const { return sim_; }
 
   // Marks this link as a shard boundary (src/sim/shard.h): the sink lives
-  // on another shard's simulator. Trains are cut at serialisation
-  // completion either way; a boundary link ships each train through
-  // `channel` timestamped `now + propagation_delay` instead of scheduling a
-  // local delivery event — identical delivery instants and grouping, with
-  // the propagation delay serving as the conservative lookahead window.
-  void SetBoundary(sim::BoundaryChannel* channel) { boundary_ = channel; }
+  // on `sink_sim`, another shard of `group`. Trains are cut at
+  // serialisation completion either way; a boundary link posts each
+  // arrival time, `now + propagation_delay`, to its channel instead of
+  // scheduling a local arrival event — identical delivery instants and
+  // grouping, with the propagation delay serving as the conservative
+  // lookahead window.
+  void SetBoundary(sim::ShardGroup* group, sim::Simulator* sink_sim);
   bool is_boundary() const { return boundary_ != nullptr; }
 
   // Enqueues a cell for transmission. Returns false (and counts a drop) if
@@ -142,17 +149,14 @@ class Link {
   // The cut event: groups the cells serialised by now into a train and
   // starts it down the wire.
   void DeliverReady();
-  // The arrival event: hands the oldest in-flight train to the sink.
-  void Arrive();
+  // The arrival at `at`: hands the oldest in-flight train to the sink. A
+  // boundary link's arrival runs on the sink's shard.
+  void Arrive(sim::TimeNs at);
   // Drops the prefix of cells_/done_ that has reached the sink.
   void CompactDelivered();
 
   sim::Simulator* sim_;
   std::string name_;
-  // Destination-shard entry point for a boundary train shipped through
-  // BoundaryChannel::PostSpan: `ctx` is the CellSink, `data` the cell span
-  // copied into the channel's batch arena.
-  static void DeliverBoundaryTrain(void* ctx, const void* data, size_t size);
 
   int id_ = -1;
   int64_t bps_;

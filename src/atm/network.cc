@@ -23,7 +23,7 @@ void Network::MaybeMakeBoundary(Link* link, sim::Simulator* src, sim::Simulator*
   // Two sides on different simulators only happens under sharded
   // construction; anything else is a wiring bug.
   assert(shard_group_ != nullptr);
-  link->SetBoundary(shard_group_->RegisterBoundary(src, dst, link->propagation_delay()));
+  link->SetBoundary(shard_group_, dst);
 }
 
 Switch* Network::AddSwitch(const std::string& name, int num_ports, sim::DurationNs fabric_delay) {

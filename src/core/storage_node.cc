@@ -21,10 +21,7 @@ StorageNode::StorageNode(atm::Network* network, atm::Switch* sw, int port, pfs::
 pfs::FileId StorageNode::SeedContinuousFile(int records, int record_bytes,
                                             sim::DurationNs cadence) {
   const pfs::FileId file = server_.CreateFile(pfs::FileType::kContinuous);
-  // Build the whole title in one buffer and issue a single write: the file
-  // server snapshots each block's base content when a write is *issued*, so
-  // many same-instant writes straddling shared blocks would clobber each
-  // other when their commits run.
+  // Build the whole title in one buffer and issue a single write.
   std::vector<uint8_t> all;
   all.reserve(static_cast<size_t>(records) * static_cast<size_t>(kRecordHeader + record_bytes));
   int64_t offset = 0;

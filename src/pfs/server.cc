@@ -71,7 +71,7 @@ void PegasusFileServer::Write(FileId file, int64_t offset, std::vector<uint8_t> 
 
   struct BlockWrite {
     int64_t block = 0;
-    std::vector<uint8_t> base;  // block content before this write
+    std::vector<uint8_t> base;  // block content when this write was issued
     bool needs_read = false;
   };
   auto writes = std::make_shared<std::vector<BlockWrite>>();
@@ -105,7 +105,13 @@ void PegasusFileServer::Write(FileId file, int64_t offset, std::vector<uint8_t> 
       return;
     }
     for (BlockWrite& bw : *writes) {
-      // Overlay the newly written range onto the base content.
+      // Overlay the newly written range onto the block as it is buffered
+      // now, if it is: a write committed since this one was issued (in the
+      // same event, say) may have changed it. Otherwise the issue-time base
+      // (or the read-modify-write disk copy) stands.
+      if (const OpenBlock* open = FindOpenBlock(file, bw.block)) {
+        bw.base = open->data;
+      }
       const int64_t b_start = bw.block * bs;
       const int64_t cover_start = std::max(offset, b_start);
       const int64_t cover_end = std::min(end, b_start + bs);

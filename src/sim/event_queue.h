@@ -52,8 +52,9 @@ class Simulator {
   // A default-aligned closure of at most this many bytes is built, run and
   // destroyed inside its event slot; a bigger one goes through one heap
   // allocation. The data plane's closures capture only their link or
-  // switch; the PFS and disk closures take 32 to 128 bytes. A 32-byte
-  // bound read no resolved gain on the metro fleet, so the bound stays.
+  // switch and at most a time; the PFS and disk closures take 32 to 128
+  // bytes. A 32-byte bound read no resolved gain on the metro fleet, so
+  // the bound stays.
   static constexpr size_t kInlineSize = 96;
 
   Simulator() = default;

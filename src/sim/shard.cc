@@ -13,13 +13,13 @@ TimeNs SaturatingAdd(TimeNs t, DurationNs d) {
 
 }  // namespace
 
-BoundaryChannel::Batch& BoundaryChannel::Staging() {
-  if (!staging_) {
-    staging_ = std::make_unique<Batch>();
-    staging_->channel = id_;
-    group_->dirty_.push_back(this);
+void BoundaryChannel::Post(TimeNs deliver_at) {
+  assert(deliver_at >= src_sim_->now() + lookahead_);
+  if (staging_.empty()) {
+    group_->staged_[static_cast<size_t>(dst_)].push_back(this);
   }
-  return *staging_;
+  staging_min_ = std::min(staging_min_, deliver_at);
+  staging_.push_back(Record{deliver_at, next_order_++, id_});
 }
 
 ShardGroup::ShardGroup(Simulator* control, Options options) : control_(control) {
@@ -47,14 +47,14 @@ int ShardGroup::shard_index(const Simulator* s) const {
 }
 
 BoundaryChannel* ShardGroup::RegisterBoundary(Simulator* src, Simulator* dst,
-                                              DurationNs lookahead) {
+                                              DurationNs lookahead,
+                                              BoundaryChannel::DeliverFn deliver, void* ctx) {
   const int src_idx = shard_index(src);
   const int dst_idx = shard_index(dst);
   assert(src_idx >= 0 && dst_idx >= 0 && src_idx != dst_idx);
   assert(lookahead > 0);  // zero lookahead would stall the window loop
   channels_.push_back(std::unique_ptr<BoundaryChannel>(new BoundaryChannel(
-      this, src, dst_idx, static_cast<uint32_t>(channels_.size()), lookahead)));
-  min_lookahead_ = std::min(min_lookahead_, lookahead);
+      this, src, dst_idx, static_cast<uint32_t>(channels_.size()), lookahead, deliver, ctx)));
   // The destination's window bound only needs the tightest lookahead per
   // source shard, not one entry per parallel link.
   auto& bounds = inbound_[static_cast<size_t>(dst_idx)];
@@ -76,8 +76,8 @@ TimeNs ShardGroup::SnapshotNextEvents() {
   TimeNs n = kTimeNever;
   for (size_t i = 0; i < shards_.size(); ++i) {
     // An unreleased boundary record IS a future event of its destination —
-    // whether it already crossed the mailbox (pending) or still sits in a
-    // source channel's staging batch (staged) — and must hold the window
+    // whether it was already handed over (pending) or still sits in a
+    // source channel's staging vector (staged) — and must hold the window
     // loop open and bound other shards' horizons exactly as a scheduled
     // event would. The staged minimum is recomputed here because a staged
     // channel keeps accumulating between snapshots.
@@ -129,9 +129,9 @@ void ShardGroup::PlanWindow(TimeNs limit, bool inclusive) {
     }
     // Everything bound for this shard below its horizon has already been
     // posted (the sources could not emit it later without violating their
-    // lookahead), so the release is complete per delivery instant: pull the
-    // staged batches the horizon now needs across the mailbox, then
-    // schedule every covered record.
+    // lookahead), so the release is complete per delivery instant: take over
+    // the staged posts the horizon now needs, then schedule every covered
+    // record.
     if (staged_min_[i] < horizon) {
       CollectStaged(i, horizon);
       merged = true;
@@ -178,24 +178,14 @@ void ShardGroup::RunWindow() {
   }
 }
 
-void ShardGroup::StageOutboxes() {
-  // O(channels newly dirtied): a channel lands on its destination's staged
-  // list the first time it posts into a fresh batch and stays there — batch
-  // still accumulating — until CollectStaged pulls it across. A pass with
-  // zero new boundary traffic falls straight through.
-  for (BoundaryChannel* c : dirty_) {
-    staged_[static_cast<size_t>(c->dst_)].push_back(c);
-  }
-  dirty_.clear();
-}
-
 void ShardGroup::CollectStaged(size_t d, TimeNs bound) {
-  // The swap itself: each covered channel's whole staging batch is moved —
-  // one pointer swap — out of the channel, and its records indexed into the
-  // destination's pending queue. Channels whose earliest record the horizon
-  // does not reach keep accumulating: that deferral is what lets one
-  // hand-off carry several windows' worth of trains.
+  // The hand-off itself: each covered channel's staged posts are appended
+  // to the destination's pending queue and its staging vector is emptied
+  // for reuse. Channels whose earliest post the horizon does not reach keep
+  // accumulating: that deferral is what lets one hand-off carry several
+  // windows' worth of posts.
   auto& list = staged_[d];
+  PendingQueue& q = pending_[d];
   TimeNs remaining_min = kTimeNever;
   size_t kept = 0;
   for (BoundaryChannel* c : list) {
@@ -204,20 +194,10 @@ void ShardGroup::CollectStaged(size_t d, TimeNs bound) {
       list[kept++] = c;
       continue;
     }
-    std::shared_ptr<BoundaryChannel::Batch> batch(c->staging_.release());
+    q.min_deliver = std::min(q.min_deliver, c->staging_min_);
+    q.items.insert(q.items.end(), c->staging_.begin(), c->staging_.end());
+    c->staging_.clear();
     c->staging_min_ = kTimeNever;
-    PendingQueue& q = pending_[d];
-    const uint32_t channel = c->id_;
-    for (uint32_t k = 0; k < batch->spans.size(); ++k) {
-      const BoundaryChannel::SpanRecord& r = batch->spans[k];
-      q.min_deliver = std::min(q.min_deliver, r.deliver_at);
-      q.items.push_back(PendingRecord{r.deliver_at, r.order, channel, k, true, batch});
-    }
-    for (uint32_t k = 0; k < batch->posts.size(); ++k) {
-      const BoundaryChannel::PostRecord& r = batch->posts[k];
-      q.min_deliver = std::min(q.min_deliver, r.deliver_at);
-      q.items.push_back(PendingRecord{r.deliver_at, r.order, channel, k, false, batch});
-    }
     ++stats_.handoffs;
   }
   list.resize(kept);
@@ -235,7 +215,7 @@ void ShardGroup::ReleasePending(size_t d, TimeNs bound) {
     // partitioning and of the order channels were staged in. (The key is
     // unique: emission order is monotone per channel.)
     std::sort(q.items.begin() + static_cast<ptrdiff_t>(q.head), q.items.end(),
-              [](const PendingRecord& a, const PendingRecord& b) {
+              [](const BoundaryChannel::Record& a, const BoundaryChannel::Record& b) {
                 if (a.deliver_at != b.deliver_at) {
                   return a.deliver_at < b.deliver_at;
                 }
@@ -248,19 +228,9 @@ void ShardGroup::ReleasePending(size_t d, TimeNs bound) {
   }
   Simulator* shard = shards_[d].get();
   while (q.head < q.items.size() && q.items[q.head].deliver_at < bound) {
-    PendingRecord& item = q.items[q.head];
-    if (item.is_span) {
-      // The delivery event shares ownership of the batch: payload bytes
-      // stay in the arena until the last delivery from it has run.
-      shard->ScheduleAt(item.deliver_at,
-                        [batch = std::move(item.batch), idx = item.index]() {
-                          const BoundaryChannel::SpanRecord& r = batch->spans[idx];
-                          r.fn(r.ctx, batch->arena.data() + r.offset, r.size);
-                        });
-    } else {
-      shard->ScheduleAt(item.deliver_at, std::move(item.batch->posts[item.index].fn));
-      item.batch.reset();
-    }
+    const BoundaryChannel::Record& item = q.items[q.head];
+    const BoundaryChannel* c = channels_[item.channel].get();
+    shard->ScheduleAt(item.deliver_at, [c, at = item.deliver_at]() { c->deliver_(c->ctx_, at); });
     ++q.head;
     ++stats_.messages;
   }
@@ -278,10 +248,6 @@ void ShardGroup::ReleasePending(size_t d, TimeNs bound) {
 
 void ShardGroup::AdvanceShards(TimeNs limit, bool inclusive) {
   for (;;) {
-    // Stage first so the snapshot sees everything posted since the last
-    // pass — the previous window's trains, and posts made outside any
-    // window (control-batch code driving a boundary link directly).
-    StageOutboxes();
     const TimeNs n = SnapshotNextEvents();
     if (n > limit || (!inclusive && n == limit)) {
       break;

@@ -136,6 +136,25 @@ TEST_F(ServerFixture, UnalignedWritesAndReads) {
   EXPECT_EQ(got[610], Pattern(1000, 1)[600]);
 }
 
+// Two writes into one block issued in the same event: each commit overlays
+// onto the block as buffered when it commits, so the second keeps the
+// first's bytes instead of restoring the block as it was at issue.
+TEST_F(ServerFixture, SameEventWritesIntoOneBlockBothSurvive) {
+  FileId f = server_.CreateFile(FileType::kNormal);
+  int acked = 0;
+  server_.Write(f, 0, std::vector<uint8_t>(100, 0xAA), [&](bool ok) { acked += ok ? 1 : 0; });
+  server_.Write(f, 100, std::vector<uint8_t>(100, 0xBB), [&](bool ok) { acked += ok ? 1 : 0; });
+  sim_.Run();
+  EXPECT_EQ(acked, 2);
+  EXPECT_EQ(server_.blocks_accepted(), 2);
+  EXPECT_EQ(server_.blocks_died_in_buffer(), 1);
+  auto [ok, got] = ReadSync(f, 0, 200);
+  EXPECT_TRUE(ok);
+  std::vector<uint8_t> expected(100, 0xAA);
+  expected.insert(expected.end(), 100, 0xBB);
+  EXPECT_EQ(got, expected);
+}
+
 TEST_F(ServerFixture, HolesReadAsZeros) {
   FileId f = server_.CreateFile(FileType::kNormal);
   EXPECT_TRUE(WriteSync(f, 100 * 8192, Pattern(8192, 2)));

@@ -44,12 +44,23 @@ TEST(ShardGroupTest, WindowsInterleaveShardAndControlEventsInTimeOrder) {
   sim::ShardGroup group(&control, {/*shards=*/2});
   sim::Simulator* a = group.shard(0);
   sim::Simulator* b = group.shard(1);
-  sim::BoundaryChannel* ab = group.RegisterBoundary(a, b, /*lookahead=*/10);
-
   std::vector<std::pair<int, sim::TimeNs>> log;
+  struct Sink {
+    std::vector<std::pair<int, sim::TimeNs>>* log;
+    sim::Simulator* b;
+  } sink{&log, b};
+  sim::BoundaryChannel* ab = group.RegisterBoundary(
+      a, b, /*lookahead=*/10,
+      [](void* ctx, sim::TimeNs at) {
+        auto* s = static_cast<Sink*>(ctx);
+        EXPECT_EQ(at, s->b->now());
+        s->log->emplace_back(2, s->b->now());
+      },
+      &sink);
+
   a->ScheduleAt(5, [&]() {
     log.emplace_back(0, a->now());
-    ab->Post(a->now() + 10, [&]() { log.emplace_back(2, b->now()); });
+    ab->Post(a->now() + 10);
   });
   b->ScheduleAt(12, [&]() { log.emplace_back(1, b->now()); });
   control.ScheduleAt(20, [&]() { log.emplace_back(3, control.now()); });
@@ -67,6 +78,64 @@ TEST(ShardGroupTest, WindowsInterleaveShardAndControlEventsInTimeOrder) {
   EXPECT_GE(group.stats().windows, 1u);
   EXPECT_EQ(group.stats().sync_points, 1u);
   EXPECT_EQ(group.stats().messages, 1u);
+}
+
+// Two channels into one shard, both carrying posts due at the same
+// instants. The source that posts first is the later-registered channel's,
+// and each channel posts out of time order, so only the merge can put the
+// deliveries in (delivery time, channel registration, emission) order.
+TEST(ShardGroupTest, SameInstantDeliveriesMergeInTimeRegistrationEmissionOrder) {
+  sim::Simulator control;
+  sim::ShardGroup group(&control, {/*shards=*/3});
+  // b runs before a within a window (shards run in index order).
+  sim::Simulator* b = group.shard(0);
+  sim::Simulator* a = group.shard(1);
+  sim::Simulator* c = group.shard(2);
+
+  struct Delivery {
+    char channel;
+    sim::TimeNs at;
+    sim::TimeNs now;
+  };
+  std::vector<Delivery> log;
+  struct Sink {
+    char channel;
+    sim::Simulator* c;
+    std::vector<Delivery>* log;
+    static void Deliver(void* ctx, sim::TimeNs at) {
+      auto* s = static_cast<Sink*>(ctx);
+      s->log->push_back(Delivery{s->channel, at, s->c->now()});
+    }
+  };
+  Sink sink_a{'a', c, &log};
+  Sink sink_b{'b', c, &log};
+  sim::BoundaryChannel* ac =
+      group.RegisterBoundary(a, c, /*lookahead=*/10, &Sink::Deliver, &sink_a);
+  sim::BoundaryChannel* bc =
+      group.RegisterBoundary(b, c, /*lookahead=*/10, &Sink::Deliver, &sink_b);
+
+  b->ScheduleAt(1, [&]() {
+    bc->Post(20);
+    bc->Post(30);
+    bc->Post(20);
+  });
+  a->ScheduleAt(2, [&]() {
+    ac->Post(30);
+    ac->Post(20);
+    ac->Post(20);
+  });
+  group.RunUntil(40);
+
+  const std::vector<std::pair<char, sim::TimeNs>> expected = {
+      {'a', 20}, {'a', 20}, {'b', 20}, {'b', 20}, {'a', 30}, {'b', 30}};
+  ASSERT_EQ(log.size(), expected.size());
+  for (size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].channel, expected[i].first) << "delivery " << i;
+    EXPECT_EQ(log[i].at, expected[i].second) << "delivery " << i;
+    EXPECT_EQ(log[i].at, log[i].now) << "delivery " << i;
+  }
+  EXPECT_EQ(group.stats().messages, expected.size());
+  EXPECT_EQ(group.stats().handoffs, 2u);
 }
 
 TEST(ShardGroupTest, EventsAtRunUntilLimitExecute) {
@@ -304,7 +373,10 @@ TEST(ShardGroupTest, ZeroBoundaryTrafficWindowsSkipMergePass) {
   sim::ShardGroup group(&control, {/*shards=*/2});
   sim::Simulator* a = group.shard(0);
   sim::Simulator* b = group.shard(1);
-  sim::BoundaryChannel* ab = group.RegisterBoundary(a, b, /*lookahead=*/100);
+  int delivered = 0;
+  sim::BoundaryChannel* ab = group.RegisterBoundary(
+      a, b, /*lookahead=*/100, [](void* ctx, sim::TimeNs) { ++*static_cast<int*>(ctx); },
+      &delivered);
 
   struct Ticker {
     sim::Simulator* s;
@@ -328,10 +400,7 @@ TEST(ShardGroupTest, ZeroBoundaryTrafficWindowsSkipMergePass) {
 
   // Positive control: one post makes exactly one hand-off and one merged
   // window.
-  int delivered = 0;
-  a->ScheduleAt(10'050, [&]() {
-    ab->Post(a->now() + 100, [&]() { ++delivered; });
-  });
+  a->ScheduleAt(10'050, [&]() { ab->Post(a->now() + 100); });
   group.RunUntil(20'000);
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(group.stats().handoffs, 1u);
@@ -371,10 +440,11 @@ TEST(ShardGroupTest, PerChannelLookaheadWidensWindows) {
   sim::ShardGroup group(&control, {/*shards=*/4});
   sim::Simulator* a = group.shard(0);
   sim::Simulator* b = group.shard(1);
-  group.RegisterBoundary(a, b, sim::Microseconds(5));
-  group.RegisterBoundary(b, a, sim::Microseconds(5));
+  const sim::BoundaryChannel::DeliverFn ignore = [](void*, sim::TimeNs) {};
+  group.RegisterBoundary(a, b, sim::Microseconds(5), ignore, nullptr);
+  group.RegisterBoundary(b, a, sim::Microseconds(5), ignore, nullptr);
   // The distant fast pair: registered, never used, never scheduled.
-  group.RegisterBoundary(group.shard(2), group.shard(3), /*lookahead=*/1);
+  group.RegisterBoundary(group.shard(2), group.shard(3), /*lookahead=*/1, ignore, nullptr);
 
   struct Ticker {
     sim::Simulator* s;
