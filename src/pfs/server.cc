@@ -58,106 +58,104 @@ PegasusFileServer::OpenBlock* PegasusFileServer::FindOpenBlock(FileId file, int6
   return nullptr;
 }
 
+const PegasusFileServer::OpenBlock* PegasusFileServer::FindUnsynced(FileId file, int64_t block) {
+  if (const OpenBlock* open = FindOpenBlock(file, block)) {
+    return open;
+  }
+  for (auto flush = in_flight_.rbegin(); flush != in_flight_.rend(); ++flush) {
+    for (const OpenBlock& b : flush->blocks) {
+      if (b.file == file && b.block == block) {
+        return flush->on_disk ? nullptr : &b;
+      }
+    }
+  }
+  return nullptr;
+}
+
 void PegasusFileServer::Write(FileId file, int64_t offset, std::vector<uint8_t> data,
                               WriteCallback callback) {
-  Pnode* node = meta_.Find(file);
-  if (crashed_ || node == nullptr || data.empty() || offset < 0) {
+  if (crashed_ || meta_.Find(file) == nullptr || data.empty() || offset < 0) {
     sim_->ScheduleAfter(0, [callback = std::move(callback)]() { callback(false); });
     return;
   }
-  const FileType type = node->type;
+  writes_.push_back(PendingWrite{file, offset, std::move(data), std::move(callback), epoch_});
+  sim_->ScheduleAfter(0, [this, w = &writes_.back()]() {
+    w->due = true;
+    CommitWrites();
+  });
+}
+
+void PegasusFileServer::CommitWrites() {
   const int64_t bs = config_.block_size;
-  const int64_t end = offset + static_cast<int64_t>(data.size());
-
-  struct BlockWrite {
-    int64_t block = 0;
-    std::vector<uint8_t> base;  // block content when this write was issued
-    bool needs_read = false;
-  };
-  auto writes = std::make_shared<std::vector<BlockWrite>>();
-  for (int64_t block = offset / bs; block * bs < end; ++block) {
-    BlockWrite bw;
-    bw.block = block;
-    OpenBlock* open = FindOpenBlock(file, block);
-    if (open != nullptr) {
-      bw.base = open->data;
-    } else {
-      bw.base.assign(static_cast<size_t>(bs), 0);
+  while (!writes_.empty() && writes_.front().due && writes_.front().reads_pending == 0) {
+    Pnode* node = meta_.Find(writes_.front().file);
+    const bool accepted = writes_.front().epoch == epoch_ && !crashed_ && node != nullptr;
+    if (accepted && ReadForModify(writes_.front(), *node)) {
+      return;  // no later write commits before this one
+    }
+    PendingWrite w = std::move(writes_.front());
+    writes_.pop_front();
+    if (!accepted) {
+      w.callback(false);
+      continue;
+    }
+    const int64_t end = w.offset + static_cast<int64_t>(w.data.size());
+    for (int64_t block = w.offset / bs; block * bs < end; ++block) {
+      // A block covered in part starts from its newest bytes: the unsynced
+      // copy, else the disk copy read for it, else zeros.
       const int64_t b_start = block * bs;
-      const bool full_cover = offset <= b_start && end >= b_start + bs;
-      if (!full_cover && node->blocks.count(block) > 0) {
-        bw.needs_read = true;  // read-modify-write against the disk copy
+      const int64_t lo = std::max(w.offset, b_start);
+      const int64_t hi = std::min(end, b_start + bs);
+      std::vector<uint8_t> bytes;
+      if (hi - lo < bs) {
+        if (const OpenBlock* unsynced = FindUnsynced(w.file, block)) {
+          bytes = unsynced->data;
+        } else if (auto read = w.disk_copies.find(block); read != w.disk_copies.end()) {
+          bytes = std::move(read->second);
+        }
       }
+      bytes.resize(static_cast<size_t>(bs), 0);
+      std::memcpy(bytes.data() + (lo - b_start), w.data.data() + (lo - w.offset),
+                  static_cast<size_t>(hi - lo));
+      BufferBlock(node->type, w.file, block, std::move(bytes));
     }
-    writes->push_back(std::move(bw));
-  }
-
-  const uint64_t epoch = epoch_;
-  auto commit = [this, epoch, file, type, offset, end, bs, writes,
-                 data = std::move(data), callback = std::move(callback)]() {
-    if (epoch != epoch_ || crashed_) {
-      callback(false);
-      return;
-    }
-    Pnode* n = meta_.Find(file);
-    if (n == nullptr) {
-      callback(false);
-      return;
-    }
-    for (BlockWrite& bw : *writes) {
-      // Overlay the newly written range onto the block as it is buffered
-      // now, if it is: a write committed since this one was issued (in the
-      // same event, say) may have changed it. Otherwise the issue-time base
-      // (or the read-modify-write disk copy) stands.
-      if (const OpenBlock* open = FindOpenBlock(file, bw.block)) {
-        bw.base = open->data;
-      }
-      const int64_t b_start = bw.block * bs;
-      const int64_t cover_start = std::max(offset, b_start);
-      const int64_t cover_end = std::min(end, b_start + bs);
-      std::memcpy(bw.base.data() + (cover_start - b_start), data.data() + (cover_start - offset),
-                  static_cast<size_t>(cover_end - cover_start));
-      BufferBlock(type, file, bw.block, std::move(bw.base));
-    }
-    n->size = std::max(n->size, end);
-    callback(true);
+    node->size = std::max(node->size, end);
+    const FileType type = node->type;  // the callback may delete the file
+    w.callback(true);
     if (config_.write_back_delay == 0) {
       FlushOpen(type, []() {});
     }
-  };
+  }
+}
 
-  auto pending = std::make_shared<int>(0);
-  for (const BlockWrite& bw : *writes) {
-    if (bw.needs_read) {
-      ++*pending;
-    }
-  }
-  if (*pending == 0) {
-    sim_->ScheduleAfter(0, commit);
-    return;
-  }
-  for (size_t i = 0; i < writes->size(); ++i) {
-    if (!(*writes)[i].needs_read) {
+bool PegasusFileServer::ReadForModify(PendingWrite& w, const Pnode& node) {
+  const int64_t bs = config_.block_size;
+  const int64_t end = w.offset + static_cast<int64_t>(w.data.size());
+  for (int64_t block = w.offset / bs; block * bs < end; ++block) {
+    const bool covered = w.offset <= block * bs && end >= (block + 1) * bs;
+    auto loc = node.blocks.find(block);
+    if (covered || loc == node.blocks.end() || w.disk_copies.count(block) > 0 ||
+        FindUnsynced(w.file, block) != nullptr) {
       continue;
     }
-    const BlockLocation loc = node->blocks[(*writes)[i].block];
-    store_->ReadRange(loc.segment, loc.offset, loc.length, type == FileType::kContinuous,
-                      [writes, i, pending, commit](bool ok, std::vector<uint8_t> old) {
+    w.disk_copies[block];  // requested; stays empty if the read fails
+    ++w.reads_pending;
+    store_->ReadRange(loc->second.segment, loc->second.offset, loc->second.length,
+                      node.type == FileType::kContinuous,
+                      [this, w = &w, block](bool ok, std::vector<uint8_t> bytes) {
                         if (ok) {
-                          BlockWrite& target = (*writes)[i];
-                          std::memcpy(target.base.data(), old.data(),
-                                      std::min(old.size(), target.base.size()));
+                          w->disk_copies[block] = std::move(bytes);
                         }
-                        if (--*pending == 0) {
-                          commit();
+                        if (--w->reads_pending == 0) {
+                          CommitWrites();
                         }
                       });
   }
+  return w.reads_pending > 0;
 }
 
 void PegasusFileServer::BufferBlock(FileType type, FileId file, int64_t block,
                                     std::vector<uint8_t> data) {
-  data.resize(static_cast<size_t>(config_.block_size), 0);
   ++blocks_accepted_;
   OpenBlock* existing = FindOpenBlock(file, block);
   if (existing != nullptr) {
@@ -270,45 +268,36 @@ void PegasusFileServer::WriteSegmentOf(FileType type, std::vector<OpenBlock> blo
   }
   std::vector<uint8_t> payload;
   payload.reserve(static_cast<size_t>(config_.segment_size));
-  struct Placed {
-    FileId file;
-    int64_t block;
-    int64_t offset;
-  };
-  std::vector<Placed> placed;
-  for (OpenBlock& b : blocks) {
-    placed.push_back({b.file, b.block, static_cast<int64_t>(payload.size())});
+  for (const OpenBlock& b : blocks) {
     payload.insert(payload.end(), b.data.begin(), b.data.end());
   }
+  const auto flush = in_flight_.insert(in_flight_.end(), Flush{std::move(blocks)});
 
   const uint64_t epoch = epoch_;
-  ++pending_flushes_;
-  auto release = [this, epoch]() {
-    if (epoch == epoch_ && pending_flushes_ > 0) {
-      --pending_flushes_;
-      MaybeFinishSync();
-    }
-  };
-  store_->WriteSegment(seg, std::move(payload), [this, epoch, seg, placed, release,
+  store_->WriteSegment(seg, std::move(payload), [this, epoch, seg, flush,
                                                  done = std::move(done)](bool ok) {
     if (epoch != epoch_ || crashed_) {
-      done();
+      done();  // Crash() dropped the entry
       return;
     }
     if (!ok) {
       // A failed segment write (multi-disk failure) leaves old data intact.
       meta_.FreeSegment(seg);
-      release();
+      in_flight_.erase(flush);
+      MaybeFinishSync();
       done();
       return;
     }
     ++segments_written_;
+    flush->on_disk = true;
     SegmentInfo& info = meta_.segment(seg);
-    for (const Placed& p : placed) {
+    for (size_t i = 0; i < flush->blocks.size(); ++i) {
+      const OpenBlock& p = flush->blocks[i];
+      const int64_t offset = static_cast<int64_t>(i) * config_.block_size;
       Pnode* node = meta_.Find(p.file);
       if (node == nullptr) {
         // Deleted while the flush was in flight: immediately garbage.
-        meta_.AppendGarbage(GarbageEntry{seg, p.offset, config_.block_size});
+        meta_.AppendGarbage(GarbageEntry{seg, offset, config_.block_size});
         continue;
       }
       auto old = node->blocks.find(p.block);
@@ -317,20 +306,24 @@ void PegasusFileServer::WriteSegmentOf(FileType type, std::vector<OpenBlock> blo
                                          old->second.length});
         meta_.segment(old->second.segment).live_bytes -= old->second.length;
       }
-      node->blocks[p.block] = BlockLocation{seg, p.offset, config_.block_size};
+      node->blocks[p.block] = BlockLocation{seg, offset, config_.block_size};
       info.live_bytes += config_.block_size;
-      info.summary.push_back(SummaryEntry{p.file, p.block, p.offset, config_.block_size});
+      info.summary.push_back(SummaryEntry{p.file, p.block, offset, config_.block_size});
       ++blocks_flushed_;
     }
     // Data is durable once both the segment and the checkpoint that
     // references it are on disk; only then do clients learn about it.
-    WriteCheckpoint([this, placed, release]() {
+    WriteCheckpoint([this, epoch, flush]() {
+      if (epoch != epoch_) {
+        return;  // a crash cleared the entry; recovery reads an older image
+      }
       if (durable_cb_) {
-        for (const Placed& p : placed) {
+        for (const OpenBlock& p : flush->blocks) {
           durable_cb_(p.file, p.block * config_.block_size, config_.block_size);
         }
       }
-      release();
+      in_flight_.erase(flush);
+      MaybeFinishSync();
     });
     done();
   });
@@ -378,7 +371,7 @@ void PegasusFileServer::StartCheckpoint() {
 }
 
 void PegasusFileServer::MaybeFinishSync() {
-  if (pending_flushes_ > 0 || buffered_bytes() > 0) {
+  if (!in_flight_.empty() || buffered_bytes() > 0) {
     return;
   }
   std::vector<std::function<void()>> waiters;
@@ -423,10 +416,9 @@ void PegasusFileServer::DoRead(FileId file, int64_t offset, int64_t len, bool re
     const int64_t b_start = block * bs;
     const int64_t copy_start = std::max(offset, b_start);
     const int64_t copy_end = std::min(end, b_start + bs);
-    OpenBlock* open = FindOpenBlock(file, block);
-    if (open != nullptr) {
+    if (const OpenBlock* unsynced = FindUnsynced(file, block)) {
       std::memcpy(gather->out.data() + (copy_start - offset),
-                  open->data.data() + (copy_start - b_start),
+                  unsynced->data.data() + (copy_start - b_start),
                   static_cast<size_t>(copy_end - copy_start));
       continue;
     }
@@ -564,219 +556,189 @@ std::optional<int64_t> PegasusFileServer::LookupIndex(FileId file, int64_t media
 
 // --- cleaning ---
 
+struct PegasusFileServer::CleanRun {
+  sim::TimeNs started_at = 0;
+  CleanCallback callback;
+  uint64_t epoch = 0;
+  std::vector<int64_t> victims = {};
+  size_t next = 0;
+  size_t marker = 0;  // the garbage file's marker at the start
+  CleanStats stats = {};
+};
+
 void PegasusFileServer::Clean(CleanCallback callback) {
-  const sim::TimeNs started = sim_->now();
-  CleanStats stats;
+  auto run = std::make_shared<CleanRun>(CleanRun{sim_->now(), std::move(callback), epoch_});
   // Read the garbage file up to the marker; sort its entries by segment.
-  const size_t marker = meta_.MarkGarbage();
+  run->marker = meta_.MarkGarbage();
   std::set<int64_t> victim_set;
   size_t i = 0;
   for (const GarbageEntry& g : meta_.garbage()) {
-    if (i++ >= marker) {
+    if (i++ >= run->marker) {
       break;
     }
-    ++stats.entries_processed;
+    ++run->stats.entries_processed;
     victim_set.insert(g.segment);
   }
-  stats.segments_examined = static_cast<int64_t>(victim_set.size());
-  std::vector<int64_t> victims(victim_set.begin(), victim_set.end());
-  CleanSegments(std::move(victims), marker, stats, started, std::move(callback));
+  run->stats.segments_examined = static_cast<int64_t>(victim_set.size());
+  run->victims.assign(victim_set.begin(), victim_set.end());
+  sim_->ScheduleAfter(0, [this, run]() { CleanNext(run); });
 }
 
 void PegasusFileServer::CleanFullScan(CleanCallback callback) {
-  const sim::TimeNs started = sim_->now();
-  CleanStats stats;
+  auto run = std::make_shared<CleanRun>(CleanRun{sim_->now(), std::move(callback), epoch_});
   // Sprite-style: examine EVERY segment's summary to decide cleanability.
-  std::vector<int64_t> victims;
   for (int64_t s = 0; s < meta_.num_segments(); ++s) {
-    ++stats.segments_examined;
+    ++run->stats.segments_examined;
     const SegmentInfo& info = meta_.segment(s);
     if (info.state != SegmentInfo::State::kLive) {
       continue;
     }
     int64_t occupied = 0;
     for (const SummaryEntry& e : info.summary) {
-      (void)e;
       occupied += e.length;
     }
     if (info.live_bytes < occupied) {
-      victims.push_back(s);
+      run->victims.push_back(s);
     }
   }
   // The full scan subsumes the garbage file: consume it all.
-  const size_t marker = meta_.MarkGarbage();
-  CleanSegments(std::move(victims), marker, stats, started, std::move(callback));
+  run->marker = meta_.MarkGarbage();
+  sim_->ScheduleAfter(0, [this, run]() { CleanNext(run); });
 }
 
-void PegasusFileServer::CleanSegments(std::vector<int64_t> victims, size_t garbage_marker,
-                                      CleanStats stats, sim::TimeNs started_at,
-                                      CleanCallback callback) {
-  // Relocation buffers, one per data class, flushed as they fill.
-  struct CleanState {
-    std::vector<int64_t> victims;
-    size_t next = 0;
-    CleanStats stats;
-    size_t marker;
-    sim::TimeNs started_at;
-    CleanCallback callback;
-  };
-  auto state = std::make_shared<CleanState>();
-  state->victims = std::move(victims);
-  state->stats = stats;
-  state->marker = garbage_marker;
-  state->started_at = started_at;
-  state->callback = std::move(callback);
-
-  const uint64_t epoch = epoch_;
-  // Processes victims one at a time (bounded memory, like the real cleaner).
-  auto step = std::make_shared<std::function<void()>>();
-  // The closure holds itself only weakly; the strong references live in the
-  // caller and the pending async continuations, so the chain frees itself
-  // after the last step (a strong self-capture would leak the closure).
-  *step = [this, state, epoch,
-           weak_step = std::weak_ptr<std::function<void()>>(step)]() {
-    auto step = weak_step.lock();
-    if (step == nullptr) {
-      return;
-    }
-    if (epoch != epoch_ || crashed_) {
-      state->callback(state->stats);
-      return;
-    }
-    if (state->next >= state->victims.size()) {
-      // Done: drop the processed prefix of the garbage file ("the portion of
-      // the garbage file before the marker is deleted") and checkpoint.
-      meta_.TruncateGarbage(state->marker);
-      WriteCheckpoint([state, this]() {
-        state->stats.wall_time = sim_->now() - state->started_at;
-        state->callback(state->stats);
-      });
-      return;
-    }
-    const int64_t seg = state->victims[state->next++];
-    SegmentInfo& info = meta_.segment(seg);
-    if (info.state != SegmentInfo::State::kLive) {
-      (*step)();
-      return;
-    }
-    if (info.live_bytes <= 0) {
-      // Entirely dead: free without reading a byte.
-      state->stats.bytes_reclaimed += config_.segment_size;
-      ++state->stats.segments_cleaned;
-      meta_.FreeSegment(seg);
-      (*step)();
-      return;
-    }
-    // Live data present: read the segment, relocate the live blocks.
-    store_->ReadSegment(seg, [this, state, seg, epoch, step](bool ok,
-                                                             std::vector<uint8_t> data) {
-      if (epoch != epoch_ || crashed_ || !ok) {
-        state->callback(state->stats);
-        return;
-      }
-      SegmentInfo& info2 = meta_.segment(seg);
-      std::vector<std::pair<SummaryEntry, std::vector<uint8_t>>> live;
-      for (const SummaryEntry& e : info2.summary) {
-        Pnode* node = meta_.Find(e.file);
-        if (node == nullptr) {
-          continue;
-        }
-        auto it = node->blocks.find(e.block);
-        if (it == node->blocks.end() || it->second.segment != seg ||
-            it->second.offset != e.offset) {
-          continue;  // superseded elsewhere
-        }
-        live.emplace_back(e, std::vector<uint8_t>(
-                                 data.begin() + e.offset,
-                                 data.begin() + e.offset + e.length));
-      }
-      state->stats.bytes_reclaimed +=
-          config_.segment_size - static_cast<int64_t>(live.size()) * config_.block_size;
-      ++state->stats.segments_cleaned;
-
-      if (live.empty()) {
-        meta_.FreeSegment(seg);
-        (*step)();
-        return;
-      }
-      // Pack live blocks into a fresh segment and write it before freeing
-      // the victim (crash safety).
-      const bool continuous = info2.continuous;
-      const int64_t new_seg = meta_.AllocateSegment(continuous);
-      if (new_seg < 0) {
-        state->callback(state->stats);  // out of space; abort the clean
-        return;
-      }
-      std::vector<uint8_t> payload;
-      std::vector<SummaryEntry> new_summary;
-      for (auto& [entry, bytes] : live) {
-        SummaryEntry moved = entry;
-        moved.offset = static_cast<int64_t>(payload.size());
-        new_summary.push_back(moved);
-        payload.insert(payload.end(), bytes.begin(), bytes.end());
-        state->stats.live_bytes_copied += entry.length;
-      }
-      store_->WriteSegment(new_seg, std::move(payload),
-                           [this, state, seg, new_seg, new_summary, epoch, step](bool ok2) {
-                             if (epoch != epoch_ || crashed_ || !ok2) {
-                               state->callback(state->stats);
-                               return;
-                             }
-                             SegmentInfo& dst = meta_.segment(new_seg);
-                             for (const SummaryEntry& e : new_summary) {
-                               Pnode* node = meta_.Find(e.file);
-                               if (node != nullptr) {
-                                 node->blocks[e.block] =
-                                     BlockLocation{new_seg, e.offset, e.length};
-                               }
-                               dst.live_bytes += e.length;
-                               dst.summary.push_back(e);
-                             }
-                             meta_.FreeSegment(seg);
-                             (*step)();
-                           });
+void PegasusFileServer::CleanNext(std::shared_ptr<CleanRun> run) {
+  if (run->epoch != epoch_ || crashed_) {
+    run->callback(run->stats);
+    return;
+  }
+  if (run->next >= run->victims.size()) {
+    // Done: drop the processed prefix of the garbage file ("the portion of
+    // the garbage file before the marker is deleted") and checkpoint.
+    meta_.TruncateGarbage(run->marker);
+    WriteCheckpoint([this, run]() {
+      run->stats.wall_time = sim_->now() - run->started_at;
+      run->callback(run->stats);
     });
-  };
-  sim_->ScheduleAfter(0, [step]() { (*step)(); });
+    return;
+  }
+  // Victims go one at a time (bounded memory, like the real cleaner).
+  const int64_t seg = run->victims[run->next++];
+  SegmentInfo& info = meta_.segment(seg);
+  if (info.state != SegmentInfo::State::kLive) {
+    CleanNext(run);
+    return;
+  }
+  if (info.live_bytes <= 0) {
+    // Entirely dead: free without reading a byte.
+    run->stats.bytes_reclaimed += config_.segment_size;
+    ++run->stats.segments_cleaned;
+    meta_.FreeSegment(seg);
+    CleanNext(run);
+    return;
+  }
+  // Live data present: read the segment, relocate the live blocks.
+  store_->ReadSegment(seg, [this, run, seg](bool ok, std::vector<uint8_t> data) {
+    if (run->epoch != epoch_ || crashed_ || !ok) {
+      run->callback(run->stats);
+      return;
+    }
+    SegmentInfo& victim = meta_.segment(seg);
+    std::vector<std::pair<SummaryEntry, std::vector<uint8_t>>> live;
+    for (const SummaryEntry& e : victim.summary) {
+      Pnode* node = meta_.Find(e.file);
+      if (node == nullptr) {
+        continue;
+      }
+      auto it = node->blocks.find(e.block);
+      if (it == node->blocks.end() || it->second.segment != seg ||
+          it->second.offset != e.offset) {
+        continue;  // superseded elsewhere
+      }
+      live.emplace_back(e, std::vector<uint8_t>(data.begin() + e.offset,
+                                                data.begin() + e.offset + e.length));
+    }
+    run->stats.bytes_reclaimed +=
+        config_.segment_size - static_cast<int64_t>(live.size()) * config_.block_size;
+    ++run->stats.segments_cleaned;
+
+    if (live.empty()) {
+      meta_.FreeSegment(seg);
+      CleanNext(run);
+      return;
+    }
+    // Pack live blocks into a fresh segment and write it before freeing
+    // the victim (crash safety).
+    const int64_t new_seg = meta_.AllocateSegment(victim.continuous);
+    if (new_seg < 0) {
+      run->callback(run->stats);  // out of space; abort the clean
+      return;
+    }
+    std::vector<uint8_t> payload;
+    std::vector<SummaryEntry> new_summary;
+    for (auto& [entry, bytes] : live) {
+      SummaryEntry moved = entry;
+      moved.offset = static_cast<int64_t>(payload.size());
+      new_summary.push_back(moved);
+      payload.insert(payload.end(), bytes.begin(), bytes.end());
+      run->stats.live_bytes_copied += entry.length;
+    }
+    store_->WriteSegment(new_seg, std::move(payload),
+                         [this, run, seg, new_seg, new_summary](bool ok2) {
+                           if (run->epoch != epoch_ || crashed_ || !ok2) {
+                             run->callback(run->stats);
+                             return;
+                           }
+                           SegmentInfo& dst = meta_.segment(new_seg);
+                           for (const SummaryEntry& e : new_summary) {
+                             Pnode* node = meta_.Find(e.file);
+                             if (node != nullptr) {
+                               node->blocks[e.block] = BlockLocation{new_seg, e.offset, e.length};
+                             }
+                             dst.live_bytes += e.length;
+                             dst.summary.push_back(e);
+                           }
+                           meta_.FreeSegment(seg);
+                           CleanNext(run);
+                         });
+  });
 }
+
+struct PegasusFileServer::RebuildRun {
+  int disk_index = 0;
+  std::function<void(bool, int64_t)> callback;
+  uint64_t epoch = 0;
+  std::vector<int64_t> victims = {};
+  size_t next = 0;
+  bool ok = true;
+};
 
 void PegasusFileServer::RebuildDisk(int disk_index,
                                     std::function<void(bool, int64_t)> callback) {
+  auto run = std::make_shared<RebuildRun>(RebuildRun{disk_index, std::move(callback), epoch_});
   // Only live segments hold data worth rebuilding; free ones are rewritten
   // in full when reallocated.
-  auto victims = std::make_shared<std::vector<int64_t>>();
   for (int64_t s = 0; s < meta_.num_segments(); ++s) {
     if (meta_.segment(s).state == SegmentInfo::State::kLive) {
-      victims->push_back(s);
+      run->victims.push_back(s);
     }
   }
-  auto state = std::make_shared<std::pair<size_t, bool>>(0, true);  // next index, ok
-  auto step = std::make_shared<std::function<void()>>();
-  const uint64_t epoch = epoch_;
-  // Weak self-capture, as in CleanSegments: the pending RebuildChunk
-  // continuations carry the strong references.
-  *step = [this, epoch, disk_index, victims, state,
-           weak_step = std::weak_ptr<std::function<void()>>(step),
-           callback = std::move(callback)]() {
-    auto step = weak_step.lock();
-    if (step == nullptr) {
-      return;
-    }
-    if (epoch != epoch_ || crashed_) {
-      callback(false, static_cast<int64_t>(state->first));
-      return;
-    }
-    if (state->first >= victims->size()) {
-      callback(state->second, static_cast<int64_t>(victims->size()));
-      return;
-    }
-    const int64_t seg = (*victims)[state->first++];
-    store_->RebuildChunk(disk_index, seg, [state, step](bool ok) {
-      state->second = state->second && ok;
-      (*step)();
-    });
-  };
-  sim_->ScheduleAfter(0, [step]() { (*step)(); });
+  sim_->ScheduleAfter(0, [this, run]() { RebuildNext(run); });
+}
+
+void PegasusFileServer::RebuildNext(std::shared_ptr<RebuildRun> run) {
+  if (run->epoch != epoch_ || crashed_) {
+    run->callback(false, static_cast<int64_t>(run->next));
+    return;
+  }
+  if (run->next >= run->victims.size()) {
+    run->callback(run->ok, static_cast<int64_t>(run->victims.size()));
+    return;
+  }
+  const int64_t seg = run->victims[run->next++];
+  store_->RebuildChunk(run->disk_index, seg, [this, run](bool ok) {
+    run->ok = run->ok && ok;
+    RebuildNext(run);
+  });
 }
 
 // --- failure injection ---
@@ -784,19 +746,15 @@ void PegasusFileServer::RebuildDisk(int disk_index,
 void PegasusFileServer::Crash() {
   crashed_ = true;
   ++epoch_;
-  open_normal_.blocks.clear();
-  open_normal_.bytes = 0;
-  if (open_normal_.flush_scheduled) {
-    sim_->Cancel(open_normal_.flush_timer);
-    open_normal_.flush_scheduled = false;
+  for (OpenSegment* open : {&open_normal_, &open_continuous_}) {
+    open->blocks.clear();
+    open->bytes = 0;
+    if (open->flush_scheduled) {
+      sim_->Cancel(open->flush_timer);
+      open->flush_scheduled = false;
+    }
   }
-  open_continuous_.blocks.clear();
-  open_continuous_.bytes = 0;
-  if (open_continuous_.flush_scheduled) {
-    sim_->Cancel(open_continuous_.flush_timer);
-    open_continuous_.flush_scheduled = false;
-  }
-  pending_flushes_ = 0;
+  in_flight_.clear();
   sync_waiters_.clear();
   checkpoint_in_flight_ = false;
   checkpoint_dirty_ = false;

@@ -7,7 +7,8 @@
 //   * buffered, delayed writes (data becomes durable when its segment goes
 //     to disk; the client agent's copy covers the window — §5's reliability
 //     argument, exploited for performance via Baker et al.'s observation
-//     that 70% of files die within 30 seconds);
+//     that 70% of files die within 30 seconds). Blocks stay readable from
+//     memory until their segment is on disk, and writes commit in issue order;
 //   * segregated normal / continuous-media segments;
 //   * the garbage-file cleaner with the concurrent-clean marker protocol,
 //     plus a Sprite-style full-scan cleaner as the ablation baseline;
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -149,6 +151,7 @@ class PegasusFileServer {
   int64_t FileSize(FileId file) const;
   // Buffers `data` at `offset`; `callback(true)` fires when the server has
   // the data in memory (the ack that unblocks the client application).
+  // Writes commit in issue order; one issued before a Crash() reports false.
   void Write(FileId file, int64_t offset, std::vector<uint8_t> data, WriteCallback callback);
   void Read(FileId file, int64_t offset, int64_t len, ReadCallback callback);
   // Deletes the file, turning its on-disk blocks into garbage.
@@ -232,7 +235,7 @@ class PegasusFileServer {
   const LogMetadata& metadata() const { return meta_; }
 
  private:
-  // One buffered (not yet durable) block in the write buffer.
+  // One unsynced block: buffered, or in a segment write still in flight.
   struct OpenBlock {
     FileId file;
     int64_t block;
@@ -249,13 +252,44 @@ class PegasusFileServer {
     bool flush_scheduled = false;
   };
 
+  // One write from its issue until its callback reports.
+  struct PendingWrite {
+    FileId file = -1;
+    int64_t offset = 0;
+    std::vector<uint8_t> data;
+    WriteCallback callback;
+    uint64_t epoch = 0;  // the epoch it was issued in
+    bool due = false;    // its commit event has run
+    int reads_pending = 0;
+    // Read-modify-write disk copies by block; left empty if the read failed.
+    std::map<int64_t, std::vector<uint8_t>> disk_copies = {};
+  };
+  // One segment write from its issue until a checkpoint covers it.
+  struct Flush {
+    std::vector<OpenBlock> blocks;
+    bool on_disk = false;  // written: reads go to the disk copy
+  };
+  // A clean or a disk rebuild in progress, held by its pending continuation.
+  struct CleanRun;
+  struct RebuildRun;
+
   OpenSegment& open_for(FileType type) {
     return type == FileType::kContinuous ? open_continuous_ : open_normal_;
   }
   // Finds a buffered copy of (file, block), or nullptr.
   OpenBlock* FindOpenBlock(FileId file, int64_t block);
-  // Appends to the write buffer; flushes the oldest blocks on memory
-  // pressure and arms the write-back timer.
+  // The newest unsynced copy of (file, block): the buffered one, else the
+  // latest in flight; nullptr when its newest bytes are on disk (or nowhere).
+  const OpenBlock* FindUnsynced(FileId file, int64_t block);
+  // Commits writes from the head of writes_, in issue order, until the head
+  // is not due yet or waits on its read-modify-write disk reads: no write
+  // commits before every write issued ahead of it has reported.
+  void CommitWrites();
+  // Issues the disk reads `w` still needs: one per block it covers in part
+  // whose newest bytes are on disk alone. Returns whether any are out.
+  bool ReadForModify(PendingWrite& w, const Pnode& node);
+  // Appends one whole block to the write buffer; flushes the oldest blocks
+  // on memory pressure and arms the write-back timer.
   void BufferBlock(FileType type, FileId file, int64_t block, std::vector<uint8_t> data);
   void ScheduleFlushTimer(FileType type);
   // Flushes blocks of `type`: all of them, or only those older than the
@@ -269,9 +303,10 @@ class PegasusFileServer {
   void StartCheckpoint();
   void MaybeFinishSync();
   void DoRead(FileId file, int64_t offset, int64_t len, bool realtime, ReadCallback callback);
-  // Core of both cleaners: relocate live data out of `victims`, free them.
-  void CleanSegments(std::vector<int64_t> victims, size_t garbage_marker, CleanStats stats,
-                     sim::TimeNs started_at, CleanCallback callback);
+  // Core of both cleaners: relocates the live data out of the run's next
+  // victim and frees it, then continues with the one after.
+  void CleanNext(std::shared_ptr<CleanRun> run);
+  void RebuildNext(std::shared_ptr<RebuildRun> run);
 
   sim::Simulator* sim_;
   PfsConfig config_;
@@ -279,6 +314,12 @@ class PegasusFileServer {
   LogMetadata meta_;
   OpenSegment open_normal_;
   OpenSegment open_continuous_;
+  // Writes not yet reported, in issue order. A deque: a record stays in
+  // place while its commit event and disk reads point at it.
+  std::deque<PendingWrite> writes_;
+  // The segment writes not yet covered by a checkpoint, in flush order;
+  // block i of an entry sits at offset i * block_size of its segment.
+  std::list<Flush> in_flight_;
   DurableCallback durable_cb_;
   // The checkpoint image as most recently written to disk; survives Crash().
   std::vector<uint8_t> durable_meta_image_;
@@ -289,7 +330,6 @@ class PegasusFileServer {
   StreamQualityRecorder stream_quality_;
   std::map<FileId, int64_t> stream_reservations_;
   std::map<FileId, PressureCallback> stream_pressure_callbacks_;
-  int pending_flushes_ = 0;
   std::vector<std::function<void()>> sync_waiters_;
   bool checkpoint_in_flight_ = false;
   bool checkpoint_dirty_ = false;

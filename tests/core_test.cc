@@ -203,6 +203,37 @@ TEST_F(SystemFixture, PlaybackFromIndexSkipsAhead) {
   EXPECT_GE(first[0], 5);
 }
 
+// A title whose segment write is still in flight plays from memory: Sync
+// starts the flush and the play-out begins in the same instant.
+TEST_F(SystemFixture, PlaybackDuringAFlushPlaysEveryRecord) {
+  Workstation* ws = system_.AddWorkstation("ws");
+  pfs::PfsConfig pfs_cfg;
+  pfs_cfg.segment_size = 64 << 10;
+  pfs_cfg.block_size = 8 << 10;
+  pfs_cfg.geometry.capacity_bytes = 64 << 20;
+  StorageNode* storage = system_.AddStorageServer(pfs_cfg);
+  const pfs::FileId file = storage->SeedContinuousFile(8, 3000, Milliseconds(40));
+  sim_.RunUntil(sim_.now() + Milliseconds(1));  // the seeding write commits
+  ASSERT_GT(storage->server()->FileSize(file), 0);
+
+  auto out_vc = system_.network().OpenVc(storage->endpoint(), ws->host());
+  ASSERT_TRUE(out_vc.has_value());
+  std::vector<std::vector<uint8_t>> received;
+  ws->host_transport()->SetHandler(
+      out_vc->destination_vci,
+      [&](atm::Vci, std::vector<uint8_t> msg, sim::TimeNs) { received.push_back(std::move(msg)); });
+  bool synced = false;
+  storage->server()->Sync([&]() { synced = true; });
+  ASSERT_TRUE(storage->StartPlayback(file, out_vc->source_vci));
+  sim_.RunUntil(sim_.now() + Seconds(1));
+  EXPECT_TRUE(synced);
+  EXPECT_EQ(storage->records_played(), 8);
+  ASSERT_EQ(received.size(), 8u);
+  for (size_t i = 0; i < received.size(); ++i) {
+    EXPECT_EQ(received[i], std::vector<uint8_t>(3000, static_cast<uint8_t>(i))) << "record " << i;
+  }
+}
+
 TEST_F(SystemFixture, UnixNodeServesRpcAndRemoteNames) {
   Workstation* ws = system_.AddWorkstation("ws");
   UnixNode* unix = system_.AddUnixNode("unix");

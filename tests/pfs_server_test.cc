@@ -9,6 +9,7 @@
 #include "src/pfs/client.h"
 #include "src/pfs/server.h"
 #include "src/sim/event_queue.h"
+#include "src/sim/random.h"
 
 namespace pegasus::pfs {
 namespace {
@@ -153,6 +154,167 @@ TEST_F(ServerFixture, SameEventWritesIntoOneBlockBothSurvive) {
   std::vector<uint8_t> expected(100, 0xAA);
   expected.insert(expected.end(), 100, 0xBB);
   EXPECT_EQ(got, expected);
+}
+
+// Sync moves the buffered blocks into a segment write; until that write
+// completes they are read from memory, not as the holes the disk still has.
+// Once it completes they are read from disk, even before the checkpoint
+// that names them is written.
+TEST_F(ServerFixture, BlocksStayReadableWhileTheirSegmentIsInFlight) {
+  FileId f = server_.CreateFile(FileType::kNormal);
+  const std::vector<uint8_t> data = Pattern(20000, 3);
+  EXPECT_TRUE(WriteSync(f, 0, data));
+  bool synced = false;
+  server_.Sync([&]() { synced = true; });
+  EXPECT_EQ(server_.buffered_bytes(), 0);
+  auto [ok, got] = ReadSync(f, 0, 20000);
+  EXPECT_EQ(server_.segments_written(), 0);  // served while the write was in flight
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(got, data);
+  sim_.RunUntilPredicate([&]() { return server_.segments_written() == 1; });
+  const sim::TimeNs asked = sim_.now();
+  auto [ok2, got2] = ReadSync(f, 0, 20000);
+  EXPECT_GT(sim_.now(), asked);  // a disk read
+  EXPECT_TRUE(ok2);
+  EXPECT_EQ(got2, data);
+  sim_.RunUntilPredicate([&]() { return synced; });
+}
+
+// A partial write onto a block whose segment write is in flight starts from
+// the in-flight bytes, not from zeros.
+TEST_F(ServerFixture, PartialWriteOntoAnInFlightBlockKeepsItsBytes) {
+  FileId f = server_.CreateFile(FileType::kNormal);
+  EXPECT_TRUE(WriteSync(f, 0, Pattern(8192, 1)));
+  bool synced = false;
+  server_.Sync([&]() { synced = true; });
+  EXPECT_TRUE(WriteSync(f, 0, std::vector<uint8_t>(100, 0xAA)));
+  EXPECT_FALSE(synced);
+  sim_.RunUntilPredicate([&]() { return synced; });
+  SyncAll();
+  std::vector<uint8_t> expected = Pattern(8192, 1);
+  std::fill(expected.begin(), expected.begin() + 100, 0xAA);
+  auto [ok, got] = ReadSync(f, 0, 8192);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(got, expected);
+}
+
+// A partial write onto a durable block waits on its read-modify-write disk
+// read; a full-block write issued after it in the same event commits after
+// it, so the block reads as the later write throughout.
+TEST_F(ServerFixture, WritesCommitInIssueOrderPastAReadModifyWrite) {
+  FileId f = server_.CreateFile(FileType::kNormal);
+  EXPECT_TRUE(WriteSync(f, 0, std::vector<uint8_t>(8192, 0x11)));
+  SyncAll();
+  std::vector<int> reported;
+  server_.Write(f, 0, std::vector<uint8_t>(100, 0xAA), [&](bool ok) {
+    EXPECT_TRUE(ok);
+    reported.push_back(0);
+  });
+  server_.Write(f, 0, std::vector<uint8_t>(8192, 0xBB), [&](bool ok) {
+    EXPECT_TRUE(ok);
+    reported.push_back(1);
+  });
+  sim_.Run();
+  EXPECT_EQ(reported, (std::vector<int>{0, 1}));
+  auto [ok, got] = ReadSync(f, 0, 8192);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(got, std::vector<uint8_t>(8192, 0xBB));
+}
+
+// Writes queued behind a read-modify-write when the server crashes each
+// report once, false, in issue order; the queue then serves new writes.
+TEST_F(ServerFixture, CrashBehindAReadModifyWriteReportsEveryWriteInOrder) {
+  FileId f = server_.CreateFile(FileType::kNormal);
+  EXPECT_TRUE(WriteSync(f, 0, Pattern(2 * 8192, 1)));
+  SyncAll();
+  std::vector<std::pair<int, bool>> reported;
+  for (int i = 0; i < 3; ++i) {
+    server_.Write(f, i % 2 * 8192 + 10 * i, std::vector<uint8_t>(100, 0xAA),
+                  [&, i](bool ok) { reported.emplace_back(i, ok); });
+  }
+  sim_.RunUntil(sim_.now() + sim::Microseconds(1));  // commit events run; disk reads do not
+  EXPECT_TRUE(reported.empty());
+  server_.Crash();
+  bool recovered = false;
+  server_.Recover([&](bool ok) { recovered = ok; });
+  sim_.Run();
+  EXPECT_TRUE(recovered);
+  EXPECT_EQ(reported, (std::vector<std::pair<int, bool>>{{0, false}, {1, false}, {2, false}}));
+  EXPECT_TRUE(WriteSync(f, 0, std::vector<uint8_t>(100, 0xCC)));
+  auto [ok, got] = ReadSync(f, 0, 200);
+  EXPECT_TRUE(ok);
+  std::vector<uint8_t> expected(100, 0xCC);
+  const std::vector<uint8_t> durable = Pattern(200, 1);
+  expected.insert(expected.end(), durable.begin() + 100, durable.end());
+  EXPECT_EQ(got, expected);
+}
+
+// Differential check against a flat byte array: each write lands in the
+// array when its callback reports true, and each read must return the array
+// as it stood when the read was issued. Writes mix same-event, partial and
+// overlapping ranges over durable, buffered and in-flight blocks, with Sync
+// and Clean running underneath.
+TEST_F(ServerFixture, ReadsMatchAFlatArrayUnderMixedWritesSyncsAndCleans) {
+  constexpr int64_t kBlock = 8192;
+  constexpr int64_t kSpan = 12 * kBlock;
+  FileId f = server_.CreateFile(FileType::kNormal);
+  std::vector<uint8_t> model = Pattern(kSpan, 5);
+  EXPECT_TRUE(WriteSync(f, 0, model));
+  SyncAll();
+
+  sim::Rng rng(20260419);
+  int issued = 0;
+  int reported = 0;
+  int reads = 0;
+  int mismatches = 0;
+  int pending_cleans = 0;
+  auto write = [&]() {
+    const int64_t offset = rng.UniformInt(0, kSpan - 1);
+    const int64_t len = std::min(kSpan - offset, rng.UniformInt(1, 2 * kBlock));
+    std::vector<uint8_t> data = Pattern(len, static_cast<uint8_t>(rng.UniformInt(0, 255)));
+    ++issued;
+    server_.Write(f, offset, data, [&, offset, data](bool ok) {
+      EXPECT_TRUE(ok);
+      ++reported;
+      std::copy(data.begin(), data.end(), model.begin() + offset);
+    });
+  };
+  for (int step = 0; step < 400; ++step) {
+    const int64_t action = rng.UniformInt(0, 9);
+    if (action <= 4) {
+      for (int64_t n = rng.UniformInt(1, 3); n > 0; --n) {
+        write();  // same event
+      }
+    } else if (action <= 6) {
+      const int64_t offset = rng.UniformInt(0, kSpan - 1);
+      const int64_t len = rng.UniformInt(1, kSpan - offset);
+      std::vector<uint8_t> expected(model.begin() + offset, model.begin() + offset + len);
+      server_.Read(f, offset, len,
+                   [&, offset, expected](bool ok, std::vector<uint8_t> got) {
+                     EXPECT_TRUE(ok);
+                     ++reads;
+                     if (got != expected) {
+                       ++mismatches;
+                       ADD_FAILURE() << "read at " << offset << " of " << expected.size()
+                                     << " bytes differs at t=" << sim_.now();
+                     }
+                   });
+    } else if (action == 7) {
+      server_.Sync([]() {});
+    } else if (action == 8 && pending_cleans == 0) {
+      ++pending_cleans;
+      server_.Clean([&](CleanStats) { --pending_cleans; });
+    } else {
+      sim_.RunUntil(sim_.now() + rng.UniformInt(0, 3) * Milliseconds(5));
+    }
+  }
+  sim_.RunUntilPredicate([&]() { return reported == issued && pending_cleans == 0; });
+  SyncAll();
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(reads, 50);
+  auto [ok, got] = ReadSync(f, 0, kSpan);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(got, model);
 }
 
 TEST_F(ServerFixture, HolesReadAsZeros) {
@@ -309,6 +471,8 @@ TEST_F(ServerFixture, CrashLosesBufferedDataKeepsDurable) {
   FileId f = server_.CreateFile(FileType::kNormal);
   EXPECT_TRUE(WriteSync(f, 0, Pattern(8192, 1)));
   SyncAll();  // durable + checkpointed
+  EXPECT_TRUE(WriteSync(f, 2 * 8192, Pattern(8192, 3)));
+  server_.Sync([]() {});  // its segment write is still in flight at the crash
   EXPECT_TRUE(WriteSync(f, 8192, Pattern(8192, 2)));  // only buffered
   server_.Crash();
   EXPECT_TRUE(server_.crashed());
@@ -318,9 +482,9 @@ TEST_F(ServerFixture, CrashLosesBufferedDataKeepsDurable) {
   auto [ok1, got1] = ReadSync(f, 0, 8192);
   EXPECT_TRUE(ok1);
   EXPECT_EQ(got1, Pattern(8192, 1));  // durable data survived
-  auto [ok2, got2] = ReadSync(f, 8192, 8192);
+  auto [ok2, got2] = ReadSync(f, 8192, 16384);
   EXPECT_TRUE(ok2);
-  EXPECT_EQ(got2, std::vector<uint8_t>(8192, 0));  // buffered data lost
+  EXPECT_EQ(got2, std::vector<uint8_t>(16384, 0));  // buffered and in-flight data lost
 }
 
 TEST_F(ServerFixture, PowerFailureWithUpsFlushesBuffers) {
@@ -464,6 +628,30 @@ TEST_F(ClientFixture, ServerCrashThenResendPreservesData) {
   agent_.ResendUnacknowledged([&]() { resent = true; });
   sim_.RunUntilPredicate([&]() { return resent; });
   EXPECT_GT(agent_.resends(), 0);
+  auto [ok, got] = ReadSync(f, 0, 8192);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(got, Pattern(8192, 5));
+}
+
+// A crash while the checkpoint naming a flushed segment is being written:
+// recovery reads the older image, so the segment's blocks never became
+// durable and the agent must still hold its copy to resend.
+TEST_F(ClientFixture, CrashDuringACheckpointKeepsTheAgentsCopy) {
+  FileId f = server_.CreateFile(FileType::kNormal);
+  CheckpointSync();  // file creation reaches the checkpoint
+  EXPECT_TRUE(AgentWrite(f, 0, Pattern(8192, 5)));
+  server_.Sync([]() {});
+  sim_.RunUntilPredicate([&]() { return server_.segments_written() == 1; });
+  server_.Crash();  // the checkpoint naming the segment is still on its way
+  bool recovered = false;
+  server_.Recover([&](bool ok) { recovered = ok; });
+  sim_.RunUntilPredicate([&]() { return recovered; });
+  auto [ok0, got0] = ReadSync(f, 0, 8192);
+  EXPECT_TRUE(ok0);
+  EXPECT_EQ(got0, std::vector<uint8_t>(8192, 0));
+  bool resent = false;
+  agent_.ResendUnacknowledged([&]() { resent = true; });
+  sim_.RunUntilPredicate([&]() { return resent; });
   auto [ok, got] = ReadSync(f, 0, 8192);
   EXPECT_TRUE(ok);
   EXPECT_EQ(got, Pattern(8192, 5));
