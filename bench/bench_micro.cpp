@@ -12,10 +12,13 @@
 #include "src/atm/crc32.h"
 #include "src/atm/endpoint.h"
 #include "src/atm/link.h"
+#include "src/atm/network.h"
 #include "src/atm/switch.h"
+#include "src/core/system.h"
 #include "src/devices/compression.h"
 #include "src/devices/frame_source.h"
 #include "src/naming/name_space.h"
+#include "src/scenario/topology.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/random.h"
 #include "src/sim/shard.h"
@@ -123,6 +126,63 @@ void BM_VciChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_VciChurn)->Arg(64)->Arg(1024)->Arg(4096);
+
+// Signalling's contract churn in the phone shape: a 2 Mb/s data VC plus an
+// unreserved control duplex back, the three VCs a two-way call between
+// hosts opens (§2.2), between seeded host pairs of a metro-large fabric.
+// range(0) phones stay open throughout; each item closes the oldest phone
+// and opens a new one (with none held, opens one and closes it). A closed
+// VC's record is reused by the next open, so no item allocates once warm.
+void BM_ContractOpenClose(benchmark::State& state) {
+  const auto held = static_cast<size_t>(state.range(0));
+  sim::Simulator sim;
+  core::PegasusSystem system(&sim);
+  scenario::TopologyParams metro_large;
+  metro_large.core_switches = 3;
+  metro_large.agg_per_core = 3;
+  metro_large.edge_per_agg = 4;
+  metro_large.hosts_per_edge = 30;
+  metro_large.storage_per_core = 2;
+  const scenario::MetroTopology topo = scenario::BuildMetroTopology(system, metro_large);
+  atm::Network& net = system.network();
+  sim::Rng rng(16);
+  const auto last_host = static_cast<int64_t>(topo.hosts.size()) - 1;
+  struct Phone {
+    atm::VcId data;
+    atm::VcId control;
+    atm::VcId back;
+  };
+  std::vector<Phone> live(held + 1);
+  size_t next = 0;  // the free ring slot; the oldest phone sits just after it
+  auto open = [&](Phone* phone) {
+    const int64_t a = rng.UniformInt(0, last_host);
+    const int64_t b = (a + rng.UniformInt(1, last_host)) % (last_host + 1);
+    atm::Endpoint* src = topo.hosts[static_cast<size_t>(a)]->host();
+    atm::Endpoint* dst = topo.hosts[static_cast<size_t>(b)]->host();
+    const auto data = net.OpenVc(src, dst, atm::QosSpec{2'000'000});
+    const auto control = net.OpenDuplex(dst, src);
+    *phone = {data.has_value() ? data->id : -1, control.has_value() ? control->first.id : -1,
+              control.has_value() ? control->second.id : -1};
+  };
+  auto close = [&](const Phone& phone) {
+    net.CloseVc(phone.data);
+    net.CloseVc(phone.control);
+    net.CloseVc(phone.back);
+  };
+  for (size_t i = 0; i < held; ++i) {
+    open(&live[i]);
+  }
+  next = held;
+  for (auto _ : state) {
+    open(&live[next]);
+    benchmark::DoNotOptimize(live[next]);
+    next = (next + 1) % live.size();
+    close(live[next]);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["open_vcs"] = static_cast<double>(net.open_vc_count());
+}
+BENCHMARK(BM_ContractOpenClose)->Arg(0)->Arg(2000);
 
 void BM_Crc32(benchmark::State& state) {
   std::vector<uint8_t> data(static_cast<size_t>(state.range(0)));

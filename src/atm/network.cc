@@ -175,7 +175,8 @@ bool Network::ReadPath(const Switch* from, const Switch* to, SwitchPath* out) co
 
 std::optional<ResolvedRoute> Network::ResolveRoute(const Endpoint* src,
                                                    const Endpoint* dst) const {
-  SwitchPath path;
+  // Read into reused scratch: it holds nothing between calls.
+  thread_local SwitchPath path;
   if (src == nullptr || dst == nullptr ||
       !ReadPath(src->attached_switch(), dst->attached_switch(), &path)) {
     return std::nullopt;
@@ -223,12 +224,27 @@ std::optional<VcDescriptor> Network::OpenTree(Endpoint* src, Endpoint* const* si
     ++rejections_no_path_;
     return std::nullopt;
   }
-  VcState state;
+  // The open is built in a spare record, else a new one: the table makes the
+  // node under next_vc_id_, which no open VC holds, and hands it straight
+  // back.
+  VcTable::node_type record;
+  if (spare_vcs_.empty()) {
+    record = vcs_.extract(vcs_.try_emplace(next_vc_id_).first);
+  } else {
+    record = std::move(spare_vcs_.back());
+    spare_vcs_.pop_back();
+  }
+  VcState& state = record.mapped();
+  state.desc = VcDescriptor{};
   state.desc.source = src;
   state.desc.qos = qos;
+  state.nodes.clear();
+  state.leaves.clear();
+  state.hop_links.clear();
   // Dry pass first: an unattached source, any bad sink or a full link
   // rejects the whole open before a single route is touched.
   if (!PlanGraft(state, sinks, count)) {
+    spare_vcs_.push_back(std::move(record));
     return std::nullopt;
   }
   state.desc.id = next_vc_id_++;
@@ -238,8 +254,8 @@ std::optional<VcDescriptor> Network::OpenTree(Endpoint* src, Endpoint* const* si
   CommitGraft(state, 1, 0, 0);
   state.desc.destination = state.leaves.front().endpoint;
   state.desc.destination_vci = state.leaves.front().vci;
-  const VcId id = state.desc.id;
-  return vcs_.emplace(id, std::move(state)).first->second.desc;
+  record.key() = state.desc.id;
+  return vcs_.insert(std::move(record)).position->second.desc;
 }
 
 bool Network::PlanGraft(VcState& state, Endpoint* const* leaves, size_t count) {
@@ -253,7 +269,7 @@ bool Network::PlanGraft(VcState& state, Endpoint* const* leaves, size_t count) {
     ++*counter;
     return false;
   };
-  SwitchPath path;
+  thread_local SwitchPath path;  // reused scratch, as in ResolveRoute
   for (size_t i = 0; i < count; ++i) {
     if (!PlanLeaf(state, leaves[i], &path)) {
       return refuse(&rejections_no_path_);
@@ -409,7 +425,10 @@ bool Network::CloseVc(VcId id) {
       reserved_bps_[static_cast<size_t>(l->id())] -= state.desc.qos.peak_bps;
     }
   }
-  vcs_.erase(it);
+  // The record waits for the next open; its handler, and whatever that
+  // captures, goes with the VC.
+  state.on_congestion = nullptr;
+  spare_vcs_.push_back(vcs_.extract(it));
   return true;
 }
 

@@ -19,14 +19,20 @@
 // neighbour first and then visits every other switch in the neighbour's own
 // order, so its path is that edge plus the neighbour's tree path. The
 // reservation ledger is a flat vector indexed by dense link id, and one hash
-// table holds every open VC's state as flat vectors. An endpoint's switch,
-// port and links are read from the endpoint itself. Congestion fan-out scans
-// the VC table when a link is signalled, so opens and closes keep no per-link
-// state. The BFS expands neighbours in deterministic switch-id (insertion)
-// order, so equal-length paths tie-break identically across runs, and a full
-// BFS assigns the same parents as one stopped at the destination — a tree
-// path is exactly the per-pair BFS path. VCIs come from each input port's
-// and each sink's lowest-free VciAllocator (src/atm/vci_allocator.h).
+// table holds every open VC's state as flat vectors. A closed VC's record —
+// its table node with the vectors' capacity — is kept for the next open, so
+// a steady-state open or close allocates nothing. GetVc's and VcLinks'
+// pointers stay valid until CloseVc (VcLinks' also until a graft or prune)
+// and must not be kept past it: afterwards they alias a recycled record,
+// not freed memory. VC ids are never reused, so a closed id finds nothing.
+// An endpoint's switch, port and links are read from the endpoint itself.
+// Congestion fan-out scans the VC table when a link is signalled, so opens
+// and closes keep no per-link state. The BFS expands neighbours in
+// deterministic switch-id (insertion) order, so equal-length paths
+// tie-break identically across runs, and a full BFS assigns the same
+// parents as one stopped at the destination — a tree path is exactly the
+// per-pair BFS path. VCIs come from each input port's and each sink's
+// lowest-free VciAllocator (src/atm/vci_allocator.h).
 #ifndef PEGASUS_SRC_ATM_NETWORK_H_
 #define PEGASUS_SRC_ATM_NETWORK_H_
 
@@ -137,6 +143,8 @@ class Network {
                                                                   QosSpec data_qos = {},
                                                                   QosSpec control_qos = {});
   bool CloseVc(VcId id);
+  // The open VC's descriptor, or nullptr for an unknown or closed id. Valid
+  // until CloseVc(id).
   const VcDescriptor* GetVc(VcId id) const;
 
   // Grafts a further leaf onto an open VC: admission is checked on (and the
@@ -321,7 +329,12 @@ class Network {
   uint64_t topology_epoch_ = 0;
   // Every open VC. Looked up by id; the one scan (congestion fan-out) sorts
   // the ids it collects, so hash order cannot leak into behaviour.
-  std::unordered_map<VcId, VcState> vcs_;
+  using VcTable = std::unordered_map<VcId, VcState>;
+  VcTable vcs_;
+  // Closed (or refused) VCs' records, each a table node whose vectors keep
+  // their capacity; the next open is built in one. Never more records than
+  // were in use at once.
+  std::vector<VcTable::node_type> spare_vcs_;
   // Reserved bits/s per link, indexed by link id — AvailableBandwidth on the
   // admission walk is a load, not a map lookup.
   std::vector<int64_t> reserved_bps_;

@@ -63,12 +63,14 @@ void JointCpuCheck(std::vector<CpuEndCheck>* ends) {
   for (CpuEndCheck& e : *ends) {
     e.clamped = e.wanted;
   }
-  std::vector<nemesis::Kernel*> seen;
-  for (const CpuEndCheck& e : *ends) {
-    if (e.kernel == nullptr || std::count(seen.begin(), seen.end(), e.kernel) > 0) {
+  for (auto it = ends->begin(); it != ends->end(); ++it) {
+    const CpuEndCheck& e = *it;
+    // Each kernel once, at its first contract.
+    if (e.kernel == nullptr ||
+        std::any_of(ends->begin(), it,
+                    [&e](const CpuEndCheck& earlier) { return earlier.kernel == e.kernel; })) {
       continue;
     }
-    seen.push_back(e.kernel);
     double budget = CpuHeadroom(e.kernel);
     double total = 0.0;
     for (const CpuEndCheck& other : *ends) {
@@ -551,12 +553,26 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
   atm::Network& network = system_->network();
   const size_t nlegs = legs_.size();
 
+  // Per-call vectors, reused across renegotiations: nothing this pass calls
+  // reaches a callback, so no nested pass can clobber them.
+  struct CpuMove {
+    CpuSlot slot;
+    nemesis::QosParams wanted;
+    nemesis::QosParams prev;
+  };
+  thread_local std::vector<int64_t> old_bps;
+  thread_local std::vector<int64_t> wanted_bps;
+  thread_local std::vector<std::vector<atm::Link*>> leg_links;
+  thread_local std::vector<nemesis::QosParams> stage_cpu;
+  thread_local std::vector<size_t> net_order;
+  thread_local std::vector<CpuMove> moves;
+
   // Resolve the per-leg demands. Without Via() stages the stream-wide knob
   // applies; for a pipeline, entries missing from spec.legs keep the
   // leg's current grant (granted specs carry explicit legs, so editing
   // contract().granted renegotiates naturally).
-  std::vector<int64_t> old_bps(nlegs);
-  std::vector<int64_t> wanted_bps(nlegs);
+  old_bps.resize(nlegs);
+  wanted_bps.resize(nlegs);
   bool bandwidth_changed = false;
   for (size_t i = 0; i < nlegs; ++i) {
     old_bps[i] = legs_[i].granted_bps;
@@ -569,7 +585,7 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
   // ---- pre-check every layer jointly (the pass Open runs); nothing is
   // touched until all pass, so a refusal leaves the original contract fully
   // intact. A renegotiation that moves no bandwidth skips the link walk ----
-  std::vector<std::vector<atm::Link*>> leg_links(bandwidth_changed ? nlegs : 0);
+  leg_links.resize(bandwidth_changed ? nlegs : 0);
   for (size_t i = 0; i < leg_links.size(); ++i) {
     const std::vector<atm::Link*>* links = network.VcLinks(legs_[i].vc);
     if (links == nullptr) {
@@ -581,7 +597,6 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
     return refuse(AdmitFailure::kDiskBandwidth,
                   "disk rate demanded but the session has no single file to reserve");
   }
-  std::vector<nemesis::QosParams> stage_cpu;
   if (!Admit(spec, leg_links, wanted_bps, file_ >= 0 ? storage_ : nullptr, &stage_cpu,
              &report)) {
     return report;
@@ -591,18 +606,14 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
   // layer's decreases before its increases so shared links and kernels
   // never transiently overcommit. A layer refusing after the pre-check
   // moves whatever was applied back, in reverse ----
-  std::vector<size_t> net_order(nlegs);
+  net_order.resize(nlegs);
   std::iota(net_order.begin(), net_order.end(), size_t{0});
   std::sort(net_order.begin(), net_order.end(), [&](size_t a, size_t b) {
     return wanted_bps[a] - old_bps[a] < wanted_bps[b] - old_bps[b];
   });
-  struct CpuMove {
-    CpuSlot slot;
-    nemesis::QosParams wanted;
-    nemesis::QosParams prev;
-  };
-  std::vector<CpuMove> moves;
-  for (const CpuSlot& slot : CpuSlots()) {
+  moves.clear();
+  for (size_t i = 0; i < CpuSlotCount(); ++i) {
+    const CpuSlot slot = CpuSlotAt(i);
     moves.push_back({slot, Demand(slot, spec, stage_cpu), Held(*slot.handler)});
   }
   std::sort(moves.begin(), moves.end(), [](const CpuMove& a, const CpuMove& b) {
@@ -671,7 +682,7 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
   // ---- bind the new contract; an application renegotiation states a new
   // nominal the adaptation plane scales from hereafter, with every signal
   // source's limit reset ----
-  SetGranted(spec, wanted_bps, contract_.granted.bandwidth_bps);
+  SetGranted(spec, contract_.granted.bandwidth_bps);
   if (update_requests) {
     requested_sink_cpu_ = spec.sink_cpu;
     nominal_ = contract_.granted;
@@ -689,20 +700,19 @@ AdmissionReport StreamSession::RenegotiateImpl(const StreamSpec& spec, bool upda
   return report;
 }
 
-std::vector<StreamSession::CpuSlot> StreamSession::CpuSlots() {
-  std::vector<CpuSlot> slots;
-  slots.reserve(legs_.size() + sinks_.size());
-  slots.push_back({kSourceEnd, 0, source_ws_ != nullptr ? source_ws_->kernel() : nullptr,
-                   &source_handler_});
-  for (size_t k = 0; k + 1 < legs_.size(); ++k) {
-    slots.push_back({2 + static_cast<int>(k), k,
-                     legs_[k].compute != nullptr ? legs_[k].compute->kernel() : nullptr,
-                     &legs_[k].handler});
+StreamSession::CpuSlot StreamSession::CpuSlotAt(size_t i) {
+  const size_t nstages = legs_.empty() ? 0 : legs_.size() - 1;
+  if (i == 0) {
+    return {kSourceEnd, 0, source_ws_ != nullptr ? source_ws_->kernel() : nullptr,
+            &source_handler_};
   }
-  for (size_t i = 0; i < sinks_.size(); ++i) {
-    slots.push_back(SinkSlot(sinks_[i], i));
+  if (i <= nstages) {
+    const size_t k = i - 1;
+    return {2 + static_cast<int>(k), k,
+            legs_[k].compute != nullptr ? legs_[k].compute->kernel() : nullptr,
+            &legs_[k].handler};
   }
-  return slots;
+  return SinkSlot(sinks_[i - 1 - nstages], i - 1 - nstages);
 }
 
 StreamSession::CpuSlot StreamSession::SinkSlot(SinkBinding& b, size_t index) {
@@ -760,12 +770,18 @@ bool StreamSession::Admit(const StreamSpec& spec,
     return &counter.legs[i];
   };
 
+  // Per-call vectors, reused: Admit reaches no callback, so no nested pass
+  // can clobber them.
+  thread_local std::vector<int64_t> clamped_bps;
+  thread_local std::vector<int64_t> old_bps;
+  thread_local std::vector<CpuEndCheck> ends;
+
   // 1. Network bandwidth, jointly on every link of every leg. A point-to-
   // point spec without an explicit leg entry takes its clamp on the
   // stream-wide knob instead of a materialised leg.
-  std::vector<int64_t> clamped_bps = wanted_bps;
+  clamped_bps.assign(wanted_bps.begin(), wanted_bps.end());
   if (!leg_links.empty()) {
-    std::vector<int64_t> old_bps(nlegs);
+    old_bps.resize(nlegs);
     for (size_t i = 0; i < nlegs; ++i) {
       old_bps[i] = legs_[i].granted_bps;
     }
@@ -788,8 +804,9 @@ bool StreamSession::Admit(const StreamSpec& spec,
   }
 
   // 2. CPU at both ends and every compute stage, grouped per kernel.
-  std::vector<CpuEndCheck> ends;
-  for (const CpuSlot& slot : CpuSlots()) {
+  ends.clear();
+  for (size_t i = 0; i < CpuSlotCount(); ++i) {
+    const CpuSlot slot = CpuSlotAt(i);
     CpuEndCheck e;
     e.end = slot.end;
     e.kernel = slot.kernel;
@@ -883,8 +900,7 @@ bool StreamSession::SetCpu(const CpuSlot& slot, const nemesis::QosParams& qos,
   return true;
 }
 
-void StreamSession::SetGranted(const StreamSpec& spec, const std::vector<int64_t>& leg_bps,
-                               int64_t pipeline_bps) {
+void StreamSession::SetGranted(const StreamSpec& spec, int64_t pipeline_bps) {
   StreamSpec& granted = contract_.granted;
   granted = spec;
   const size_t nlegs = legs_.size();
@@ -894,10 +910,10 @@ void StreamSession::SetGranted(const StreamSpec& spec, const std::vector<int64_t
       granted.legs.resize(nlegs);
     }
   } else {
-    granted.bandwidth_bps = leg_bps[0];
+    granted.bandwidth_bps = legs_[0].granted_bps;
   }
   for (size_t i = 0; i < nlegs && i < granted.legs.size(); ++i) {
-    granted.legs[i].bandwidth_bps = leg_bps[i];
+    granted.legs[i].bandwidth_bps = legs_[i].granted_bps;
   }
   if (source_handler_ != nullptr) {
     granted.source_cpu = source_handler_->qos();
@@ -1272,9 +1288,17 @@ StreamResult StreamBuilder::Open() {
     return result;
   };
 
+  // Per-call vectors, reused across opens. They are live only until the
+  // legs' VCs are open, and nothing before that reaches a callback, so an
+  // Open nested in a callback cannot clobber them; the binding below reads
+  // the session instead.
+  thread_local std::vector<atm::Endpoint*> sink_eps;
+  thread_local std::vector<atm::Endpoint*> heads;
+  thread_local std::vector<int64_t> wanted_bps;
+  thread_local std::vector<std::vector<atm::Link*>> leg_links;
+
   // --- resolve endpoints: source, every compute detour, every sink ---
-  std::vector<atm::Endpoint*> sink_eps;
-  sink_eps.reserve(sinks_.size());
+  sink_eps.clear();
   int recorders = 0;
   for (const SinkEnd& end : sinks_) {
     sink_eps.push_back(SinkEndpoint(end.sink));
@@ -1295,14 +1319,14 @@ StreamResult StreamBuilder::Open() {
   }
   // Legs in path order: one per Via() stage, then the tree leg from the
   // last stage to every sink.
-  std::vector<atm::Endpoint*> heads;
+  heads.clear();
   heads.push_back(s->source_ep_);
   for (const ViaStage& via : vias_) {
     heads.push_back(via.node->endpoint());
   }
   const size_t nstages = vias_.size();
   const size_t nlegs = nstages + 1;
-  std::vector<int64_t> wanted_bps(nlegs);
+  wanted_bps.resize(nlegs);
   for (size_t i = 0; i < nlegs; ++i) {
     wanted_bps[i] = spec_.LegBandwidthBps(i);
   }
@@ -1313,7 +1337,10 @@ StreamResult StreamBuilder::Open() {
   // One ResolveRoute per leg and per sink serves the joint bandwidth check
   // and the latency check. The tree leg's links are its sinks' routes
   // laid end to end; the joint check charges a shared edge once.
-  std::vector<std::vector<atm::Link*>> leg_links(nlegs);
+  leg_links.resize(nlegs);
+  for (std::vector<atm::Link*>& links : leg_links) {
+    links.clear();
+  }
   sim::DurationNs upstream_latency = 0;
   for (size_t i = 0; i < nstages; ++i) {
     auto route = network.ResolveRoute(heads[i], heads[i + 1]);
@@ -1416,7 +1443,8 @@ StreamResult StreamBuilder::Open() {
   }
 
   // CPU: every contract in path order, through scheduler admission.
-  for (const StreamSession::CpuSlot& slot : s->CpuSlots()) {
+  for (size_t i = 0; i < s->CpuSlotCount(); ++i) {
+    const StreamSession::CpuSlot slot = s->CpuSlotAt(i);
     const nemesis::QosParams qos = StreamSession::Demand(slot, spec_, stage_cpu);
     if (!s->SetCpu(slot, qos,
                    slot.end == StreamSession::kSinkEnd ? s->requested_sink_cpu_ : qos)) {
@@ -1430,7 +1458,7 @@ StreamResult StreamBuilder::Open() {
   const atm::VcId tree = s->legs_.back().vc;
   for (size_t i = 0; i < sinks_.size(); ++i) {
     StreamSession::SinkBinding& b = s->sinks_[i];
-    b.vci = network.LeafVci(tree, sink_eps[i]).value_or(atm::kVciUnassigned);
+    b.vci = network.LeafVci(tree, b.sink.endpoint).value_or(atm::kVciUnassigned);
     const AdmitFailure failure = s->BindSink(b, sinks_[i].control);
     if (failure != AdmitFailure::kNone) {
       return fail(failure, "control VC establishment failed");
@@ -1457,7 +1485,7 @@ StreamResult StreamBuilder::Open() {
   // callers renegotiate by editing contract().granted. As admitted it is
   // the nominal (full-rate) point the adaptation plane scales from and
   // restores toward.
-  s->SetGranted(spec_, wanted_bps, spec_.bandwidth_bps);
+  s->SetGranted(spec_, spec_.bandwidth_bps);
   s->contract_.established_at = system->simulator()->now();
   s->nominal_ = s->contract_.granted;
 

@@ -27,10 +27,13 @@
 // it proportionally, each overcommitted kernel scales the CPU contracts it
 // would host, and the disk clamp rides in the same spec. Open() and
 // Renegotiate() run that one admission pass, move every CPU contract
-// through one path and record the granted contract one way.
+// through one path and record the granted contract one way. The pass
+// allocates only the state a session keeps: CPU contracts are walked in
+// place and its per-call vectors are reused scratch.
 #ifndef PEGASUS_SRC_CORE_STREAM_H_
 #define PEGASUS_SRC_CORE_STREAM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -405,8 +408,10 @@ class StreamSession {
     std::unique_ptr<nemesis::PeriodicDomain>* handler = nullptr;
   };
 
-  // Every CPU contract in path order: source, stages, sinks.
-  std::vector<CpuSlot> CpuSlots();
+  // The CPU contracts in path order — source, stages, sinks — read by
+  // index, so a walk builds nothing and a nested pass cannot disturb it.
+  size_t CpuSlotCount() const { return std::max<size_t>(legs_.size(), 1) + sinks_.size(); }
+  CpuSlot CpuSlotAt(size_t i);
   static CpuSlot SinkSlot(SinkBinding& b, size_t index);
   // The contract `slot` demands under `spec`, stages as Admit resolved them.
   static nemesis::QosParams Demand(const CpuSlot& slot, const StreamSpec& spec,
@@ -415,7 +420,7 @@ class StreamSession {
   // source's nominal, the sink's request, a stage's own contract.
   nemesis::QosParams LongTermRequest(const CpuSlot& slot, const nemesis::QosParams& qos) const;
   // The one admission pass of Open and Renegotiate, over `leg_links` (empty
-  // when no bandwidth moves), CpuSlots() and the disk at `disk_storage`;
+  // when no bandwidth moves), every CPU slot and the disk at `disk_storage`;
   // what the session holds is handed back for the check. Resolves each
   // stage's CPU into `stage_cpu` (a stage without a spec.legs entry keeps
   // what it holds). On refusal fills `report` and returns false.
@@ -427,11 +432,10 @@ class StreamSession {
   // the QoS manager under `request`. False when the kernel refuses.
   bool SetCpu(const CpuSlot& slot, const nemesis::QosParams& qos,
               const nemesis::QosParams& request);
-  // Records the granted contract: `spec` with each leg at its admitted rate
+  // Records the granted contract: `spec` with each leg at its granted_bps
   // (a one-leg session's bandwidth_bps too; a pipeline keeps
   // `pipeline_bps`) and every CPU contract as its handler holds it.
-  void SetGranted(const StreamSpec& spec, const std::vector<int64_t>& leg_bps,
-                  int64_t pipeline_bps);
+  void SetGranted(const StreamSpec& spec, int64_t pipeline_bps);
   // Binds one sink end's window, its control path — a duplex to the source
   // host (or one VC to a storage source) when `control` (To*() ends), one
   // from the source host for a storage sink — and its recording. Returns

@@ -556,6 +556,25 @@ std::optional<int64_t> PegasusFileServer::LookupIndex(FileId file, int64_t media
 
 // --- cleaning ---
 
+namespace {
+
+// `file`'s `block` when its live copy is the one at (segment, offset), else
+// null: the block has been rewritten, deleted or moved since.
+BlockLocation* CopyAt(LogMetadata& meta, FileId file, int64_t block, int64_t segment,
+                      int64_t offset) {
+  Pnode* node = meta.Find(file);
+  if (node == nullptr) {
+    return nullptr;
+  }
+  auto it = node->blocks.find(block);
+  return it != node->blocks.end() && it->second.segment == segment &&
+                 it->second.offset == offset
+             ? &it->second
+             : nullptr;
+}
+
+}  // namespace
+
 struct PegasusFileServer::CleanRun {
   sim::TimeNs started_at = 0;
   CleanCallback callback;
@@ -645,13 +664,7 @@ void PegasusFileServer::CleanNext(std::shared_ptr<CleanRun> run) {
     SegmentInfo& victim = meta_.segment(seg);
     std::vector<std::pair<SummaryEntry, std::vector<uint8_t>>> live;
     for (const SummaryEntry& e : victim.summary) {
-      Pnode* node = meta_.Find(e.file);
-      if (node == nullptr) {
-        continue;
-      }
-      auto it = node->blocks.find(e.block);
-      if (it == node->blocks.end() || it->second.segment != seg ||
-          it->second.offset != e.offset) {
+      if (CopyAt(meta_, e.file, e.block, seg, e.offset) == nullptr) {
         continue;  // superseded elsewhere
       }
       live.emplace_back(e, std::vector<uint8_t>(data.begin() + e.offset,
@@ -674,28 +687,34 @@ void PegasusFileServer::CleanNext(std::shared_ptr<CleanRun> run) {
       return;
     }
     std::vector<uint8_t> payload;
-    std::vector<SummaryEntry> new_summary;
+    // Each copy with the victim offset it was read from.
+    std::vector<std::pair<SummaryEntry, int64_t>> moved;
     for (auto& [entry, bytes] : live) {
-      SummaryEntry moved = entry;
-      moved.offset = static_cast<int64_t>(payload.size());
-      new_summary.push_back(moved);
+      SummaryEntry copy = entry;
+      copy.offset = static_cast<int64_t>(payload.size());
+      moved.emplace_back(copy, entry.offset);
       payload.insert(payload.end(), bytes.begin(), bytes.end());
       run->stats.live_bytes_copied += entry.length;
     }
     store_->WriteSegment(new_seg, std::move(payload),
-                         [this, run, seg, new_seg, new_summary](bool ok2) {
+                         [this, run, seg, new_seg, moved](bool ok2) {
                            if (run->epoch != epoch_ || crashed_ || !ok2) {
                              run->callback(run->stats);
                              return;
                            }
                            SegmentInfo& dst = meta_.segment(new_seg);
-                           for (const SummaryEntry& e : new_summary) {
-                             Pnode* node = meta_.Find(e.file);
-                             if (node != nullptr) {
-                               node->blocks[e.block] = BlockLocation{new_seg, e.offset, e.length};
-                             }
-                             dst.live_bytes += e.length;
+                           for (const auto& [e, from] : moved) {
                              dst.summary.push_back(e);
+                             // A block rewritten or deleted while the copy
+                             // was in flight lives elsewhere now, or
+                             // nowhere: its copy is born garbage.
+                             BlockLocation* loc = CopyAt(meta_, e.file, e.block, seg, from);
+                             if (loc == nullptr) {
+                               meta_.AppendGarbage(GarbageEntry{new_seg, e.offset, e.length});
+                               continue;
+                             }
+                             *loc = BlockLocation{new_seg, e.offset, e.length};
+                             dst.live_bytes += e.length;
                            }
                            meta_.FreeSegment(seg);
                            CleanNext(run);

@@ -6,6 +6,10 @@
 // slows to the renegotiated rate.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+#include <vector>
+
 #include "src/atm/wire.h"
 #include "src/core/compute_node.h"
 #include "src/core/stream.h"
@@ -529,6 +533,124 @@ TEST_F(AdaptationFixture, ExplicitLegRateIsTheGrantedRateAdaptationScales) {
   EXPECT_EQ(r.session->contract().granted.bandwidth_bps, 2'000'000);
   EXPECT_EQ(TotalReservedBps(), reserved / 2);
   EXPECT_EQ(camera->config().pace_bps, 2'000'000);
+}
+
+// The admission pass reuses its per-call vectors from call to call. A
+// degrade callback runs inside a congestion-driven adaptation, and may open
+// and renegotiate other streams there. Runs that scenario — a pipeline
+// adapts, and its callback opens a second stream and renegotiates a third
+// (a two-sink tree) — or, with `in_callback` false, makes the same two calls
+// after the signal, and appends every verdict, VC, VCI, grant, link
+// reservation and kernel load they leave to `facts`.
+void AdmitAroundAnAdaptation(bool in_callback, std::vector<int64_t>* facts) {
+  sim::Simulator sim;
+  PegasusSystem system(&sim);
+  std::vector<std::unique_ptr<nemesis::Kernel>> kernels;
+  auto add_kernel = [&]() {
+    kernels.push_back(std::make_unique<nemesis::Kernel>(
+        &sim, std::make_unique<nemesis::AtroposScheduler>(1.0)));
+    return kernels.back().get();
+  };
+  Workstation* a = system.AddWorkstation("a");
+  Workstation* b = system.AddWorkstation("b");
+  Workstation* c = system.AddWorkstation("c");
+  for (Workstation* ws : {a, b, c}) {
+    ws->AttachKernel(add_kernel());
+  }
+  ComputeNode* compute = system.AddComputeServer();
+  compute->AttachKernel(add_kernel());
+  dev::AtmCamera::Config cfg;
+  dev::AtmCamera* camera_a = a->AddCamera(cfg);
+  dev::AtmCamera* camera_b = b->AddCamera(cfg);
+  dev::AtmCamera* camera_c = c->AddCamera(cfg);
+  dev::AtmDisplay* display_a = a->AddDisplay(640, 480);
+  dev::AtmDisplay* display_b = b->AddDisplay(640, 480);
+  dev::AtmDisplay* display_c = c->AddDisplay(640, 480);
+
+  StreamSpec tree_spec = StreamSpec::Video(25, 6'000'000);
+  tree_spec.sink_cpu = QosParams::Guaranteed(Milliseconds(4), Milliseconds(40));
+  MulticastSink to_a;
+  to_a.ws = a;
+  to_a.display = display_a;
+  MulticastSink to_b;
+  to_b.ws = b;
+  to_b.display = display_b;
+  StreamResult third =
+      system.BuildStream("third").From(c, camera_c).ToMany({to_a, to_b}).WithSpec(tree_spec).Open();
+  ASSERT_TRUE(third.report.ok());
+
+  StreamSpec second_spec = StreamSpec::Video(25, 5'000'000);
+  second_spec.source_cpu = QosParams::Guaranteed(Milliseconds(8), Milliseconds(40));
+  StreamSpec third_spec = third.session->contract().granted;
+  third_spec.bandwidth_bps = 3'000'000;
+  third_spec.sink_cpu = QosParams::Guaranteed(Milliseconds(2), Milliseconds(40));
+  StreamResult second;
+  AdmissionReport renegotiated;
+  auto admit_others = [&]() {
+    second = system.BuildStream("second").From(b, camera_b).To(c, display_c).WithSpec(second_spec).Open();
+    renegotiated = third.session->Renegotiate(third_spec);
+  };
+
+  StreamSpec spec = StreamSpec::Video(25, 10'000'000);
+  spec.legs.resize(2);
+  spec.legs[0].compute_cpu = QosParams::Guaranteed(Milliseconds(4), Milliseconds(40));
+  spec.sink_cpu = QosParams::Guaranteed(Milliseconds(8), Milliseconds(40));
+  int degrades = 0;
+  StreamResult first = system.BuildStream("first")
+                           .From(a, camera_a)
+                           .Via(compute, dev::TileProcessor::Config{})
+                           .To(b, display_b)
+                           .WithSpec(spec)
+                           .WithAdaptation(AdaptationPolicy{})
+                           .OnDegrade([&](const QosContract&) {
+                             if (in_callback && degrades == 0) {
+                               admit_others();
+                             }
+                             ++degrades;
+                           })
+                           .Open();
+  ASSERT_TRUE(first.report.ok());
+  const std::vector<atm::Link*>* links = system.network().VcLinks(first.session->data_vc());
+  ASSERT_NE(links, nullptr);
+  EXPECT_EQ(system.network().SignalCongestion(links->front(), 0.4), 1);
+  if (!in_callback) {
+    admit_others();
+  }
+  EXPECT_EQ(degrades, 1);
+  EXPECT_EQ(first.session->adaptations_applied(), 1);
+  ASSERT_TRUE(second.report.ok());
+  ASSERT_TRUE(renegotiated.ok());
+
+  for (const StreamSession* s : {first.session, second.session, third.session}) {
+    for (const StreamSession::Leg& leg : s->legs()) {
+      facts->insert(facts->end(),
+                    {leg.vc, leg.source_vci, leg.sink_vci, leg.granted_bps, leg.hop_count});
+    }
+    const StreamSpec& granted = s->contract().granted;
+    facts->insert(facts->end(), {granted.bandwidth_bps, granted.source_cpu.slice,
+                                 granted.sink_cpu.slice, s->control_send_vci()});
+    for (const LegSpec& leg : granted.legs) {
+      facts->insert(facts->end(), {leg.bandwidth_bps, leg.compute_cpu.slice});
+    }
+  }
+  for (const atm::Endpoint* ep :
+       {a->device_endpoint(display_a), b->device_endpoint(display_b)}) {
+    facts->push_back(third.session->SinkVci(ep).value_or(atm::kVciUnassigned));
+  }
+  for (const auto& link : system.network().links()) {
+    facts->push_back(system.network().ReservedBps(link.get()));
+  }
+  for (const auto& kernel : kernels) {
+    facts->push_back(std::llround(kernel->scheduler()->AdmittedUtilization() * 1e9));
+  }
+}
+
+TEST(NestedAdmission, CallsFromADegradeCallbackMatchTheSameCallsInTurn) {
+  std::vector<int64_t> in_turn;
+  ASSERT_NO_FATAL_FAILURE(AdmitAroundAnAdaptation(false, &in_turn));
+  std::vector<int64_t> nested;
+  ASSERT_NO_FATAL_FAILURE(AdmitAroundAnAdaptation(true, &nested));
+  EXPECT_EQ(nested, in_turn);
 }
 
 }  // namespace

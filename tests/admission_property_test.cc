@@ -98,6 +98,24 @@ class AdmissionChurnProperty : public ::testing::TestWithParam<uint64_t> {
     }
   }
 
+  // Closes `session` and checks that no VC id any churn has closed — its
+  // legs' and every earlier one — resolves again: the network reuses closed
+  // VCs' records for later opens, never their ids.
+  void CloseAndCheckIds(StreamSession* session) {
+    for (const auto& leg : session->legs()) {
+      closed_vcs_.push_back(leg.vc);
+    }
+    session->Close();
+    atm::Network& network = system_.network();
+    for (atm::VcId id : closed_vcs_) {
+      ASSERT_EQ(network.GetVc(id), nullptr) << "VC " << id;
+      ASSERT_EQ(network.VcLinks(id), nullptr) << "VC " << id;
+      ASSERT_EQ(network.LeafCount(id), 0) << "VC " << id;
+      ASSERT_FALSE(network.UpdateVcQos(id, atm::QosSpec{1})) << "VC " << id;
+      ASSERT_FALSE(network.CloseVc(id)) << "VC " << id;
+    }
+  }
+
   // Grows the fleet mid-churn: a fresh workstation (own local switch, so
   // the network gains a switch, an inter-switch edge and endpoint links
   // after the route cache is warm) that subsequent random opens may use.
@@ -189,6 +207,7 @@ class AdmissionChurnProperty : public ::testing::TestWithParam<uint64_t> {
   std::vector<dev::AtmDisplay*> displays_;
   ComputeNode* compute_ = nullptr;
   StorageNode* storage_ = nullptr;
+  std::vector<atm::VcId> closed_vcs_;
 };
 
 TEST_P(AdmissionChurnProperty, GrantsNeverExceedCapacityAndCloseRestoresAll) {
@@ -261,7 +280,7 @@ TEST_P(AdmissionChurnProperty, GrantsNeverExceedCapacityAndCloseRestoresAll) {
     } else {
       const size_t pick = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(open.size()) - 1));
-      open[pick]->Close();
+      ASSERT_NO_FATAL_FAILURE(CloseAndCheckIds(open[pick]));
       open.erase(open.begin() + static_cast<std::ptrdiff_t>(pick));
     }
     ASSERT_NO_FATAL_FAILURE(CheckInvariants("after op"));
@@ -272,7 +291,7 @@ TEST_P(AdmissionChurnProperty, GrantsNeverExceedCapacityAndCloseRestoresAll) {
 
   // Closing everything returns every layer to its initial free capacity.
   for (StreamSession* session : open) {
-    session->Close();
+    ASSERT_NO_FATAL_FAILURE(CloseAndCheckIds(session));
   }
   for (const auto& link : system_.network().links()) {
     EXPECT_EQ(system_.network().ReservedBps(link.get()), 0);
@@ -411,12 +430,12 @@ TEST_P(AdmissionChurnProperty, MulticastChurnChargesSharedEdgesOnce) {
     } else if (kind < 9 && !unicast.empty()) {
       const size_t pick = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(unicast.size()) - 1));
-      unicast[pick]->Close();
+      ASSERT_NO_FATAL_FAILURE(CloseAndCheckIds(unicast[pick]));
       unicast.erase(unicast.begin() + static_cast<std::ptrdiff_t>(pick));
     } else {
       const size_t pick = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(trees.size()) - 1));
-      trees[pick].session->Close();
+      ASSERT_NO_FATAL_FAILURE(CloseAndCheckIds(trees[pick].session));
       trees.erase(trees.begin() + static_cast<std::ptrdiff_t>(pick));
     }
     ASSERT_NO_FATAL_FAILURE(CheckInvariants("after mcast op"));
@@ -427,7 +446,7 @@ TEST_P(AdmissionChurnProperty, MulticastChurnChargesSharedEdgesOnce) {
   EXPECT_GT(prunes, 0);
 
   for (StreamSession* session : all_sessions()) {
-    session->Close();
+    ASSERT_NO_FATAL_FAILURE(CloseAndCheckIds(session));
   }
   for (const auto& link : system_.network().links()) {
     EXPECT_EQ(system_.network().ReservedBps(link.get()), 0);

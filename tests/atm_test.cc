@@ -5,6 +5,7 @@
 #include <iterator>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -829,13 +830,44 @@ TEST(SwitchTest, FabricRunsLeaveInEntryOrder) {
 
 class NetworkFixture : public ::testing::Test {
  protected:
+  // The fabric every test starts from: a and b on sw1, c on sw2, one trunk.
+  // Built again into a fresh network, it gets the same link ids.
+  struct Fabric {
+    explicit Fabric(Network& net) : sw1(net.AddSwitch("sw1", 8)), sw2(net.AddSwitch("sw2", 8)) {
+      net.ConnectSwitches(sw1, 7, sw2, 7, 155'000'000);
+      a = net.AddEndpoint("a", sw1, 0, 155'000'000);
+      b = net.AddEndpoint("b", sw1, 1, 155'000'000);
+      c = net.AddEndpoint("c", sw2, 0, 155'000'000);
+    }
+    Switch* sw1;
+    Switch* sw2;
+    Endpoint* a = nullptr;
+    Endpoint* b = nullptr;
+    Endpoint* c = nullptr;
+  };
+
   NetworkFixture() : net_(&sim_) {
-    sw1_ = net_.AddSwitch("sw1", 8);
-    sw2_ = net_.AddSwitch("sw2", 8);
-    net_.ConnectSwitches(sw1_, 7, sw2_, 7, 155'000'000);
-    a_ = net_.AddEndpoint("a", sw1_, 0, 155'000'000);
-    b_ = net_.AddEndpoint("b", sw1_, 1, 155'000'000);
-    c_ = net_.AddEndpoint("c", sw2_, 0, 155'000'000);
+    const Fabric fabric(net_);
+    sw1_ = fabric.sw1;
+    sw2_ = fabric.sw2;
+    a_ = fabric.a;
+    b_ = fabric.b;
+    c_ = fabric.c;
+  }
+
+  // Every query and mutation on `id` must find no VC; `endpoints` are the
+  // leaves to ask about.
+  void ExpectNoVc(VcId id, const std::vector<Endpoint*>& endpoints) {
+    EXPECT_EQ(net_.GetVc(id), nullptr);
+    EXPECT_EQ(net_.VcLinks(id), nullptr);
+    EXPECT_EQ(net_.LeafCount(id), 0);
+    for (Endpoint* ep : endpoints) {
+      EXPECT_FALSE(net_.LeafVci(id, ep).has_value()) << ep->name();
+      EXPECT_FALSE(net_.AddLeaf(id, ep).has_value()) << ep->name();
+      EXPECT_FALSE(net_.RemoveLeaf(id, ep)) << ep->name();
+    }
+    EXPECT_FALSE(net_.UpdateVcQos(id, QosSpec{1'000'000}));
+    EXPECT_FALSE(net_.CloseVc(id));
   }
 
   sim::Simulator sim_;
@@ -1223,6 +1255,123 @@ TEST_F(NetworkFixture, MulticastQosUpdateScalesWholeTreeOnce) {
   EXPECT_EQ(net_.ReservedBps(trunk), 5'000'000);
   net_.CloseVc(vc->id);
   EXPECT_EQ(net_.ReservedBps(trunk), 0);
+}
+
+// A VC as seen from outside, by value, so that VCs of two networks built
+// alike compare: its tree links by id, its VCIs, rate and leaves.
+struct VcShape {
+  std::vector<int> links;
+  Vci source_vci = kVciUnassigned;
+  Vci destination_vci = kVciUnassigned;
+  int hop_count = 0;
+  int64_t peak_bps = 0;
+  int leaf_count = 0;
+  std::vector<std::optional<Vci>> leaf_vcis;  // per endpoint asked about
+
+  bool operator==(const VcShape& o) const {
+    return links == o.links && source_vci == o.source_vci &&
+           destination_vci == o.destination_vci && hop_count == o.hop_count &&
+           peak_bps == o.peak_bps && leaf_count == o.leaf_count && leaf_vcis == o.leaf_vcis;
+  }
+};
+
+VcShape ShapeOf(const Network& net, VcId id, const std::vector<const Endpoint*>& endpoints) {
+  VcShape shape;
+  const VcDescriptor* desc = net.GetVc(id);
+  const std::vector<Link*>* links = net.VcLinks(id);
+  if (desc == nullptr || links == nullptr) {
+    return shape;
+  }
+  for (const Link* l : *links) {
+    shape.links.push_back(l->id());
+  }
+  shape.source_vci = desc->source_vci;
+  shape.destination_vci = desc->destination_vci;
+  shape.hop_count = desc->hop_count;
+  shape.peak_bps = desc->qos.peak_bps;
+  shape.leaf_count = net.LeafCount(id);
+  for (const Endpoint* ep : endpoints) {
+    shape.leaf_vcis.push_back(net.LeafVci(id, ep));
+  }
+  return shape;
+}
+
+// Closing a VC keeps its record for the next open. The closed id must then
+// resolve to nothing anywhere, its congestion handler must be gone with it,
+// and the VC built in the record must be the one a fresh network builds.
+TEST_F(NetworkFixture, ClosedVcIdFindsNothingOnceItsRecordIsReused) {
+  auto old_vc = net_.OpenVc(a_, c_, QosSpec{10'000'000});
+  ASSERT_TRUE(old_vc.has_value());
+  int old_fired = 0;
+  net_.SetCongestionHandler(old_vc->id,
+                            [&old_fired](VcId, const Link*, double) { ++old_fired; });
+  ASSERT_TRUE(net_.CloseVc(old_vc->id));
+  // The one spare record takes this open.
+  auto vc = net_.OpenVc(b_, c_, QosSpec{20'000'000});
+  ASSERT_TRUE(vc.has_value());
+  ASSERT_NE(vc->id, old_vc->id);
+
+  ExpectNoVc(old_vc->id, {a_, b_, c_});
+  int stale_fired = 0;
+  net_.SetCongestionHandler(old_vc->id,
+                            [&stale_fired](VcId, const Link*, double) { ++stale_fired; });
+  int live_fired = 0;
+  net_.SetCongestionHandler(vc->id, [&live_fired](VcId, const Link*, double) { ++live_fired; });
+  const Link* trunk = (*net_.VcLinks(vc->id))[1];
+  ASSERT_EQ(trunk->name(), "sw1->sw2");  // the old VC crossed it too
+  EXPECT_EQ(net_.SignalCongestion(trunk, 0.5), 1);
+  EXPECT_EQ(old_fired, 0);
+  EXPECT_EQ(stale_fired, 0);
+  EXPECT_EQ(live_fired, 1);
+  EXPECT_EQ(net_.ReservedBps(trunk), 20'000'000);
+  EXPECT_EQ(net_.open_vc_count(), 1);
+
+  sim::Simulator fresh_sim;
+  Network fresh(&fresh_sim);
+  const Fabric f(fresh);
+  auto want = fresh.OpenVc(f.b, f.c, QosSpec{20'000'000});
+  ASSERT_TRUE(want.has_value());
+  EXPECT_EQ(ShapeOf(net_, vc->id, {a_, b_, c_}), ShapeOf(fresh, want->id, {f.a, f.b, f.c}));
+}
+
+// The same when a unicast VC takes the record of a closed multicast tree:
+// nothing of the tree's nodes, leaves or links survives into it.
+TEST_F(NetworkFixture, UnicastVcInAClosedTreesRecordKeepsNoneOfTheTree) {
+  Endpoint* d = net_.AddEndpoint("d", sw2_, 1, 155'000'000);
+  auto tree = net_.OpenVc(a_, {b_, c_, d}, QosSpec{10'000'000});
+  ASSERT_TRUE(tree.has_value());
+  int tree_fired = 0;
+  net_.SetCongestionHandler(tree->id,
+                            [&tree_fired](VcId, const Link*, double) { ++tree_fired; });
+  ASSERT_TRUE(net_.CloseVc(tree->id));
+  auto vc = net_.OpenVc(a_, c_, QosSpec{5'000'000});
+  ASSERT_TRUE(vc.has_value());
+
+  ExpectNoVc(tree->id, {a_, b_, c_, d});
+  EXPECT_EQ(net_.LeafCount(vc->id), 1);
+  EXPECT_FALSE(net_.LeafVci(vc->id, b_).has_value());
+  EXPECT_FALSE(net_.LeafVci(vc->id, d).has_value());
+  int live_fired = 0;
+  net_.SetCongestionHandler(vc->id, [&live_fired](VcId, const Link*, double) { ++live_fired; });
+  const Link* trunk = (*net_.VcLinks(vc->id))[1];
+  ASSERT_EQ(trunk->name(), "sw1->sw2");
+  EXPECT_EQ(net_.SignalCongestion(trunk, 0.5), 1);
+  EXPECT_EQ(tree_fired, 0);
+  EXPECT_EQ(live_fired, 1);
+  int64_t reserved = 0;
+  for (const auto& l : net_.links()) {
+    reserved += net_.ReservedBps(l.get());
+  }
+  EXPECT_EQ(reserved, 3 * 5'000'000);  // uplink, trunk, downlink
+
+  sim::Simulator fresh_sim;
+  Network fresh(&fresh_sim);
+  const Fabric f(fresh);
+  Endpoint* fresh_d = fresh.AddEndpoint("d", f.sw2, 1, 155'000'000);
+  auto want = fresh.OpenVc(f.a, f.c, QosSpec{5'000'000});
+  ASSERT_TRUE(want.has_value());
+  EXPECT_EQ(ShapeOf(net_, vc->id, {a_, b_, c_, d}),
+            ShapeOf(fresh, want->id, {f.a, f.b, f.c, fresh_d}));
 }
 
 TEST(WireTest, RoundTrip) {

@@ -467,6 +467,37 @@ TEST_F(ServerFixture, ConcurrentWritesDuringCleanSurvive) {
   EXPECT_EQ(server_.garbage_bytes(), 0);
 }
 
+// A clean moves only the blocks that still live in its victim. Here block 0
+// is rewritten and synced while the victim's live blocks are being copied,
+// and that sync finishes before the copy does: the newer copy must stay the
+// block's, and the stale copy is garbage a later clean reclaims.
+TEST_F(ServerFixture, CleanKeepsABlockRewrittenWhileItCopies) {
+  const int64_t free_at_start = server_.free_segments();
+  FileId f = server_.CreateFile(FileType::kNormal);
+  EXPECT_TRUE(WriteSync(f, 0, std::vector<uint8_t>(2 * 8192, 0x11)));
+  SyncAll();
+  // The rewrite leaves the first segment half dead: the clean's victim.
+  EXPECT_TRUE(WriteSync(f, 8192, std::vector<uint8_t>(8192, 0x22)));
+  SyncAll();
+  bool clean_done = false;
+  server_.Clean([&](CleanStats) { clean_done = true; });
+  EXPECT_TRUE(WriteSync(f, 0, std::vector<uint8_t>(8192, 0x33)));
+  bool sync_done = false;
+  server_.Sync([&]() { sync_done = true; });
+  sim_.RunUntilPredicate([&]() { return clean_done && sync_done; });
+
+  auto [ok, got] = ReadSync(f, 0, 2 * 8192);
+  EXPECT_TRUE(ok);
+  std::vector<uint8_t> want(8192, 0x33);
+  want.insert(want.end(), 8192, 0x22);
+  EXPECT_EQ(got, want);
+  // Only the two segments holding block 0's and block 1's newest copies
+  // stay in use once the stale copy is cleaned.
+  CleanSync();
+  EXPECT_EQ(server_.free_segments(), free_at_start - 2);
+  EXPECT_EQ(server_.garbage_entries(), 0);
+}
+
 TEST_F(ServerFixture, CrashLosesBufferedDataKeepsDurable) {
   FileId f = server_.CreateFile(FileType::kNormal);
   EXPECT_TRUE(WriteSync(f, 0, Pattern(8192, 1)));
